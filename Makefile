@@ -5,7 +5,15 @@ BENCH_JSON ?= bench.json
 BENCH_OPS ?= 300
 BENCH_MSGS ?= 100
 
-.PHONY: check vet staticcheck logcheck build test race soak doctor bench-smoke bench-json bench-regress trace-check
+# flake: how often the two known-flaky tests are repeated.
+FLAKE_COUNT ?= 50
+
+# bench-pair: the reference commit, the workload, and how many pairs.
+REF ?= HEAD
+W ?= w-sat
+N ?= 10
+
+.PHONY: check vet staticcheck logcheck build test race soak doctor flake bench-smoke bench-json bench-regress bench-pair trace-check
 
 # check is the full local gate: static checks, build, the race-enabled
 # test suite, and a one-iteration smoke run of the signature fast-path
@@ -66,6 +74,21 @@ doctor:
 	$(GO) test -race -count=1 ./internal/watch/ ./cmd/unidir-doctor/
 	$(GO) run ./cmd/unidir-doctor -cluster minbft -shards 2
 
+# flake is the pre-merge flake hunt (ROADMAP "Fix first"): the two tests
+# that are known to fail some fraction of the time, repeated; the protocol
+# packages under the race detector, repeated; and the failover scenario —
+# kill the primary, view change, restart from the data dir — ten times.
+# Any failure stops it. Slow (several minutes): run before declaring a PR
+# done, not on every edit.
+flake:
+	$(GO) test -count=$(FLAKE_COUNT) -run 'TestScenario1LivenessWithoutHearingC1' ./internal/separation/
+	$(GO) test -race -count=5 -run 'TestSoak' ./internal/minbft/
+	$(GO) test -race -count=3 ./internal/smr/ ./internal/minbft/ ./internal/pbft/
+	@for i in 1 2 3 4 5 6 7 8 9 10; do \
+		echo "failover run $$i/10"; \
+		$(GO) run ./bench -workload failover -quick > /dev/null || exit 1; \
+	done
+
 # trace-check re-runs the distributed-tracing test surface (context
 # propagation on the wire, span lifecycle, cross-node collection, the
 # end-to-end breakdown against live clusters) under the race detector.
@@ -89,3 +112,11 @@ bench-json:
 bench-regress:
 	$(GO) run ./cmd/benchharness -exp b1,b2,b9,b10,b11,b12 -msgs $(BENCH_MSGS) -ops $(BENCH_OPS) -json /tmp/bench-regress.json
 	$(GO) run ./cmd/benchregress -current /tmp/bench-regress.json
+
+# bench-pair is the evidence for a performance claim (choosing-metrics §8):
+# ./bench built at $(REF) and from the working tree, $(N) pairs of workload
+# $(W) alternating which side runs first, at BENCHMARK.json's run length;
+# prints each side's median and quartiles, the pair wins and the claim rule
+# per end-to-end metric. `make bench-pair REF=HEAD~1 W=w-sat N=10`.
+bench-pair:
+	$(GO) run ./cmd/benchpair -ref $(REF) -workload $(W) -n $(N)

@@ -7,8 +7,10 @@ import (
 	"testing"
 	"time"
 
+	"unidir/internal/kvstore"
 	"unidir/internal/minbft"
 	"unidir/internal/smr"
+	"unidir/internal/types"
 )
 
 // checkNoDoubleExecution asserts no (client, num) pair appears twice in any
@@ -134,20 +136,85 @@ func TestBatchedViewChangeNoLossNoDouble(t *testing.T) {
 	checkNoDoubleExecution(t, h, skip)
 }
 
+func TestWatchdogStateBoundedByPending(t *testing.T) {
+	// Watchdog state must follow the requests still pending, not every
+	// request of the last reqTimeout: 20k PUTs inside one 5 s timeout used
+	// to leave ~20k armed runtime timers (and their closures, map entries and
+	// expiry goroutines) at every replica. Now a replica has one runtime
+	// timer, and a watchdog lane pruned as batches execute.
+	const (
+		ops    = 20000
+		window = 64
+	)
+	h := newHarness(t, 3, 1, 1, 5*time.Second, minbft.WithBatchSize(64))
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	id := types.ProcessID(h.m.N)
+	pl, err := smr.NewPipeline(h.net.Endpoint(id), h.m.All(), h.m.FPlusOne(), uint64(id),
+		time.Second, window, smr.WithPipelineRequestEncoder(minbft.EncodeRequestEnvelope))
+	if err != nil {
+		t.Fatalf("NewPipeline: %v", err)
+	}
+	defer pl.Close()
+	check := func(when string) {
+		t.Helper()
+		for i, r := range h.replicas {
+			if got := r.PendingTimers(); got > 1 {
+				t.Fatalf("%s: replica %d has %d armed runtime timers, want at most 1", when, i, got)
+			}
+			// One cut of the run goroutine's state. A single in-order client
+			// executes in arrival order, so head-pruning is exact; the +1 is
+			// the request being admitted when the cut is taken.
+			st := r.Status()
+			if st.WatchdogEntries > st.PendingRequests+1 {
+				t.Fatalf("%s: replica %d holds %d watchdogs for %d pending requests",
+					when, i, st.WatchdogEntries, st.PendingRequests)
+			}
+		}
+	}
+	calls := make([]*smr.Call, 0, ops)
+	for i := 0; i < ops; i++ {
+		call, err := pl.Submit(ctx, kvstore.EncodePut(fmt.Sprintf("k%d", i%128), []byte{byte(i)}))
+		if err != nil {
+			t.Fatalf("Submit %d: %v", i, err)
+		}
+		calls = append(calls, call)
+		if i == ops/2 {
+			check("mid-run")
+		}
+	}
+	for i, call := range calls {
+		if _, err := call.Result(); err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+	check("at the end")
+}
+
 func TestWatchdogTimersCanceledOnClose(t *testing.T) {
-	// Regression: Close must cancel every armed watchdog so no AfterFunc
-	// callback outlives the replica. A long request timeout keeps the
-	// per-request watchdogs armed well past execution.
-	h := newHarness(t, 3, 1, 1, 30*time.Second)
+	// Regression: nothing of the timer plane may outlive Close — the one
+	// runtime timer is stopped and the deadline queue emptied. A long request
+	// timeout keeps that timer armed for the whole test.
+	h := newHarness(t, 3, 1, 2, 30*time.Second)
 	kv := h.client(0)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	if err := kv.Put(ctx, "armed", []byte("x")); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
+	// A backup that met the Put inside the primary's PREPARE before the
+	// client's own copy arrived never watched it. Hand every replica a
+	// request of its own, so that each provably has a watchdog queued.
+	stray := types.ProcessID(h.m.N + 1)
+	req := smr.Request{Client: uint64(stray), Num: 1, Op: kvstore.EncodePut("stray", nil)}
+	for i := len(h.replicas) - 1; i >= 0; i-- { // the primary last: no PREPARE can overtake a backup's copy
+		h.net.Inject(stray, types.ProcessID(i), minbft.EncodeRequestEnvelope(req))
+	}
 	for i, r := range h.replicas {
-		if r.PendingTimers() == 0 {
-			t.Fatalf("replica %d has no armed watchdogs before Close", i)
+		for deadline := time.Now().Add(10 * time.Second); r.PendingTimers() == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("replica %d has no armed timer before Close", i)
+			}
 		}
 	}
 	for i, r := range h.replicas {
@@ -155,7 +222,7 @@ func TestWatchdogTimersCanceledOnClose(t *testing.T) {
 			t.Fatalf("Close(%d): %v", i, err)
 		}
 		if got := r.PendingTimers(); got != 0 {
-			t.Fatalf("replica %d still has %d armed watchdogs after Close", i, got)
+			t.Fatalf("replica %d still has %d armed timers after Close", i, got)
 		}
 	}
 }

@@ -483,7 +483,7 @@ func (r *Replica) requestState(count uint64) {
 	r.stateTarget = count
 	r.rdyST.Store(true)
 	r.broadcastStateFetch()
-	r.afterTimeout(r.reqTimeout, timerEvent{kind: 's', seq: types.SeqNum(count)})
+	r.deadlines.After(r.reqTimeout, timerEvent{kind: 's', seq: types.SeqNum(count)})
 }
 
 func (r *Replica) broadcastStateFetch() {

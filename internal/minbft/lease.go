@@ -82,7 +82,7 @@ func (r *Replica) renewLease() {
 	}
 	if !r.renewArmed {
 		r.renewArmed = true
-		r.afterTimeout(r.leaseTerm/2, timerEvent{kind: 'l'})
+		r.deadlines.After(r.leaseTerm/2, timerEvent{kind: 'l'})
 	}
 	now := time.Now()
 	if !r.leaseUntil.IsZero() && !now.Before(r.leaseUntil) {
@@ -190,7 +190,7 @@ func (r *Replica) grantExpired() {
 	if hold := time.Until(r.grantUntil); hold > 0 {
 		// A renewal landed while the timer was in flight; wait it out too.
 		r.grantTimerArmed = true
-		r.afterTimeout(hold, timerEvent{kind: 'g'})
+		r.deadlines.After(hold, timerEvent{kind: 'g'})
 		return
 	}
 	target := r.deferredVC

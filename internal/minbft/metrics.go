@@ -37,6 +37,7 @@ type metrics struct {
 	fetchesSent     *obs.Counter
 	sheds           *obs.Counter   // requests refused by admission control
 	pendingDepth    *obs.Gauge     // pending-request queue depth
+	watchdogs       *obs.Gauge     // request watchdogs queued (tracks pendingDepth, see pruneWatchdogs)
 	batchWait       *obs.Histogram // oldest-arrival-to-cut wait per batch
 	pacedProposals  *obs.Counter   // proposal deferrals due to peer queue depth
 	leaseGrants     *obs.Counter   // grants this replica issued as a grantor
@@ -44,6 +45,7 @@ type metrics struct {
 	leaseExpiries   *obs.Counter   // renewals that found the previous lease lapsed
 	leasedReads     *obs.Counter   // reads answered from the lease
 	fallbackReads   *obs.Counter   // reads answered as quorum-read fallback votes
+	sigSigns        *obs.Counter   // USIG attestations made, one signature each (shared series, all replicas)
 	trace           *obs.Trace
 }
 
@@ -69,6 +71,7 @@ func (r *Replica) initMetrics() {
 		fetchesSent:     reg.Counter(obs.Name("minbft_fetches_sent_total", "replica", id)),
 		sheds:           reg.Counter(obs.Name("minbft_requests_shed_total", "replica", id)),
 		pendingDepth:    reg.Gauge(obs.Name("minbft_pending_requests", "replica", id)),
+		watchdogs:       reg.Gauge(obs.Name("minbft_watchdog_entries", "replica", id)),
 		batchWait:       reg.Histogram(obs.Name("minbft_batch_wait_seconds", "replica", id), obs.LatencyBuckets),
 		pacedProposals:  reg.Counter(obs.Name("minbft_paced_proposals_total", "replica", id)),
 		leaseGrants:     reg.Counter(obs.Name("minbft_lease_grants_total", "replica", id)),
@@ -76,6 +79,7 @@ func (r *Replica) initMetrics() {
 		leaseExpiries:   reg.Counter(obs.Name("minbft_lease_expiries_total", "replica", id)),
 		leasedReads:     reg.Counter(obs.Name("minbft_leased_reads_total", "replica", id)),
 		fallbackReads:   reg.Counter(obs.Name("minbft_fallback_reads_total", "replica", id)),
+		sigSigns:        reg.Counter("sig_signs_total"),
 		trace:           reg.Trace(obs.Name("minbft", "replica", id), 256),
 	}
 }

@@ -153,9 +153,10 @@ func WithAdmission(cfg smr.AdmissionConfig) Option {
 	}
 }
 
-// WithProposalPacing makes the primary defer cutting new batches while any
-// peer's transport send queue holds depth or more frames (requires a
-// transport implementing transport.QueueDepther; otherwise a no-op).
+// WithProposalPacing makes the primary defer cutting new batches while
+// fewer than f peers — the commits a batch needs — have a transport send
+// queue shorter than depth frames (requires a transport implementing
+// transport.QueueDepther; otherwise a no-op).
 // depth <= 0 disables pacing. The default comes from smr.DefaultPaceDepth
 // (the UNIDIR_PACE_DEPTH environment knob).
 func WithProposalPacing(depth int) Option {
@@ -244,15 +245,15 @@ type Replica struct {
 	paceDepthSet     bool
 	qd               transport.QueueDepther // nil unless the transport exposes depths
 
-	events *syncx.Queue[event]
-	wg     sync.WaitGroup
-	cancel context.CancelFunc
+	events    *syncx.Queue[event]
+	wg        sync.WaitGroup
+	cancel    context.CancelFunc
+	closeOnce sync.Once
 
-	mu     sync.Mutex
-	closed bool
-	timers map[*time.Timer]struct{} // armed watchdogs, stopped on Close
+	mu sync.Mutex // guards view, for the View accessor
 
 	// State below is owned by the run goroutine.
+	deadlines  *smr.Deadlines[timerEvent] // every timeout below, on one runtime timer
 	view       types.View
 	inVC       bool       // view change in progress
 	targetView types.View // view being changed to while inVC
@@ -363,10 +364,12 @@ type peerMsg struct {
 
 type event struct {
 	env    *transport.Envelope
-	timer  *timerEvent
+	tick   bool            // a queued deadline has passed: drain r.deadlines
 	status chan obs.Status // introspection request; answered on the run goroutine (status.go)
 }
 
+// timerEvent is one entry of r.deadlines. Request watchdogs ('t') ride the
+// Watch lane — reqTimeout is their one duration — and the rest use After.
 type timerEvent struct {
 	kind    byte // 't' request timeout, 'v' view-change timeout, 'f' fetch, 's' state fetch, 'b' batch deadline/pacing recheck, 'l' lease renewal, 'g' grantor-promise expiry
 	pending pendingKey
@@ -404,7 +407,6 @@ func New(m types.Membership, tr transport.Transport, dev *trinc.Device, ver *tri
 		maxBatch:   smr.DefaultBatchSize(),
 		events:     syncx.NewQueue[event](),
 		cancel:     cancel,
-		timers:     make(map[*time.Timer]struct{}),
 		lastUI:     make(map[types.ProcessID]types.SeqNum),
 		uiBuffer:   make(map[types.ProcessID]map[types.SeqNum]peerMsg),
 		msgStore:   make(map[types.ProcessID]map[types.SeqNum]peerMsg),
@@ -485,6 +487,7 @@ func New(m types.Membership, tr transport.Transport, dev *trinc.Device, ver *tri
 		// rehydrated restart even without a checkpoint on disk.
 		r.announceRestart = true
 	}
+	r.deadlines = smr.NewDeadlines[timerEvent](smr.SystemClock, func() { r.events.Push(event{tick: true}) })
 	r.initMetrics()
 	r.wg.Add(2)
 	go r.recvLoop(ctx)
@@ -502,33 +505,27 @@ func (r *Replica) View() types.View {
 	return r.view
 }
 
-// Close stops the replica's goroutines and cancels every armed watchdog
-// timer, so no time.AfterFunc callback outlives the replica.
+// Close stops the replica's goroutines and then its timer plane, so nothing
+// fires once Close has returned.
 func (r *Replica) Close() error {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil
-	}
-	r.closed = true
-	for t := range r.timers {
-		t.Stop()
-	}
-	r.timers = nil
-	r.mu.Unlock()
-	r.cancel()
-	r.events.Close()
-	_ = r.tr.Close()
-	r.wg.Wait()
+	r.closeOnce.Do(func() {
+		r.cancel()
+		r.events.Close()
+		_ = r.tr.Close()
+		r.wg.Wait()
+		r.deadlines.Stop() // the run goroutine, its only other user, has exited
+	})
 	return nil
 }
 
-// PendingTimers reports the number of armed watchdog timers (zero after
-// Close; exposed for tests and monitoring).
+// PendingTimers reports the number of armed runtime timers: at most one
+// however many timeouts are queued, zero after Close (exposed for tests and
+// monitoring).
 func (r *Replica) PendingTimers() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.timers)
+	if r.deadlines.Armed() {
+		return 1
+	}
+	return 0
 }
 
 func (r *Replica) recvLoop(ctx context.Context) {
@@ -591,8 +588,8 @@ func (r *Replica) run(ctx context.Context) {
 			switch {
 			case ev.env != nil:
 				r.handleEnvelope(*ev.env)
-			case ev.timer != nil:
-				r.handleTimer(*ev.timer)
+			case ev.tick:
+				r.deadlines.Due(r.handleTimer)
 			case ev.status != nil:
 				ev.status <- r.buildStatus()
 			}
@@ -672,17 +669,22 @@ func (r *Replica) ingestReplicaMsg(kind byte, body []byte, ui *trinc.Attestation
 	if ui == nil || !r.m.Contains(ui.Trinket) || ui.Trinket == r.Self() || ui.Counter != usigCounter {
 		return
 	}
+	from := ui.Trinket
+	if ui.Seq <= r.lastUI[from] {
+		return // already processed (retransmission or replay)
+	}
+	if _, held := r.uiBuffer[from][ui.Seq]; held {
+		return // a verified copy is already waiting for the gap to close
+	}
+	// Only now pay for the signature: the two drops above change no state,
+	// so a retransmit or replay flood costs map lookups, not verifications.
 	if err := r.checkUI(*ui, kind, body); err != nil {
 		return
 	}
-	from := ui.Trinket
 	buf := r.uiBuffer[from]
 	if buf == nil {
 		buf = make(map[types.SeqNum]peerMsg)
 		r.uiBuffer[from] = buf
-	}
-	if ui.Seq <= r.lastUI[from] {
-		return // already processed (retransmission or replay)
 	}
 	if kind == kindRestart {
 		// An attested counter jump: the peer crashed and restarted.
@@ -752,7 +754,7 @@ func (r *Replica) storeMsg(from types.ProcessID, seq types.SeqNum, msg peerMsg) 
 // scheduleFetch arms a delayed gap-fill query for (peer, seq); if the gap
 // closes on its own (late direct delivery) the fire is a no-op.
 func (r *Replica) scheduleFetch(peer types.ProcessID, seq types.SeqNum) {
-	r.afterTimeout(r.reqTimeout/4, timerEvent{kind: 'f', peer: peer, seq: seq})
+	r.deadlines.After(r.reqTimeout/4, timerEvent{kind: 'f', peer: peer, seq: seq})
 }
 
 func (r *Replica) handleFetch(from types.ProcessID, body []byte) {
@@ -839,9 +841,10 @@ func (r *Replica) handleRequest(req smr.Request, tc tracing.Context) {
 		r.batchStart = now
 	}
 	r.noteRequest(key, tc)
-	r.maybePropose()
 	// Arm the liveness watchdog for this request.
-	r.afterTimeout(r.reqTimeout, timerEvent{kind: 't', pending: key, view: r.view})
+	r.deadlines.Watch(r.reqTimeout, timerEvent{kind: 't', pending: key, view: r.view})
+	r.mx.watchdogs.Set(int64(r.deadlines.Watched()))
+	r.maybePropose()
 }
 
 // maybePropose is the primary's batching valve: it packs pending requests
@@ -864,10 +867,13 @@ func (r *Replica) maybePropose() {
 		if r.maxBatch > 1 && r.inFlight >= r.maxInFlight {
 			return
 		}
-		// Backpressure: while some peer's send queue is saturated, pushing
-		// more batches only grows it. Defer and recheck on a timer.
+		// Backpressure: a batch needs commits from f peers, and while fewer
+		// than f send queues are short, pushing more batches only grows
+		// them. Defer and recheck on a timer. Counting short queues (not
+		// looking for a long one) is what keeps a crashed peer, whose queue
+		// never drains, from wedging the primary.
 		if r.paceDepth > 0 && r.qd != nil &&
-			transport.MaxQueueDepth(r.tr, r.m.Others(r.Self())) >= r.paceDepth {
+			transport.QueuesBelow(r.qd, r.m.Others(r.Self()), r.paceDepth) < r.m.F {
 			r.mx.pacedProposals.Inc()
 			r.armBatchTimer(r.paceRecheck())
 			return
@@ -937,32 +943,23 @@ func (r *Replica) armBatchTimer(d time.Duration) {
 		return
 	}
 	r.batchTimerArmed = true
-	r.afterTimeout(d, timerEvent{kind: 'b'})
+	r.deadlines.After(d, timerEvent{kind: 'b'})
 }
 
-// afterTimeout arms a watchdog that pushes te into the event queue after d.
-// Timers are tracked so Close can stop them; a callback that races Close
-// observes the closed flag under the lock and becomes a no-op (the event
-// queue is closed by then anyway — this keeps the timer set itself tidy).
-func (r *Replica) afterTimeout(d time.Duration, te timerEvent) {
-	t := te
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return
-	}
-	var tm *time.Timer
-	tm = time.AfterFunc(d, func() {
-		r.mu.Lock()
-		if r.closed {
-			r.mu.Unlock()
-			return
-		}
-		delete(r.timers, tm)
-		r.mu.Unlock()
-		r.events.Push(event{timer: &t})
-	})
-	r.timers[tm] = struct{}{}
+// watchdogLive reports whether a request watchdog can still demand a view
+// change: its request is pending and it was recorded in the current view.
+func (r *Replica) watchdogLive(te timerEvent) bool {
+	_, pending := r.pending[te.pending]
+	return pending && te.view == r.view
+}
+
+// pruneWatchdogs drops the watchdogs at the head of the lane whose requests
+// have executed (or whose view is over), so the lane — and the runtime timer
+// behind it — tracks the oldest request still pending, and watchdog state is
+// O(len(pending)), not O(arrival rate × reqTimeout).
+func (r *Replica) pruneWatchdogs() {
+	r.deadlines.Prune(r.watchdogLive)
+	r.mx.watchdogs.Set(int64(r.deadlines.Watched()))
 }
 
 func (r *Replica) handleTimer(te timerEvent) {
@@ -973,7 +970,7 @@ func (r *Replica) handleTimer(te timerEvent) {
 		r.batchTimerArmed = false
 		r.maybePropose()
 	case 't':
-		if _, still := r.pending[te.pending]; still && te.view == r.view && !r.inVC {
+		if r.watchdogLive(te) && !r.inVC {
 			r.startViewChange(r.view + 1)
 		}
 	case 'v':
@@ -989,7 +986,7 @@ func (r *Replica) handleTimer(te timerEvent) {
 		_ = transport.Broadcast(r.tr, r.m.Others(r.Self()), encodeEnvelope(kindFetch, body, nil))
 		next := te
 		next.retries++
-		r.afterTimeout(r.reqTimeout/2, next)
+		r.deadlines.After(r.reqTimeout/2, next)
 	case 's':
 		if r.stateTarget == 0 || uint64(te.seq) < r.stateTarget {
 			return // superseded by a later target (which armed its own timer)
@@ -1000,7 +997,7 @@ func (r *Replica) handleTimer(te timerEvent) {
 			return
 		}
 		r.broadcastStateFetch()
-		r.afterTimeout(r.reqTimeout, te)
+		r.deadlines.After(r.reqTimeout, te)
 	case 'l':
 		r.renewArmed = false
 		r.renewLease()
@@ -1187,6 +1184,7 @@ func (r *Replica) tryExecute() {
 		executed = true
 	}
 	if executed {
+		r.pruneWatchdogs()
 		r.flushLeaseReads()
 		r.maybePropose()
 	}
@@ -1234,7 +1232,7 @@ func (r *Replica) startViewChange(target types.View) {
 		}
 		if !r.grantTimerArmed {
 			r.grantTimerArmed = true
-			r.afterTimeout(hold, timerEvent{kind: 'g'})
+			r.deadlines.After(hold, timerEvent{kind: 'g'})
 		}
 		return
 	}
@@ -1252,7 +1250,7 @@ func (r *Replica) startViewChange(target types.View) {
 	}
 	r.recordVC(r.Self(), signedVC{Sender: r.Self(), Body: body, UI: ui})
 	// If the view change stalls (for example a faulty new primary), move on.
-	r.afterTimeout(4*r.reqTimeout, timerEvent{kind: 'v', view: target})
+	r.deadlines.After(4*r.reqTimeout, timerEvent{kind: 'v', view: target})
 }
 
 func (r *Replica) handleViewChange(from types.ProcessID, msg peerMsg) {
@@ -1483,9 +1481,13 @@ func (r *Replica) installView(nv newView, raw []byte) {
 	// under the new primary's UI, and per-request client-table dedup keeps
 	// any overlap with already-executed entries harmless.
 	r.maybePropose()
+	// Every request still pending is the new primary's to order from now:
+	// watch each afresh, then drop the old view's watchdogs, which sit ahead
+	// of these on the lane and can no longer demand anything.
 	for key := range r.pending {
-		r.afterTimeout(r.reqTimeout, timerEvent{kind: 't', pending: key, view: r.view})
+		r.deadlines.Watch(r.reqTimeout, timerEvent{kind: 't', pending: key, view: r.view})
 	}
+	r.pruneWatchdogs()
 }
 
 // sortedPending yields pending requests in a deterministic order.

@@ -14,6 +14,7 @@ import (
 	"unidir/internal/sig"
 	"unidir/internal/simnet"
 	"unidir/internal/smr"
+	"unidir/internal/transport"
 	"unidir/internal/trusted/trinc"
 	"unidir/internal/types"
 )
@@ -30,6 +31,14 @@ type harness struct {
 }
 
 func newHarness(t *testing.T, n, f, clients int, timeout time.Duration, opts ...minbft.Option) *harness {
+	t.Helper()
+	return newHarnessOn(t, n, f, clients, timeout, nil, opts...)
+}
+
+// newHarnessOn is newHarness with each replica's endpoint passed through
+// wrap first (nil: used as is), for tests that fake a transport capability.
+func newHarnessOn(t *testing.T, n, f, clients int, timeout time.Duration,
+	wrap func(i int, tr transport.Transport) transport.Transport, opts ...minbft.Option) *harness {
 	t.Helper()
 	m, err := types.NewMembership(n, f)
 	if err != nil {
@@ -62,7 +71,11 @@ func newHarness(t *testing.T, n, f, clients int, timeout time.Duration, opts ...
 		h.logs[i] = &smr.ExecutionLog{}
 		all := append([]minbft.Option{minbft.WithRequestTimeout(timeout),
 			minbft.WithExecutionLog(h.logs[i]), minbft.WithMetrics(h.metrics)}, opts...)
-		rep, err := minbft.New(m, net.Endpoint(types.ProcessID(i)), tu.Devices[i], tu.Verifier, h.stores[i], all...)
+		var tr transport.Transport = net.Endpoint(types.ProcessID(i))
+		if wrap != nil {
+			tr = wrap(i, tr)
+		}
+		rep, err := minbft.New(m, tr, tu.Devices[i], tu.Verifier, h.stores[i], all...)
 		if err != nil {
 			t.Fatalf("minbft.New: %v", err)
 		}

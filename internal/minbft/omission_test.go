@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"unidir/internal/kvstore"
+	"unidir/internal/obs"
 	"unidir/internal/sig"
 	"unidir/internal/simnet"
 	"unidir/internal/smr"
@@ -28,7 +29,7 @@ type byzPrimaryFixture struct {
 	logs    []*smr.ExecutionLog
 }
 
-func newByzPrimaryFixture(t *testing.T) *byzPrimaryFixture {
+func newByzPrimaryFixture(t *testing.T, opts ...Option) *byzPrimaryFixture {
 	t.Helper()
 	m, err := types.NewMembership(3, 1)
 	if err != nil {
@@ -49,8 +50,9 @@ func newByzPrimaryFixture(t *testing.T) *byzPrimaryFixture {
 	fix := &byzPrimaryFixture{m: m, net: net, tu: tu}
 	for i := 1; i <= 2; i++ {
 		log := &smr.ExecutionLog{}
+		all := append([]Option{WithRequestTimeout(time.Second), WithExecutionLog(log)}, opts...)
 		rep, err := New(m, net.Endpoint(types.ProcessID(i)), tu.Devices[i], tu.Verifier,
-			kvstore.New(), WithRequestTimeout(time.Second), WithExecutionLog(log))
+			kvstore.New(), all...)
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
@@ -69,13 +71,18 @@ func newByzPrimaryFixture(t *testing.T) *byzPrimaryFixture {
 // preparePayload attests and encodes a PREPARE from the Byzantine primary.
 func (f *byzPrimaryFixture) preparePayload(t *testing.T, req smr.Request) []byte {
 	t.Helper()
-	body := prepare{View: 0, Reqs: []smr.Request{req}}.encodeBody()
+	return f.attested(t, kindPrepare, prepare{View: 0, Reqs: []smr.Request{req}}.encodeBody())
+}
+
+// attested encodes (kind, body) under the Byzantine primary's next UI.
+func (f *byzPrimaryFixture) attested(t *testing.T, kind byte, body []byte) []byte {
+	t.Helper()
 	dev := f.tu.Devices[0]
-	ui, err := dev.Attest(usigCounter, dev.LastAttested(usigCounter)+1, uiBinding(kindPrepare, body))
+	ui, err := dev.Attest(usigCounter, dev.LastAttested(usigCounter)+1, uiBinding(kind, body))
 	if err != nil {
 		t.Fatalf("Attest: %v", err)
 	}
-	return encodeEnvelope(kindPrepare, body, &ui)
+	return encodeEnvelope(kind, body, &ui)
 }
 
 func TestOmittedPrepareRecoveredByFetch(t *testing.T) {
@@ -185,5 +192,50 @@ func TestForgedUIRejected(t *testing.T) {
 	time.Sleep(100 * time.Millisecond)
 	if got := len(fix.logs[0].Snapshot()); got != 0 {
 		t.Fatalf("backup executed %d commands from a forged UI", got)
+	}
+}
+
+func TestReplayedMessageCostsNoVerification(t *testing.T) {
+	// A retransmitted or replayed replica message — its counter value at or
+	// below the sender's cursor, or already buffered behind a gap — must be
+	// dropped before its UI is verified: a replay flood then costs map
+	// lookups, not signature checks. The Byzantine primary's COMMITs carry
+	// Primary == sender, which handleCommit ignores, so nothing here makes
+	// the backup send (and its peers verify) anything.
+	fix := newByzPrimaryFixture(t)
+	reg := obs.NewRegistry()
+	fix.tu.Verifier.FastPath().AttachMetrics(reg)
+	lookups := func() uint64 { return reg.Snapshot().Counter("sig_lookups_total") }
+	commit := func() []byte {
+		return fix.attested(t, kindCommit, commit{View: 0, Primary: 0, PrepSeq: 1}.encodeBody())
+	}
+	c1, c2, c3 := commit(), commit(), commit()
+	for _, payload := range [][]byte{
+		c1, // verified, processed: cursor 1
+		c1, // replay at the cursor
+		c3, // verified, buffered behind the gap at 2
+		c3, // retransmission of the buffered copy
+		c2, // verified; closes the gap: cursor 3
+		c1, c2, c3,
+	} {
+		fix.net.Inject(0, 1, payload)
+	}
+	// The run goroutine looks up (and here verifies) the three distinct
+	// messages only. With a spare core the receive goroutine additionally
+	// pre-verifies every frame as it arrives (prewarm): it cannot see the
+	// run goroutine's cursors, so it pays one lookup per frame regardless.
+	want := uint64(3)
+	if fix.tu.Verifier.Concurrent() {
+		want += 8
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for lookups() < want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	// A status request queues behind the three replays that follow c2, so
+	// once it is answered they have cost whatever they were going to.
+	_ = fix.backups[0].Status()
+	if got := lookups(); got != want {
+		t.Fatalf("sig_lookups_total = %d after 3 distinct messages and 5 replays, want %d", got, want)
 	}
 }

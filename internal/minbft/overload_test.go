@@ -11,6 +11,7 @@ import (
 	"unidir/internal/byz"
 	"unidir/internal/minbft"
 	"unidir/internal/smr"
+	"unidir/internal/transport"
 	"unidir/internal/types"
 )
 
@@ -140,4 +141,43 @@ func TestOverloadSoak(t *testing.T) {
 	}
 	checkNoDoubleExecution(t, h, nil)
 	checkLogsMutuallyOrdered(t, h)
+}
+
+// deadPeerTransport reports an ever-growing send queue towards one peer, as
+// tcpnet does for a peer that has crashed: frames for it are buffered and
+// never drained.
+type deadPeerTransport struct {
+	transport.Transport
+	dead  types.ProcessID
+	depth atomic.Int64
+}
+
+func (d *deadPeerTransport) QueueDepth(to types.ProcessID) int {
+	if to != d.dead {
+		return 0
+	}
+	return int(d.depth.Add(1000))
+}
+
+func TestPacingIgnoresDeadPeer(t *testing.T) {
+	// Proposal pacing must look at the f peers whose commits a batch needs,
+	// not at every peer: a crashed backup's queue only grows, and pacing on
+	// it wedges the primary for good.
+	h := newHarnessOn(t, 3, 1, 1, 2*time.Second,
+		func(i int, tr transport.Transport) transport.Transport {
+			return &deadPeerTransport{Transport: tr, dead: 2}
+		}, minbft.WithProposalPacing(16))
+	_ = h.replicas[2].Close()
+	h.replicas[2] = nil
+	kv := h.client(0)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	for i := 0; i < 20; i++ {
+		if err := kv.Put(ctx, fmt.Sprintf("k%d", i), []byte{byte(i)}); err != nil {
+			t.Fatalf("Put %d with a dead peer's queue growing: %v", i, err)
+		}
+	}
+	if paced := h.metrics.Snapshot().CounterSum("minbft_paced_proposals_total"); paced != 0 {
+		t.Fatalf("%d proposals paced on a dead peer's queue", paced)
+	}
 }

@@ -73,6 +73,11 @@ func (r *Replica) buildStatus() obs.Status {
 			"usig": uint64(r.dev.LastAttested(usigCounter)),
 		},
 	}
+	r.pruneWatchdogs()
+	st.WatchdogEntries = r.deadlines.Watched()
+	if at, ok := r.deadlines.OldestWatch(); ok {
+		st.OldestPendingMs = (r.reqTimeout - at.Sub(now)).Milliseconds()
+	}
 	switch {
 	case r.inVC:
 		st.ReadyReason = "view change in progress"

@@ -86,6 +86,7 @@ func (r *Replica) attestAndSendTraced(kind byte, body []byte, span *tracing.Acti
 	next := r.dev.LastAttested(usigCounter) + 1
 	e := wire.GetEncoder()
 	appendUIBinding(e, kind, body)
+	r.mx.sigSigns.Inc()
 	ui, err := r.dev.Attest(usigCounter, next, e.Bytes())
 	wire.PutEncoder(e)
 	att.End()

@@ -72,6 +72,14 @@ type Status struct {
 	OpenSlots       int `json:"open_slots"`
 	InFlightBatches int `json:"in_flight_batches"`
 	QueuedReads     int `json:"queued_reads"`
+	// OldestPendingMs is how long the oldest pending request has waited on
+	// this view's primary, and WatchdogEntries how many request watchdogs
+	// the replica holds for it (MinBFT: the head and length of the watchdog
+	// lane, so WatchdogEntries tracks PendingRequests; PBFT arms no request
+	// watchdogs and omits both). A replica demands a view change when the
+	// age reaches its request timeout.
+	OldestPendingMs int64 `json:"oldest_pending_ms,omitempty"`
+	WatchdogEntries int   `json:"watchdog_entries,omitempty"`
 
 	Checkpoint *CheckpointStatus `json:"checkpoint,omitempty"`
 

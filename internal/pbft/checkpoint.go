@@ -143,7 +143,7 @@ func (r *Replica) takeCheckpoint(n types.SeqNum) {
 	state := smr.EncodeCheckpointState(r.snap.Snapshot(), r.table)
 	r.ownStates[n] = state
 	digest := sha256.Sum256(state)
-	sig := r.ring.Sign(signedBytes(kindCheckpoint, r.view, n, digest[:]))
+	sig := r.sign(signedBytes(kindCheckpoint, r.view, n, digest[:]))
 	msg := encodeMsg(kindCheckpoint, r.view, n, digest[:], sig)
 	_ = transport.Broadcast(r.tr, r.m.Others(r.Self()), msg)
 	r.mx.ckptTaken.Inc()
@@ -246,7 +246,7 @@ func (r *Replica) verifyCkptCert(cert ckptCert) error {
 			return fmt.Errorf("pbft: bad cert voter %v", v.Sender)
 		}
 		seen[v.Sender] = true
-		if err := r.ring.Verify(v.Sender, signed, v.Sig); err != nil {
+		if err := r.verify(v.Sender, signed, v.Sig); err != nil {
 			return err
 		}
 	}
@@ -258,7 +258,7 @@ func (r *Replica) handleStateFetch(from types.ProcessID, n types.SeqNum) {
 		return
 	}
 	payload := encodeStateRespPayload(r.stable, r.stableState)
-	sig := r.ring.Sign(signedBytes(kindStateResp, r.view, r.stable.Seq, payload))
+	sig := r.sign(signedBytes(kindStateResp, r.view, r.stable.Seq, payload))
 	_ = r.tr.Send(from, encodeMsg(kindStateResp, r.view, r.stable.Seq, payload, sig))
 }
 

@@ -77,7 +77,7 @@ func (r *Replica) renewLease() {
 	r.noteGrant(r.Self())
 	if !r.renewArmed {
 		r.renewArmed = true
-		r.afterTimeout(r.leaseTerm/2, timerEvent{kind: 'l'})
+		r.deadlines.After(r.leaseTerm/2, timerEvent{kind: 'l'})
 	}
 }
 

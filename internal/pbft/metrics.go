@@ -33,6 +33,8 @@ type metrics struct {
 	leaseExpiries   *obs.Counter   // renewals that found the previous lease lapsed
 	leasedReads     *obs.Counter   // reads answered from the lease
 	fallbackReads   *obs.Counter   // reads answered as quorum-read fallback votes
+	sigSigns        *obs.Counter   // keyring signatures made (shared series, all replicas)
+	sigVerifies     *obs.Counter   // keyring verifications run (shared series, all replicas)
 	trace           *obs.Trace
 }
 
@@ -60,6 +62,8 @@ func (r *Replica) initMetrics() {
 		leaseExpiries:   reg.Counter(obs.Name("pbft_lease_expiries_total", "replica", id)),
 		leasedReads:     reg.Counter(obs.Name("pbft_leased_reads_total", "replica", id)),
 		fallbackReads:   reg.Counter(obs.Name("pbft_fallback_reads_total", "replica", id)),
+		sigSigns:        reg.Counter("sig_signs_total"),
+		sigVerifies:     reg.Counter("sig_verifications_total"),
 		trace:           reg.Trace(obs.Name("pbft", "replica", id), 256),
 	}
 }

@@ -67,13 +67,10 @@ type Replica struct {
 
 	execLog *smr.ExecutionLog
 
-	events *syncx.Queue[event]
-	wg     sync.WaitGroup
-	cancel context.CancelFunc
-
-	mu     sync.Mutex
-	closed bool
-	timers map[*time.Timer]struct{} // armed batch-deadline timers, stopped on Close
+	events    *syncx.Queue[event]
+	wg        sync.WaitGroup
+	cancel    context.CancelFunc
+	closeOnce sync.Once
 
 	maxBatch int
 
@@ -92,6 +89,7 @@ type Replica struct {
 	qd               transport.QueueDepther // nil unless the transport exposes depths
 
 	// State below is owned by the run goroutine.
+	deadlines *smr.Deadlines[timerEvent] // the 'b' and 'l' timeouts, on one runtime timer
 	view      types.View
 	nextSeq   types.SeqNum // primary's next assignment
 	execNext  types.SeqNum // next sequence number to execute
@@ -150,12 +148,10 @@ type pendingKey struct {
 	client, num uint64
 }
 
-// event is one unit of work for the run goroutine: a received envelope or
-// an expired timer (pbft grew timers with the adaptive batch deadline;
-// minbft has had the same union shape since its view-change watchdogs).
+// event is one unit of work for the run goroutine.
 type event struct {
 	env    *transport.Envelope
-	timer  *timerEvent
+	tick   bool            // a queued deadline has passed: drain r.deadlines
 	status chan obs.Status // introspection request; answered on the run goroutine (status.go)
 }
 
@@ -247,9 +243,10 @@ func WithAdmission(cfg smr.AdmissionConfig) Option {
 	}
 }
 
-// WithProposalPacing makes the primary defer cutting new batches while any
-// peer's transport send queue holds depth or more frames (requires a
-// transport.QueueDepther transport; otherwise a no-op). depth <= 0 disables
+// WithProposalPacing makes the primary defer cutting new batches while fewer
+// than 2f peers — the votes a batch needs — have a transport send queue
+// shorter than depth frames (requires a transport.QueueDepther transport;
+// otherwise a no-op). depth <= 0 disables
 // pacing. The default comes from smr.DefaultPaceDepth (the UNIDIR_PACE_DEPTH
 // environment knob).
 func WithProposalPacing(depth int) Option {
@@ -319,7 +316,6 @@ func New(m types.Membership, tr transport.Transport, ring *sig.Keyring, sm smr.S
 		maxBatch:  smr.DefaultBatchSize(),
 		events:    syncx.NewQueue[event](),
 		cancel:    cancel,
-		timers:    make(map[*time.Timer]struct{}),
 		execNext:  1,
 		slots:     make(map[types.SeqNum]*slot),
 		table:     smr.NewClientTable(),
@@ -373,6 +369,7 @@ func New(m types.Membership, tr transport.Transport, ring *sig.Keyring, sm smr.S
 	case r.ckptInterval < 0:
 		r.ckptInterval = 0
 	}
+	r.deadlines = smr.NewDeadlines[timerEvent](smr.SystemClock, func() { r.events.Push(event{tick: true}) })
 	r.initMetrics()
 	r.wg.Add(2)
 	go r.recvLoop(ctx)
@@ -383,24 +380,16 @@ func New(m types.Membership, tr transport.Transport, ring *sig.Keyring, sm smr.S
 // Self returns the replica's process ID.
 func (r *Replica) Self() types.ProcessID { return r.tr.Self() }
 
-// Close stops the replica and cancels any armed batch timer, so no
-// time.AfterFunc callback outlives the replica.
+// Close stops the replica's goroutines and then its timer plane, so nothing
+// fires once Close has returned.
 func (r *Replica) Close() error {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil
-	}
-	r.closed = true
-	for t := range r.timers {
-		t.Stop()
-	}
-	r.timers = nil
-	r.mu.Unlock()
-	r.cancel()
-	r.events.Close()
-	_ = r.tr.Close()
-	r.wg.Wait()
+	r.closeOnce.Do(func() {
+		r.cancel()
+		r.events.Close()
+		_ = r.tr.Close()
+		r.wg.Wait()
+		r.deadlines.Stop() // the run goroutine, its only other user, has exited
+	})
 	return nil
 }
 
@@ -433,38 +422,14 @@ func (r *Replica) run(ctx context.Context) {
 			switch {
 			case ev.env != nil:
 				r.handle(*ev.env)
-			case ev.timer != nil:
-				r.handleTimer(*ev.timer)
+			case ev.tick:
+				r.deadlines.Due(r.handleTimer)
 			case ev.status != nil:
 				ev.status <- r.buildStatus()
 			}
 		}
 		r.flushReadReplies()
 	}
-}
-
-// afterTimeout arms a timer that pushes te into the event queue after d
-// (the same shape as minbft's watchdog plumbing; pbft only uses it for the
-// batch deadline). Timers are tracked so Close can stop them.
-func (r *Replica) afterTimeout(d time.Duration, te timerEvent) {
-	t := te
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return
-	}
-	var tm *time.Timer
-	tm = time.AfterFunc(d, func() {
-		r.mu.Lock()
-		if r.closed {
-			r.mu.Unlock()
-			return
-		}
-		delete(r.timers, tm)
-		r.mu.Unlock()
-		r.events.Push(event{timer: &t})
-	})
-	r.timers[tm] = struct{}{}
 }
 
 func (r *Replica) handleTimer(te timerEvent) {
@@ -534,6 +499,19 @@ func EncodeReadBatchEnvelope(reqs [][]byte) []byte {
 	return encodeMsg(kindReadRequest, 0, 0, smr.EncodeReadRequestBatch(reqs), nil)
 }
 
+// sign and verify are the replica's only keyring call sites, so the sig
+// layer's work is countable here (PBFT verifies every message directly;
+// there is no fastverify cache in front to publish the numbers).
+func (r *Replica) sign(msg []byte) []byte {
+	r.mx.sigSigns.Inc()
+	return r.ring.Sign(msg)
+}
+
+func (r *Replica) verify(from types.ProcessID, msg, signature []byte) error {
+	r.mx.sigVerifies.Inc()
+	return r.ring.Verify(from, msg, signature)
+}
+
 func (r *Replica) broadcast(kind byte, n types.SeqNum, payload []byte) {
 	r.broadcastTraced(kind, n, payload, tracing.Context{})
 }
@@ -541,7 +519,7 @@ func (r *Replica) broadcast(kind byte, n types.SeqNum, payload []byte) {
 // sendSigned signs and sends one message point-to-point (lease grants go
 // only to the primary; everything quorum-forming is broadcast).
 func (r *Replica) sendSigned(to types.ProcessID, kind byte, n types.SeqNum, payload []byte) {
-	signature := r.ring.Sign(signedBytes(kind, r.view, n, payload))
+	signature := r.sign(signedBytes(kind, r.view, n, payload))
 	_ = r.tr.Send(to, encodeMsg(kind, r.view, n, payload, signature))
 }
 
@@ -571,7 +549,7 @@ func (r *Replica) handle(env transport.Envelope) {
 		if !r.m.Contains(env.From) {
 			return
 		}
-		if err := r.ring.Verify(env.From, signedBytes(kind, v, n, payload), signature); err != nil {
+		if err := r.verify(env.From, signedBytes(kind, v, n, payload), signature); err != nil {
 			return
 		}
 	default:
@@ -663,10 +641,12 @@ func (r *Replica) maybePropose() {
 		if r.maxBatch > 1 && int(r.nextSeq)-int(r.execNext)+1 >= r.maxInFlight {
 			return
 		}
-		// Backpressure: defer cutting while some peer's send queue is
-		// saturated, rechecking on a timer.
+		// Backpressure: a batch needs votes from 2f peers; defer cutting
+		// while fewer than 2f send queues are short, rechecking on a timer.
+		// Counting short queues (not looking for a long one) is what keeps a
+		// crashed peer, whose queue never drains, from wedging the primary.
 		if r.paceDepth > 0 && r.qd != nil &&
-			transport.MaxQueueDepth(r.tr, r.m.Others(r.Self())) >= r.paceDepth {
+			transport.QueuesBelow(r.qd, r.m.Others(r.Self()), r.paceDepth) < 2*r.m.F {
 			r.mx.pacedProposals.Inc()
 			r.armBatchTimer(r.paceRecheck())
 			return
@@ -745,7 +725,7 @@ func (r *Replica) armBatchTimer(d time.Duration) {
 		return
 	}
 	r.batchTimerArmed = true
-	r.afterTimeout(d, timerEvent{kind: 'b'})
+	r.deadlines.After(d, timerEvent{kind: 'b'})
 }
 
 // sortedPending yields the backlog in a deterministic order.

@@ -5,14 +5,17 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"unidir/internal/kvstore"
+	"unidir/internal/obs"
 	"unidir/internal/pbft"
 	"unidir/internal/sig"
 	"unidir/internal/simnet"
 	"unidir/internal/smr"
+	"unidir/internal/transport"
 	"unidir/internal/types"
 )
 
@@ -25,6 +28,14 @@ type harness struct {
 }
 
 func newHarness(t *testing.T, n, f, clients int, opts ...pbft.Option) *harness {
+	t.Helper()
+	return newHarnessOn(t, n, f, clients, nil, opts...)
+}
+
+// newHarnessOn is newHarness with each replica's endpoint passed through
+// wrap first (nil: used as is), for tests that fake a transport capability.
+func newHarnessOn(t *testing.T, n, f, clients int,
+	wrap func(i int, tr transport.Transport) transport.Transport, opts ...pbft.Option) *harness {
 	t.Helper()
 	m, err := types.NewMembership(n, f)
 	if err != nil {
@@ -48,7 +59,11 @@ func newHarness(t *testing.T, n, f, clients int, opts ...pbft.Option) *harness {
 	for i := 0; i < n; i++ {
 		h.logs[i] = &smr.ExecutionLog{}
 		all := append([]pbft.Option{pbft.WithExecutionLog(h.logs[i])}, opts...)
-		rep, err := pbft.New(m, net.Endpoint(types.ProcessID(i)), rings[i], kvstore.New(), all...)
+		var tr transport.Transport = net.Endpoint(types.ProcessID(i))
+		if wrap != nil {
+			tr = wrap(i, tr)
+		}
+		rep, err := pbft.New(m, tr, rings[i], kvstore.New(), all...)
 		if err != nil {
 			t.Fatalf("pbft.New: %v", err)
 		}
@@ -236,5 +251,50 @@ func TestResilienceBound(t *testing.T) {
 	}
 	if _, err := pbft.New(m, net.Endpoint(0), rings[0], kvstore.New()); err == nil {
 		t.Fatal("pbft accepted n < 3f+1")
+	}
+}
+
+// deadPeerTransport reports an ever-growing send queue towards one peer, as
+// tcpnet does for a peer that has crashed.
+type deadPeerTransport struct {
+	transport.Transport
+	dead  types.ProcessID
+	depth atomic.Int64
+}
+
+func (d *deadPeerTransport) QueueDepth(to types.ProcessID) int {
+	if to != d.dead {
+		return 0
+	}
+	return int(d.depth.Add(1000))
+}
+
+func TestPacingIgnoresDeadPeer(t *testing.T) {
+	// Pacing looks at the 2f peers whose votes a batch needs; a crashed
+	// backup's ever-growing queue must not stop the primary proposing.
+	reg := obs.NewRegistry()
+	h := newHarnessOn(t, 4, 1, 1,
+		func(i int, tr transport.Transport) transport.Transport {
+			return &deadPeerTransport{Transport: tr, dead: 3}
+		}, pbft.WithProposalPacing(16), pbft.WithMetrics(reg))
+	_ = h.replicas[3].Close()
+	h.replicas[3] = nil
+	c := h.client(0)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	for i := 0; i < 20; i++ {
+		if _, err := c.invoke(ctx, kvstore.EncodePut(fmt.Sprintf("k%d", i), []byte{byte(i)})); err != nil {
+			t.Fatalf("Put %d with a dead peer's queue growing: %v", i, err)
+		}
+	}
+	if paced := reg.Snapshot().CounterSum("pbft_paced_proposals_total"); paced != 0 {
+		t.Fatalf("%d proposals paced on a dead peer's queue", paced)
+	}
+	// The keyring call sites are counted (no fastverify cache publishes them
+	// for PBFT): 20 ordered requests cannot have been signed and verified
+	// fewer than 20 times.
+	snap := reg.Snapshot()
+	if signs, verifies := snap.Counter("sig_signs_total"), snap.Counter("sig_verifications_total"); signs < 20 || verifies < 20 {
+		t.Fatalf("sig_signs_total=%d sig_verifications_total=%d after 20 ordered requests", signs, verifies)
 	}
 }

@@ -67,7 +67,7 @@ func (r *Replica) startProposeSpan(batch []smr.Request) *tracing.Active {
 // broadcastTraced is broadcast with a trace context on the frames; a zero
 // context degrades to frames byte-identical to the untraced path.
 func (r *Replica) broadcastTraced(kind byte, n types.SeqNum, payload []byte, tc tracing.Context) {
-	signature := r.ring.Sign(signedBytes(kind, r.view, n, payload))
+	signature := r.sign(signedBytes(kind, r.view, n, payload))
 	msg := encodeMsg(kind, r.view, n, payload, signature)
 	_ = transport.BroadcastTraced(r.tr, r.m.Others(r.Self()), msg, tc)
 }

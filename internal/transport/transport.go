@@ -85,20 +85,19 @@ type QueueDepther interface {
 	QueueDepth(to types.ProcessID) int
 }
 
-// MaxQueueDepth returns the deepest send queue among ids, or 0 when the
-// transport does not expose queue depths.
-func MaxQueueDepth(t Transport, ids []types.ProcessID) int {
-	qd, ok := t.(QueueDepther)
-	if !ok {
-		return 0
-	}
-	max := 0
+// QueuesBelow returns how many of ids have a send queue shorter than depth
+// frames. A proposer that needs answers from k of its peers paces on this:
+// as long as k queues are short, the peers it is actually waiting for are
+// keeping up, and a peer that is down — whose queue only ever grows — is
+// simply not among them.
+func QueuesBelow(qd QueueDepther, ids []types.ProcessID, depth int) int {
+	n := 0
 	for _, id := range ids {
-		if d := qd.QueueDepth(id); d > max {
-			max = d
+		if qd.QueueDepth(id) < depth {
+			n++
 		}
 	}
-	return max
+	return n
 }
 
 // Broadcast sends payload to every process in ids (typically

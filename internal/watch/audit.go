@@ -160,6 +160,9 @@ func (a *auditor) observe(statuses []obs.Status, groups map[string]GroupHealth) 
 		}
 		g.seenExec = true
 		g.proposed += st.ProposedBatches
+		if st.OldestPendingMs > g.health.OldestPendingMs {
+			g.health.OldestPendingMs = st.OldestPendingMs
+		}
 
 		// Rule: checkpoint digests must agree at equal (shard, count).
 		if ck := st.Checkpoint; ck != nil {

@@ -117,6 +117,11 @@ type GroupHealth struct {
 	NotReady     []int `json:"not_ready,omitempty"` // replica IDs failing their readiness probe
 	LeaseHolders []int `json:"lease_holders,omitempty"`
 
+	// OldestPendingMs is the longest any replica of the group has held a
+	// request pending (obs.Status.OldestPendingMs): a stalled primary shows
+	// here before the view-change timeout names it.
+	OldestPendingMs int64 `json:"oldest_pending_ms,omitempty"`
+
 	// ExecDelta is the group execution-watermark advance since the previous
 	// scrape (0 on the first); across groups it exposes shard throughput
 	// skew.
@@ -163,6 +168,9 @@ func (r *Report) Write(w io.Writer) {
 		}
 		if len(g.NotReady) > 0 {
 			fmt.Fprintf(w, ", not ready: %v", g.NotReady)
+		}
+		if g.OldestPendingMs > 0 {
+			fmt.Fprintf(w, ", oldest pending request %d ms", g.OldestPendingMs)
 		}
 		if len(g.LeaseHolders) > 0 {
 			fmt.Fprintf(w, ", lease held by %v", g.LeaseHolders)
