@@ -13,7 +13,7 @@ REF ?= HEAD
 W ?= w-sat
 N ?= 10
 
-.PHONY: check vet staticcheck logcheck build test race soak doctor flake bench-smoke bench-json bench-regress bench-pair trace-check
+.PHONY: check vet staticcheck logcheck build test race soak doctor flake loc bench-smoke bench-json bench-regress bench-pair trace-check
 
 # check is the full local gate: static checks, build, the race-enabled
 # test suite, and a one-iteration smoke run of the signature fast-path
@@ -51,12 +51,14 @@ test:
 	$(GO) test -race -shuffle=on ./...
 
 # race re-runs just the concurrency regression tests (transport send/close
-# races, queue semantics, registry snapshot consistency) under the race
-# detector with caching disabled.
+# races, queue semantics, registry snapshot consistency) and the replica
+# engine's tests (single-goroutine by contract: a report there means the
+# engine grew a goroutine or a test shares a rig) under the race detector
+# with caching disabled.
 race:
 	$(GO) test -race -count=5 \
-		-run 'TestSelfSend|TestConcurrentSendClose|TestSendCloseRaceWindow|TestHelloWriteDeadline|TestQueue|TestSnapshotConsistentUnderConcurrentWriters|TestLabeledConcurrentScrape' \
-		./internal/tcpnet/ ./internal/syncx/ ./internal/obs/
+		-run 'TestSelfSend|TestConcurrentSendClose|TestSendCloseRaceWindow|TestHelloWriteDeadline|TestQueue|TestSnapshotConsistentUnderConcurrentWriters|TestLabeledConcurrentScrape|TestEngine' \
+		./internal/tcpnet/ ./internal/syncx/ ./internal/obs/ ./internal/smr/
 
 # soak repeats the fault-injection soak (lossy links, rolling partitions,
 # a Byzantine spammer against batched checkpointing MinBFT, with the watch
@@ -88,6 +90,19 @@ flake:
 		echo "failover run $$i/10"; \
 		$(GO) run ./bench -workload failover -quick > /dev/null || exit 1; \
 	done
+
+# loc prints non-test Go lines (wc -l) per directory — the repo root,
+# internal/, cmd/, examples/; bench/ is the benchmark, not the system — and
+# their total: the number ROADMAP's "report net non-test LOC" rule asks for.
+loc:
+	@total=0; \
+	for d in . $$(find internal cmd examples -type d | sort); do \
+		files=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go'); \
+		[ -n "$$files" ] || continue; \
+		n=$$(cat $$files | wc -l); total=$$((total + n)); \
+		printf '%7d %s\n' $$n $$d; \
+	done; \
+	printf '%7d total\n' $$total
 
 # trace-check re-runs the distributed-tracing test surface (context
 # propagation on the wire, span lifecycle, cross-node collection, the

@@ -2,12 +2,13 @@ package main
 
 // B9: the latency/throughput frontier. An open-loop load generator paces
 // puts at a target offered rate through the pipelined client while the
-// cluster runs either the adaptive flow-control stack (size-or-deadline
-// batching + admission control + AIMD client window) or the fixed-window
-// baseline (every partial batch held for the full deadline, no shedding).
-// Each point reports achieved throughput, p50/p99 completion latency, and
-// how many requests were shed — the frontier is the curve those points
-// trace as offered load passes saturation.
+// cluster runs the adaptive flow-control stack (size-or-deadline batching +
+// admission control + AIMD client window). Each point reports achieved
+// throughput, p50/p99 completion latency, and how many requests were shed —
+// the frontier is the curve those points trace as offered load passes
+// saturation. (The fixed-batch-window baseline this was first charted
+// against is gone from the library; its rows are history in EXPERIMENTS.md
+// B9 and BENCH_6.json.)
 
 import (
 	"context"
@@ -54,70 +55,50 @@ func expB9(ops int, rep *report) error {
 		{"minbft", harness.BuildMinBFTCfg, 3},
 		{"pbft", harness.BuildPBFTCfg, 4},
 	}
-	type mode struct {
-		name string
-		cfg  func() harness.SMRConfig
-	}
-	modes := []mode{
-		{"adaptive", func() harness.SMRConfig {
-			return harness.SMRConfig{
-				F: 1, Scheme: sig.HMAC, Batch: b9Batch, Window: b9Window,
-				BatchDeadline:  b9Deadline,
-				Admission:      &smr.AdmissionConfig{MaxPending: b9AdmitPending},
-				SubmitTimeout:  b9SubmitTimeout,
-				AdaptiveWindow: b9WindowMin,
-			}
-		}},
-		// The baseline: a fixed batch window — every partial batch waits out
-		// the same deadline regardless of load — with no shedding and a fixed
-		// client window that blocks when full.
-		{"fixed", func() harness.SMRConfig {
-			return harness.SMRConfig{
-				F: 1, Scheme: sig.HMAC, Batch: b9Batch, Window: b9Window,
-				BatchDeadline:    b9Deadline,
-				FixedBatchWindow: true,
-				Admission:        &smr.AdmissionConfig{},
-				PaceDepth:        -1,
-			}
-		}},
+	// mode keys the rows against the checked-in baselines.
+	const mode = "adaptive"
+	cfg := harness.SMRConfig{
+		F: 1, Scheme: sig.HMAC, Batch: b9Batch, Window: b9Window,
+		BatchDeadline:  b9Deadline,
+		Admission:      &smr.AdmissionConfig{MaxPending: b9AdmitPending},
+		SubmitTimeout:  b9SubmitTimeout,
+		AdaptiveWindow: b9WindowMin,
 	}
 
-	fmt.Println("B9: latency/throughput frontier — adaptive flow control vs fixed baseline (f=1)")
+	fmt.Println("B9: latency/throughput frontier — adaptive flow control (f=1)")
 	fmt.Printf("  %-8s %-9s %10s %10s %10s %10s %8s %7s\n",
 		"protocol", "mode", "offered/s", "achieved/s", "p50", "p99", "sheds", "window")
 	for _, p := range protocols {
-		for _, m := range modes {
-			for _, rate := range b9Rates {
-				pointOps := b9PointOps(rate, ops)
-				c, err := p.build(m.cfg())
-				if err != nil {
-					return err
-				}
-				res, err := paceKVOps(c.Pipe, rate, pointOps)
-				windowEnd := c.Pipe.Window()
-				c.Stop()
-				if err != nil {
-					return fmt.Errorf("%s/%s rate=%d: %w", p.name, m.name, rate, err)
-				}
-				achieved := float64(len(res.lats)) / res.elapsed.Seconds()
-				p50 := percentileUS(res.lats, 0.50)
-				p99 := percentileUS(res.lats, 0.99)
-				fmt.Printf("  %-8s %-9s %10d %10.0f %9.0fµs %9.0fµs %8d %7d\n",
-					p.name, m.name, rate, achieved, p50, p99, res.sheds, windowEnd)
-				rep.add(benchRow{
-					Exp: "b9", Impl: p.name, N: p.n, F: 1,
-					Batch: b9Batch, Window: b9Window, Ops: pointOps,
-					Seconds:       res.elapsed.Seconds(),
-					OpsPerSec:     achieved,
-					MeanLatencyUS: meanUS(res.lats),
-					P50LatencyUS:  p50,
-					P99LatencyUS:  p99,
-					Mode:          m.name,
-					OfferedPerSec: float64(rate),
-					Sheds:         res.sheds,
-					WindowEnd:     windowEnd,
-				})
+		for _, rate := range b9Rates {
+			pointOps := b9PointOps(rate, ops)
+			c, err := p.build(cfg)
+			if err != nil {
+				return err
 			}
+			res, err := paceKVOps(c.Pipe, rate, pointOps)
+			windowEnd := c.Pipe.Window()
+			c.Stop()
+			if err != nil {
+				return fmt.Errorf("%s rate=%d: %w", p.name, rate, err)
+			}
+			achieved := float64(len(res.lats)) / res.elapsed.Seconds()
+			p50 := percentileUS(res.lats, 0.50)
+			p99 := percentileUS(res.lats, 0.99)
+			fmt.Printf("  %-8s %-9s %10d %10.0f %9.0fµs %9.0fµs %8d %7d\n",
+				p.name, mode, rate, achieved, p50, p99, res.sheds, windowEnd)
+			rep.add(benchRow{
+				Exp: "b9", Impl: p.name, N: p.n, F: 1,
+				Batch: b9Batch, Window: b9Window, Ops: pointOps,
+				Seconds:       res.elapsed.Seconds(),
+				OpsPerSec:     achieved,
+				MeanLatencyUS: meanUS(res.lats),
+				P50LatencyUS:  p50,
+				P99LatencyUS:  p99,
+				Mode:          mode,
+				OfferedPerSec: float64(rate),
+				Sheds:         res.sheds,
+				WindowEnd:     windowEnd,
+			})
 		}
 	}
 	return nil

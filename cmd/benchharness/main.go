@@ -9,7 +9,7 @@
 //	B4  round-system ablation (swmr / async / lockstep)
 //	B8  per-phase latency attribution via distributed tracing
 //	B9  latency/throughput frontier: adaptive batching + admission control
-//	    + backpressure vs the fixed baseline, across an offered-load sweep
+//	    + backpressure, across an offered-load sweep
 //	B10 read fast path: leased linearizable reads vs consensus-path reads
 //	    over a mixed workload (-read-ratio; default sweeps 90% and 100%)
 //	B11 sharded multi-group SMR: aggregate write throughput across 1/2/4
@@ -57,7 +57,7 @@ type benchRow struct {
 	P99LatencyUS  float64 `json:"p99_latency_us,omitempty"`
 
 	// B9 (latency/throughput frontier) fields.
-	Mode          string  `json:"mode,omitempty"`            // B9: "adaptive"/"fixed"; B10: "lease"/"consensus"
+	Mode          string  `json:"mode,omitempty"`            // B9: "adaptive"; B10: "lease"/"consensus"
 	OfferedPerSec float64 `json:"offered_per_sec,omitempty"` // open-loop target rate
 	Sheds         int     `json:"sheds,omitempty"`           // requests shed (ErrOverloaded)
 	WindowEnd     int     `json:"window_end,omitempty"`      // effective client window at the end

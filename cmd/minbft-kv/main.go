@@ -55,6 +55,7 @@ import (
 	"unidir/internal/cluster"
 	"unidir/internal/kvstore"
 	"unidir/internal/obs"
+	"unidir/internal/obs/knob"
 	"unidir/internal/obs/tracing"
 	"unidir/internal/shard"
 	"unidir/internal/sig"
@@ -177,13 +178,20 @@ func shardConfig(addrs []string, n, shards, g int) tcpnet.Config {
 }
 
 // replicaSpec translates the replica flags into the group-agnostic
-// cluster.Spec shared with the in-process harness.
+// cluster.Spec shared with the in-process harness. It is also the binary's
+// UNIDIR_* loader — the library reads none of these: a setting whose flag
+// was left at "default" is filled from its environment variable, with the
+// aliases ("on", "off", "0") and the logged warning on a malformed value of
+// internal/obs/knob.
 func replicaSpec(m types.Membership, seed int64, ro replicaOpts) cluster.Spec {
 	spec := cluster.Spec{
-		Protocol:      cluster.MinBFT,
-		F:             m.F,
-		Scheme:        sig.HMAC,
-		Timeout:       ro.timeout,
+		Protocol: cluster.MinBFT,
+		F:        m.F,
+		Scheme:   sig.HMAC,
+		Timeout:  ro.timeout,
+		// UNIDIR_BATCH has no flag; "off" is one request per slot.
+		Batch: knob.Int("UNIDIR_BATCH", smr.DefaultBatchSize, 1,
+			map[string]int{"on": smr.DefaultBatchSize, "off": 1, "0": 1}),
 		Ckpt:          ro.checkpoint,
 		BatchDeadline: ro.batchDeadline,
 		PaceDepth:     ro.paceDepth,
@@ -191,21 +199,54 @@ func replicaSpec(m types.Membership, seed int64, ro replicaOpts) cluster.Spec {
 		DataDir:       ro.dataDir,
 		Seed:          seed,
 	}
-	if ro.admitPending >= 0 || ro.admitRate >= 0 || ro.admitBurst >= 0 {
-		// Flags override the UNIDIR_ADMIT_* environment defaults per field.
-		admit := smr.DefaultAdmissionConfig()
-		if ro.admitPending >= 0 {
-			admit.MaxPending = ro.admitPending
-		}
-		if ro.admitRate >= 0 {
-			admit.Rate = ro.admitRate
-		}
-		if ro.admitBurst >= 0 {
-			admit.Burst = ro.admitBurst
-		}
-		spec.Admission = &admit
+	if spec.Ckpt == 0 {
+		spec.Ckpt = envInt("UNIDIR_CKPT", smr.DefaultCheckpointInterval)
 	}
+	if spec.BatchDeadline == 0 {
+		spec.BatchDeadline = envDuration("UNIDIR_BATCH_DEADLINE", smr.DefaultBatchDeadline)
+	}
+	if spec.PaceDepth == 0 {
+		spec.PaceDepth = envInt("UNIDIR_PACE_DEPTH", smr.DefaultPaceDepth)
+	}
+	if spec.LeaseTerm == 0 {
+		spec.LeaseTerm = envDuration("UNIDIR_LEASE", smr.DefaultLeaseTerm)
+	}
+	// Admission: environment first, then the flags override it per field
+	// (in an AdmissionConfig 0 means unbounded, so the flags' "default" is -1).
+	admit := smr.AdmissionConfig{
+		MaxPending: knob.Int("UNIDIR_ADMIT_PENDING", smr.DefaultMaxPending, 1,
+			map[string]int{"on": smr.DefaultMaxPending, "off": 0, "0": 0}),
+		Rate:  knob.Float("UNIDIR_ADMIT_RATE", 0, 0, map[string]float64{"off": 0, "0": 0}),
+		Burst: knob.Int("UNIDIR_ADMIT_BURST", 0, 1, nil),
+	}
+	if ro.admitPending >= 0 {
+		admit.MaxPending = ro.admitPending
+	}
+	if ro.admitRate >= 0 {
+		admit.Rate = ro.admitRate
+	}
+	if ro.admitBurst >= 0 {
+		admit.Burst = ro.admitBurst
+	}
+	spec.Admission = &admit
 	return spec
+}
+
+// envInt reads an integer knob whose "off" is 0 and whose default is def,
+// and spells the result the way cluster.Spec does: off is negative.
+func envInt(name string, def int) int {
+	if v := knob.Int(name, def, 1, map[string]int{"on": def, "off": 0, "0": 0}); v != 0 {
+		return v
+	}
+	return -1
+}
+
+// envDuration is envInt for a duration knob.
+func envDuration(name string, def time.Duration) time.Duration {
+	if v := knob.Duration(name, def, map[string]time.Duration{"on": def, "off": 0, "0": 0}); v != 0 {
+		return v
+	}
+	return -1
 }
 
 func runReplica(m types.Membership, self types.ProcessID, g int, cfg tcpnet.Config, seed int64, ro replicaOpts) error {

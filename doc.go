@@ -25,9 +25,12 @@
 //     chains, Bracha baseline);
 //   - internal/separation — the paper's §4.1 impossibility as a runnable
 //     experiment;
-//   - internal/agreement, internal/minbft, internal/pbft, internal/kvstore
-//     — the protocol layer the classification pays off in, including a
-//     MinBFT-style n=2f+1 replicated state machine on TrInc USIGs;
+//   - internal/agreement, internal/smr, internal/minbft, internal/pbft,
+//     internal/kvstore — the protocol layer the classification pays off
+//     in: one replica engine (smr.Engine: requests, reads, replies,
+//     batching, admission, tracing) behind which a MinBFT-style n=2f+1
+//     core on TrInc USIGs and a PBFT n=3f+1 core differ only in how they
+//     order a batch;
 //   - internal/simnet, internal/tcpnet — adversarial simulated network and
 //     a real TCP transport behind one interface.
 //

@@ -76,26 +76,25 @@ type Spec struct {
 	// Timeout is the request (view-change) timeout. 0 keeps the protocol
 	// default. PBFT has no configurable request timeout; it ignores this.
 	Timeout time.Duration
-	// Batch is the consensus batch cap; 0 keeps the replica default
-	// (UNIDIR_BATCH), 1 disables batching.
+	// The settings below are smr.EngineConfig's, under the same convention
+	// (engineConfig is the translation): 0 keeps the default that
+	// smr.EngineConfig documents, a negative value turns the feature off.
+	// Nothing here is read from the environment.
+
+	// Batch is the consensus batch cap (default 64); 1 disables batching.
 	Batch int
-	// Ckpt is the checkpoint interval in executed batches; 0 keeps the
-	// replica default (UNIDIR_CKPT), < 0 disables checkpointing.
+	// Ckpt is the checkpoint interval in executed batches (default 128).
 	Ckpt int
-	// BatchDeadline is the adaptive size-or-deadline batch trigger: 0 keeps
-	// the replica default (UNIDIR_BATCH_DEADLINE), < 0 disables it.
+	// BatchDeadline bounds the adaptive size-or-deadline batch trigger
+	// (default 100µs).
 	BatchDeadline time.Duration
-	// FixedBatchWindow holds every partial batch for the full BatchDeadline
-	// (the non-adaptive baseline). Only meaningful with BatchDeadline > 0.
-	FixedBatchWindow bool
-	// Admission overrides the replicas' admission bounds; nil keeps the
-	// replica default (UNIDIR_ADMIT_*).
+	// Admission is the replicas' admission bounds; nil keeps the default
+	// (4096 pending, no per-client rate limit).
 	Admission *smr.AdmissionConfig
-	// PaceDepth overrides proposal pacing: 0 keeps the replica default
-	// (UNIDIR_PACE_DEPTH), < 0 disables, > 0 sets the threshold.
+	// PaceDepth is the proposal-pacing threshold in queued frames (default
+	// 4096).
 	PaceDepth int
-	// LeaseTerm overrides the lease term for the read fast path: 0 keeps
-	// the replica default (UNIDIR_LEASE), < 0 disables leases.
+	// LeaseTerm is the lease term of the read fast path (default 250ms).
 	LeaseTerm time.Duration
 
 	// Metrics, when set, attaches replica, signature-cache, and transport
@@ -272,87 +271,38 @@ func StatusProvider(r Replica) obs.StatusProvider {
 	return nil
 }
 
-// minbftOptions assembles the MinBFT option list a Spec describes.
-func (s Spec) minbftOptions(tracer *tracing.Tracer) []minbft.Option {
-	var opts []minbft.Option
-	if s.Timeout > 0 {
-		opts = append(opts, minbft.WithRequestTimeout(s.Timeout))
+// engineConfig is the one translation from a Spec to the settings both
+// protocols share. Values pass through verbatim: Spec spells "default" and
+// "off" the way smr.EngineConfig does.
+func (s Spec) engineConfig(tracer *tracing.Tracer) smr.EngineConfig {
+	return smr.EngineConfig{
+		BatchSize:          s.Batch,
+		BatchDeadline:      s.BatchDeadline,
+		PaceDepth:          s.PaceDepth,
+		Admission:          s.Admission,
+		LeaseTerm:          s.LeaseTerm,
+		CheckpointInterval: s.Ckpt,
+		Metrics:            s.Metrics,
+		Tracer:             tracer,
 	}
-	if s.Batch > 0 {
-		opts = append(opts, minbft.WithBatchSize(s.Batch))
-	}
-	if s.Ckpt != 0 {
-		opts = append(opts, minbft.WithCheckpointInterval(s.Ckpt))
-	}
-	if s.BatchDeadline != 0 {
-		opts = append(opts, minbft.WithBatchDeadline(s.BatchDeadline))
-	}
-	if s.FixedBatchWindow {
-		opts = append(opts, minbft.WithFixedBatchWindow())
-	}
-	if s.Admission != nil {
-		opts = append(opts, minbft.WithAdmission(*s.Admission))
-	}
-	if s.PaceDepth != 0 {
-		opts = append(opts, minbft.WithProposalPacing(s.PaceDepth))
-	}
-	if s.LeaseTerm != 0 {
-		opts = append(opts, minbft.WithLeaseTerm(s.LeaseTerm))
-	}
-	if s.Metrics != nil {
-		opts = append(opts, minbft.WithMetrics(s.Metrics))
-	}
-	if s.DataDir != "" {
-		opts = append(opts, minbft.WithDataDir(s.DataDir))
-	}
-	if tracer != nil {
-		opts = append(opts, minbft.WithTracer(tracer))
-	}
-	return opts
-}
-
-// pbftOptions assembles the PBFT option list a Spec describes.
-func (s Spec) pbftOptions(tracer *tracing.Tracer) []pbft.Option {
-	var opts []pbft.Option
-	if s.Batch > 0 {
-		opts = append(opts, pbft.WithBatchSize(s.Batch))
-	}
-	if s.Ckpt != 0 {
-		opts = append(opts, pbft.WithCheckpointInterval(s.Ckpt))
-	}
-	if s.BatchDeadline != 0 {
-		opts = append(opts, pbft.WithBatchDeadline(s.BatchDeadline))
-	}
-	if s.FixedBatchWindow {
-		opts = append(opts, pbft.WithFixedBatchWindow())
-	}
-	if s.Admission != nil {
-		opts = append(opts, pbft.WithAdmission(*s.Admission))
-	}
-	if s.PaceDepth != 0 {
-		opts = append(opts, pbft.WithProposalPacing(s.PaceDepth))
-	}
-	if s.LeaseTerm != 0 {
-		opts = append(opts, pbft.WithLeaseTerm(s.LeaseTerm))
-	}
-	if s.Metrics != nil {
-		opts = append(opts, pbft.WithMetrics(s.Metrics))
-	}
-	if tracer != nil {
-		opts = append(opts, pbft.WithTracer(tracer))
-	}
-	return opts
 }
 
 // NewReplica builds group member self over tr with the given state machine
 // and key material. The caller owns tr; the replica owns its own shutdown.
 func NewReplica(s Spec, m types.Membership, self types.ProcessID, tr transport.Transport,
 	keys *Keys, sm smr.StateMachine, tracer *tracing.Tracer) (Replica, error) {
+	cfg := s.engineConfig(tracer)
 	if s.Protocol == PBFT {
-		return pbft.New(m, tr, keys.Rings[self], sm, s.pbftOptions(tracer)...)
+		return pbft.New(m, tr, keys.Rings[self], sm, pbft.WithEngineConfig(cfg))
 	}
-	return minbft.New(m, tr, keys.TrInc.Devices[self], keys.TrInc.Verifier, sm,
-		s.minbftOptions(tracer)...)
+	opts := []minbft.Option{minbft.WithEngineConfig(cfg)}
+	if s.Timeout > 0 {
+		opts = append(opts, minbft.WithRequestTimeout(s.Timeout))
+	}
+	if s.DataDir != "" {
+		opts = append(opts, minbft.WithDataDir(s.DataDir))
+	}
+	return minbft.New(m, tr, keys.TrInc.Devices[self], keys.TrInc.Verifier, sm, opts...)
 }
 
 // Group is one running consensus group: its replicas, membership, and key

@@ -148,9 +148,9 @@ type SMRCluster struct {
 type SMRConfig struct {
 	F         int           // faults tolerated (n derived per protocol)
 	Scheme    sig.Scheme    // signature scheme for the trusted components
-	Batch     int           // consensus batch cap; 0 = smr.DefaultBatchSize(), 1 = unbatched
+	Batch     int           // consensus batch cap; 0 = smr.DefaultBatchSize, 1 = unbatched
 	Window    int           // pipelined client's in-flight window; 0 = 32
-	Ckpt      int           // checkpoint interval; 0 = smr.DefaultCheckpointInterval(), < 0 disables
+	Ckpt      int           // checkpoint interval; 0 = smr.DefaultCheckpointInterval, < 0 disables
 	Metrics   *obs.Registry // optional: replicas, sig cache, and pipeline publish here
 	TraceRate int           // distributed tracing: 1-in-TraceRate requests sampled; 0 disables
 	TraceBuf  int           // per-node span buffer capacity; 0 = 8192
@@ -158,19 +158,15 @@ type SMRConfig struct {
 	// Flow control (the B9 latency/throughput frontier knobs).
 
 	// BatchDeadline is the adaptive size-or-deadline batch trigger: 0 keeps
-	// the replica default (UNIDIR_BATCH_DEADLINE, 100µs), < 0 disables
-	// deadline batching (legacy cut-immediately), > 0 sets it explicitly.
+	// the replica default (100µs), < 0 disables deadline batching (legacy
+	// cut-immediately), > 0 sets it explicitly.
 	BatchDeadline time.Duration
-	// FixedBatchWindow holds every partial batch for the full BatchDeadline
-	// regardless of load (the non-adaptive baseline the B9 experiment
-	// compares against). Only meaningful with BatchDeadline > 0.
-	FixedBatchWindow bool
 	// Admission overrides the replicas' admission bounds; nil keeps the
-	// replica default (UNIDIR_ADMIT_* environment knobs).
+	// replica default (4096 pending, no rate limit).
 	Admission *smr.AdmissionConfig
 	// PaceDepth overrides proposal pacing: 0 keeps the replica default
-	// (UNIDIR_PACE_DEPTH), < 0 disables pacing, > 0 sets the queue-depth
-	// threshold. No effect over simnet (no QueueDepther).
+	// (4096), < 0 disables pacing, > 0 sets the queue-depth threshold. No
+	// effect over simnet (no QueueDepther).
 	PaceDepth int
 	// SubmitTimeout bounds Pipeline.Submit on an exhausted window; past it
 	// Submit sheds with smr.ErrOverloaded. 0 blocks indefinitely (legacy).
@@ -182,8 +178,7 @@ type SMRConfig struct {
 	// Read fast path (leader leases; see smr/read.go and DESIGN.md §8).
 
 	// LeaseTerm overrides the replicas' lease term: 0 keeps the replica
-	// default (UNIDIR_LEASE, 250ms), < 0 disables leases, > 0 sets the term
-	// explicitly.
+	// default (250ms), < 0 disables leases, > 0 sets the term explicitly.
 	LeaseTerm time.Duration
 	// ReadWindow is the pipelined client's in-flight read window; 0 keeps
 	// the pipeline default (UNIDIR_READ_WINDOW, else the write window).
@@ -258,17 +253,16 @@ func BuildMinBFTCfg(cfg SMRConfig) (*SMRCluster, error) {
 // cluster.Spec shared with cmd/minbft-kv and sharded deployments.
 func smrSpec(p cluster.Protocol, cfg SMRConfig) cluster.Spec {
 	spec := cluster.Spec{
-		Protocol:         p,
-		F:                cfg.F,
-		Scheme:           cfg.Scheme,
-		Batch:            cfg.Batch,
-		Ckpt:             cfg.Ckpt,
-		BatchDeadline:    cfg.BatchDeadline,
-		FixedBatchWindow: cfg.FixedBatchWindow,
-		Admission:        cfg.Admission,
-		PaceDepth:        cfg.PaceDepth,
-		LeaseTerm:        cfg.LeaseTerm,
-		Metrics:          cfg.Metrics,
+		Protocol:      p,
+		F:             cfg.F,
+		Scheme:        cfg.Scheme,
+		Batch:         cfg.Batch,
+		Ckpt:          cfg.Ckpt,
+		BatchDeadline: cfg.BatchDeadline,
+		Admission:     cfg.Admission,
+		PaceDepth:     cfg.PaceDepth,
+		LeaseTerm:     cfg.LeaseTerm,
+		Metrics:       cfg.Metrics,
 	}
 	if p == cluster.MinBFT {
 		// The harness has always run MinBFT with a long view-change fuse so

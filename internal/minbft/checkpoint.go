@@ -3,7 +3,7 @@ package minbft
 // Checkpointing, log garbage collection, and state transfer.
 //
 // Every K executed batches (K = WithCheckpointInterval, default
-// smr.DefaultCheckpointInterval) a replica snapshots its state machine plus
+// smr.DefaultCheckpointInterval = 128) a replica snapshots its state machine plus
 // client table, broadcasts an attested CHECKPOINT(count, digest), and
 // collects matching votes. f+1 matching votes make the checkpoint *stable*:
 // at least one correct replica holds that state, so everything the
@@ -37,7 +37,6 @@ import (
 	"crypto/sha256"
 	"fmt"
 
-	"unidir/internal/smr"
 	"unidir/internal/transport"
 	"unidir/internal/trusted/trinc"
 	"unidir/internal/types"
@@ -231,10 +230,10 @@ func (r *Replica) updateFootprint() {
 	r.statsMu.Unlock()
 }
 
-// ckptEnabled reports whether this replica checkpoints (requires a
-// Snapshotter state machine and a positive interval).
+// ckptEnabled reports whether this replica checkpoints (the engine resolves
+// the interval to 0 without a Snapshotter state machine).
 func (r *Replica) ckptEnabled() bool {
-	return r.snap != nil && r.ckptInterval > 0
+	return r.ckptInterval > 0
 }
 
 // countExecuted advances the fresh-batch execution count after a batch with
@@ -249,20 +248,10 @@ func (r *Replica) countExecuted() {
 	}
 }
 
-// anyFresh reports whether any request of a batch is still unexecuted.
-func (r *Replica) anyFresh(reqs []smr.Request) bool {
-	for _, req := range reqs {
-		if r.table.ShouldExecute(req) {
-			return true
-		}
-	}
-	return false
-}
-
 // takeCheckpoint snapshots the combined state, broadcasts an attested
 // CHECKPOINT, and records our own vote.
 func (r *Replica) takeCheckpoint() {
-	state := smr.EncodeCheckpointState(r.snap.Snapshot(), r.table)
+	state := r.eng.Snapshot()
 	r.ownStates[r.execCount] = state
 	c := checkpointMsg{Count: r.execCount, Digest: sha256.Sum256(state)}
 	body := c.encodeBody()
@@ -385,7 +374,7 @@ func (r *Replica) advanceStable(cert ckptCert, state []byte) {
 
 	kept := make([]logEntry, 0, len(r.acceptedLog))
 	for _, le := range r.acceptedLog {
-		if r.anyFresh(le.Reqs) {
+		if r.eng.AnyFresh(le.Reqs) {
 			kept = append(kept, le)
 		}
 	}
@@ -398,20 +387,11 @@ func (r *Replica) advanceStable(cert ckptCert, state []byte) {
 				r.gcSeqFloor = key.seq
 			}
 		}
-		// Queued leased reads hold watermarks that index prepOrder; rebase
-		// them with it or they can exceed len(prepOrder) forever and the
-		// reads never flush. Every queued read has wm > execIdx (reads at or
-		// below it were answered by the execute that advanced it), so the
-		// rebased watermark stays positive.
-		for i := range r.leaseReads {
-			if r.leaseReads[i].wm >= r.execIdx {
-				r.leaseReads[i].wm -= r.execIdx
-			} else {
-				r.leaseReads[i].wm = 0
-			}
-		}
+		// orderBase keeps the positions queued leased reads wait for
+		// (orderer.ReadPoint) where they were while the slice is cut.
 		rest := make([]entryKey, len(r.prepOrder)-r.execIdx)
 		copy(rest, r.prepOrder[r.execIdx:])
+		r.orderBase += uint64(r.execIdx)
 		r.prepOrder = rest
 		r.execIdx = 0
 	}
@@ -531,14 +511,9 @@ func (r *Replica) installCheckpoint(cert ckptCert, state []byte) {
 	if sha256.Sum256(state) != cert.Digest {
 		return
 	}
-	app, table, err := smr.DecodeCheckpointState(state)
-	if err != nil {
+	if r.eng.Restore(state) != nil {
 		return
 	}
-	if r.snap.Restore(app) != nil {
-		return
-	}
-	r.table = table
 	r.execCount = cert.Count
 	r.mx.stateTransfers.Inc()
 	r.mx.trace.Record("state-transfer", "installed checkpoint count %d (%d bytes)", cert.Count, len(state))

@@ -1,24 +1,18 @@
 package minbft
 
-// Leader leases for the linearizable read fast path (DESIGN.md §8).
+// The lease protocol for the linearizable read fast path (DESIGN.md §8).
+// The read server and the grant tally live in the engine
+// (smr/engine_read.go); this file is what makes a MinBFT grant mean
+// something.
 //
 // The primary periodically broadcasts an attested LEASE-REQUEST; each backup
 // answers with an attested LEASE-GRANT echoing the request's UI counter
 // value — the grant is thereby bound to the grantor's trusted counter and
 // totally ordered against every other message the grantor ever attests, in
-// particular any later VIEW-CHANGE. Holding grants from all n replicas
-// (including itself; only f+1 with UNIDIR_LEASE_QUORUM=fplus1, which is
-// safe under crash and timing faults but not against a Byzantine grantor —
-// see DESIGN.md §8), the primary answers reads locally until
-// leaseSentAt + term − term/8, without touching the ordering path.
-//
-// Freshness: a read is served from the lease only once the execute index
-// covers every slot that was in prepOrder when the read arrived. Any write
-// acknowledged to a client before the read was issued has f+1 matching
-// replies, so at least one correct replica executed it, so the unique
-// lease-holding primary proposed it — it is in prepOrder. Reads that arrive
-// before the watermark is covered wait in a bounded queue flushed by
-// tryExecute.
+// particular any later VIEW-CHANGE. The lease takes grants from all n
+// replicas (the primary's own included): the f+1 that quorum intersection
+// would ask for is safe under crash and timing faults but not against a
+// Byzantine grantor — see DESIGN.md §8.
 //
 // Exclusivity: a grantor promises not to send a VIEW-CHANGE until its
 // promise horizon (receive time + term, which is at or after the primary's
@@ -29,44 +23,11 @@ package minbft
 import (
 	"time"
 
-	"unidir/internal/smr"
 	"unidir/internal/types"
 )
 
-// maxReadQueue bounds reads parked behind the execute watermark; overflow
-// is answered as a fallback vote instead of queued (reads must never grow
-// replica memory without bound).
-const maxReadQueue = 8192
-
-// pendingRead is one read waiting for the execute index to cover the
-// prepOrder length captured at its arrival.
-type pendingRead struct {
-	wm  int
-	req smr.ReadRequest
-}
-
-// leaseQuorum is how many grants (including the self-grant) hold a lease.
-func (r *Replica) leaseQuorum() int {
-	if r.leaseFull {
-		return r.m.N
-	}
-	return r.m.FPlusOne()
-}
-
-// leaseValid reports whether this replica currently holds a usable lease.
-// leaseUntil is the sole validity token: it is only ever set when a round
-// reaches its grant quorum (noteGrant) and only cleared by revokeLease, so
-// soliciting the next round never invalidates the current lease — a renewal
-// gap must not flip reads to fallback votes, or a loaded leader whose grant
-// replies queue behind its read backlog would spiral into permanent
-// fallback (clients escalate fallback reads to broadcast, doubling load).
-func (r *Replica) leaseValid(now time.Time) bool {
-	return r.leaseTerm > 0 && !r.inVC && r.m.Leader(r.view) == r.Self() &&
-		now.Before(r.leaseUntil)
-}
-
 // renewLease starts a new lease round: attest and broadcast a
-// LEASE-REQUEST, reset the grant tally to the self-grant, and arm the next
+// LEASE-REQUEST, restart the engine's grant tally, and arm the next
 // renewal at half the term so a healthy leader's lease never lapses.
 // Called at startup (view-0 leader), from installView (a new leader), and
 // from the 'l' renewal timer. Bails — without re-arming — when this replica
@@ -85,23 +46,15 @@ func (r *Replica) renewLease() {
 		r.deadlines.After(r.leaseTerm/2, timerEvent{kind: 'l'})
 	}
 	now := time.Now()
-	if !r.leaseUntil.IsZero() && !now.Before(r.leaseUntil) {
-		// The previous lease lapsed before this renewal completed a round:
-		// reads degraded to fallback votes in between.
-		r.mx.leaseExpiries.Inc()
-	}
-	body := encodeLeaseRequestBody(r.view)
-	ui, err := r.attestAndSend(kindLeaseRequest, body)
+	ui, err := r.attestAndSend(kindLeaseRequest, encodeLeaseRequestBody(r.view))
 	if err != nil {
 		return
 	}
 	r.leaseRound = ui.Seq
-	r.leaseSentAt = now
-	r.leaseGrants = make(map[types.ProcessID]bool)
-	r.mx.leaseRenewals.Inc()
-	// The self-grant carries the same promise any grantor makes.
+	// The self-grant, which opens the tally, carries the same promise any
+	// grantor makes.
 	r.promiseGrant(now)
-	r.noteGrant(r.Self())
+	r.eng.LeaseRoundStart(now)
 }
 
 // promiseGrant extends the grantor promise horizon: no VIEW-CHANGE from us
@@ -114,32 +67,13 @@ func (r *Replica) promiseGrant(now time.Time) {
 	}
 }
 
-// noteGrant tallies one grant for the in-flight round; at quorum the lease
-// extends to leaseSentAt + term − term/8. Each grantor in the quorum
-// promised until its receive time + term >= leaseSentAt + term, so the
-// extension stays inside every promise with a term/8 margin for clock rate
-// skew.
-func (r *Replica) noteGrant(from types.ProcessID) {
-	if r.leaseGrants == nil {
-		return
-	}
-	r.leaseGrants[from] = true
-	if len(r.leaseGrants) >= r.leaseQuorum() {
-		if until := r.leaseSentAt.Add(r.leaseTerm - r.leaseTerm/8); until.After(r.leaseUntil) {
-			r.leaseUntil = until
-		}
-	}
-}
-
-// revokeLease drops any lease this replica holds and flushes queued leased
-// reads as fallback votes (their watermark indexed the outgoing view's
-// prepOrder). The grantor promise is deliberately left alone: it protects
-// the old primary's reads and must run out on its own.
+// revokeLease drops any lease this replica holds; the engine answers the
+// queued leased reads as fallback votes. The grantor promise is deliberately
+// left alone: it protects the old primary's reads and must run out on its
+// own.
 func (r *Replica) revokeLease() {
-	r.leaseUntil = time.Time{}
 	r.leaseRound = 0
-	r.leaseGrants = nil
-	r.failLeaseReads()
+	r.eng.LeaseRevoke()
 }
 
 // handleLeaseRequest answers the primary's lease solicitation with an
@@ -175,7 +109,7 @@ func (r *Replica) handleLeaseGrant(from types.ProcessID, msg peerMsg) {
 	if r.inVC || view != r.view || r.m.Leader(view) != r.Self() || reqSeq != r.leaseRound {
 		return
 	}
-	r.noteGrant(from)
+	r.eng.LeaseGrant(from)
 }
 
 // grantExpired runs when the 'g' timer fires: the grantor promise horizon
@@ -195,121 +129,7 @@ func (r *Replica) grantExpired() {
 	}
 	target := r.deferredVC
 	r.deferredVC = 0
-	if len(r.pending) > 0 || len(r.vcVotes[target]) >= r.m.FPlusOne() {
+	if r.eng.PendingLen() > 0 || len(r.vcVotes[target]) >= r.m.FPlusOne() {
 		r.startViewChange(target)
-	}
-}
-
-// handleReadRequest serves one client read. With a valid lease the read is
-// answered locally — immediately if the execute index already covers every
-// slot proposed before it arrived, else after tryExecute catches up.
-// Without one the read is answered as a fallback vote: the client gathers
-// f+1 matching (code, executed count, result) votes instead.
-func (r *Replica) handleReadRequest(body []byte) {
-	if r.querier == nil {
-		return
-	}
-	// A client whose read window refilled faster than a frame round-tripped
-	// coalesces the backlog into one batch body (sentinel-discriminated).
-	if reqs, err := smr.DecodeReadRequestBatch(body); err == nil {
-		for _, req := range reqs {
-			r.handleOneRead(req)
-		}
-		return
-	}
-	req, err := smr.DecodeReadRequest(body)
-	if err != nil {
-		return
-	}
-	r.handleOneRead(req)
-}
-
-func (r *Replica) handleOneRead(req smr.ReadRequest) {
-	now := time.Now()
-	if !r.leaseValid(now) {
-		r.replyRead(req, smr.ReadFallback)
-		return
-	}
-	wm := len(r.prepOrder)
-	if r.execIdx >= wm {
-		r.replyRead(req, smr.ReadLeased)
-		return
-	}
-	if len(r.leaseReads) >= maxReadQueue {
-		r.replyRead(req, smr.ReadFallback)
-		return
-	}
-	r.leaseReads = append(r.leaseReads, pendingRead{wm: wm, req: req})
-}
-
-// replyRead queries the state machine and buffers the answer; replies
-// accumulated while the run loop drains one event burst are sent as one
-// frame per client by flushReadReplies, so a read burst costs the leader
-// one send per client instead of one per read.
-func (r *Replica) replyRead(req smr.ReadRequest, code byte) {
-	rep := smr.ReadReply{
-		Replica: r.Self(),
-		Client:  req.Client,
-		Num:     req.Num,
-		Result:  r.querier.Query(req.Op),
-		Code:    code,
-		ExecSeq: r.execCount,
-	}
-	if r.readReplies == nil {
-		r.readReplies = make(map[uint64][][]byte)
-	}
-	r.readReplies[req.Client] = append(r.readReplies[req.Client], rep.Encode())
-	if code == smr.ReadLeased {
-		r.mx.leasedReads.Inc()
-	} else {
-		r.mx.fallbackReads.Inc()
-	}
-}
-
-// flushReadReplies sends the replies buffered during the current event
-// burst: a lone reply goes out in its bare wire form (identical to the
-// unbatched path), several to the same client coalesce into one batch
-// frame.
-func (r *Replica) flushReadReplies() {
-	for c, reps := range r.readReplies {
-		if len(reps) == 1 {
-			_ = r.tr.Send(types.ProcessID(c), reps[0])
-		} else {
-			_ = r.tr.Send(types.ProcessID(c), smr.EncodeReadReplyBatch(reps))
-		}
-		delete(r.readReplies, c)
-	}
-}
-
-// flushLeaseReads answers queued reads whose watermark the execute index
-// now covers, re-checking lease validity per read (a lease that lapsed
-// while the read waited degrades it to a fallback vote, never a stale
-// leased answer).
-func (r *Replica) flushLeaseReads() {
-	if len(r.leaseReads) == 0 {
-		return
-	}
-	now := time.Now()
-	rest := r.leaseReads[:0]
-	for _, pr := range r.leaseReads {
-		if r.execIdx < pr.wm {
-			rest = append(rest, pr)
-			continue
-		}
-		if r.leaseValid(now) {
-			r.replyRead(pr.req, smr.ReadLeased)
-		} else {
-			r.replyRead(pr.req, smr.ReadFallback)
-		}
-	}
-	r.leaseReads = rest
-}
-
-// failLeaseReads flushes every queued read as a fallback vote.
-func (r *Replica) failLeaseReads() {
-	reads := r.leaseReads
-	r.leaseReads = nil
-	for _, pr := range reads {
-		r.replyRead(pr.req, smr.ReadFallback)
 	}
 }

@@ -83,123 +83,70 @@ import (
 // ErrClosed reports use of a closed replica.
 var ErrClosed = errors.New("minbft: replica closed")
 
+// config is what the options fill in: the settings shared with PBFT
+// (smr.EngineConfig, which documents and defaults them) plus MinBFT's own.
+type config struct {
+	smr.EngineConfig
+	reqTimeout time.Duration
+	dataDir    string
+}
+
 // Option configures a Replica.
-type Option func(*Replica)
+type Option func(*config)
+
+// WithEngineConfig sets every shared setting at once (internal/cluster
+// translates a Spec into one); the other options below set single fields.
+func WithEngineConfig(cfg smr.EngineConfig) Option {
+	return func(c *config) { c.EngineConfig = cfg }
+}
 
 // WithRequestTimeout sets how long a pending request may wait before the
 // replica initiates a view change (default 500ms).
 func WithRequestTimeout(d time.Duration) Option {
-	return func(r *Replica) { r.reqTimeout = d }
+	return func(c *config) { c.reqTimeout = d }
 }
 
 // WithExecutionLog attaches a log capturing every applied command, for
 // cross-replica consistency checking in tests.
 func WithExecutionLog(l *smr.ExecutionLog) Option {
-	return func(r *Replica) { r.execLog = l }
+	return func(c *config) { c.ExecutionLog = l }
 }
 
 // WithBatchSize caps how many pending requests the primary packs into one
-// PREPARE (one USIG attestation and one quorum certificate per batch).
-// k <= 1 disables batching: every request is proposed immediately in its
-// own prepare, the pre-batching behavior. The default comes from
-// smr.DefaultBatchSize (the UNIDIR_BATCH environment knob).
+// PREPARE (smr.EngineConfig.BatchSize).
 func WithBatchSize(k int) Option {
-	return func(r *Replica) {
-		if k < 1 {
-			k = 1
-		}
-		if k > maxBatchDecode {
-			k = maxBatchDecode
-		}
-		r.maxBatch = k
-	}
+	return func(c *config) { c.BatchSize = k }
 }
 
-// WithBatchDeadline sets the adaptive batching deadline: a partially filled
-// batch is held open at most this long before the primary cuts it (the
-// size-or-deadline trigger; see smr.BatchTrigger). The trigger adapts below
-// the deadline — at light load it cuts immediately, killing batch-wait; near
-// saturation it holds until the cap plausibly fills. d == 0 disables
-// deadline triggering entirely and restores the fixed two-deep proposal
-// pipeline (the pre-adaptive behavior). The default comes from
-// smr.DefaultBatchDeadline (the UNIDIR_BATCH_DEADLINE environment knob).
+// WithBatchDeadline bounds how long a partial batch is held open
+// (smr.EngineConfig.BatchDeadline).
 func WithBatchDeadline(d time.Duration) Option {
-	return func(r *Replica) {
-		if d < 0 {
-			d = 0
-		}
-		r.batchDeadline = d
-		r.batchDeadlineSet = true
-	}
+	return func(c *config) { c.BatchDeadline = d }
 }
 
-// WithFixedBatchWindow makes the primary hold every partial batch for the
-// full batch deadline regardless of load or pipeline state — the classic
-// fixed batch timer, kept as the A/B baseline for the adaptive trigger
-// (benchharness B9's "fixed" mode).
-func WithFixedBatchWindow() Option {
-	return func(r *Replica) { r.batchFixed = true }
-}
-
-// WithAdmission sets the replica's admission bounds (pending-queue cap and
-// per-client token bucket; see smr.AdmissionConfig). Requests past the
-// bounds are shed with an overload-coded reply instead of queued — the
-// client sees a retryable smr.ErrOverloaded once f+1 replicas agree. The
-// default comes from smr.DefaultAdmissionConfig (the UNIDIR_ADMIT_*
-// environment knobs).
+// WithAdmission sets the replica's admission bounds
+// (smr.EngineConfig.Admission).
 func WithAdmission(cfg smr.AdmissionConfig) Option {
-	return func(r *Replica) {
-		r.admission = smr.NewAdmission(cfg)
-	}
+	return func(c *config) { c.Admission = &cfg }
 }
 
-// WithProposalPacing makes the primary defer cutting new batches while
-// fewer than f peers — the commits a batch needs — have a transport send
-// queue shorter than depth frames (requires a transport implementing
-// transport.QueueDepther; otherwise a no-op).
-// depth <= 0 disables pacing. The default comes from smr.DefaultPaceDepth
-// (the UNIDIR_PACE_DEPTH environment knob).
+// WithProposalPacing sets the peer send-queue depth past which the primary
+// defers proposing (smr.EngineConfig.PaceDepth); it paces on f peers, the
+// commits a batch needs.
 func WithProposalPacing(depth int) Option {
-	return func(r *Replica) {
-		if depth < 0 {
-			depth = 0
-		}
-		r.paceDepth = depth
-		r.paceDepthSet = true
-	}
+	return func(c *config) { c.PaceDepth = depth }
 }
 
 // WithLeaseTerm sets the leader-lease term for the linearizable read fast
-// path (lease.go). d > 0 sets the term explicitly; d < 0 disables leases
-// (every read is answered as a quorum-read fallback vote); d == 0 keeps the
-// default from smr.DefaultLeaseTerm (the UNIDIR_LEASE environment knob).
-// All replicas of a cluster must agree on the term: a grantor's promise
-// horizon and the holder's expiry are both derived from it.
+// path (smr.EngineConfig.LeaseTerm; lease.go).
 func WithLeaseTerm(d time.Duration) Option {
-	return func(r *Replica) {
-		if d < 0 {
-			d = 0
-		} else if d == 0 {
-			return // keep the environment default
-		}
-		r.leaseTerm = d
-		r.leaseTermSet = true
-	}
+	return func(c *config) { c.LeaseTerm = d }
 }
 
 // WithCheckpointInterval sets how many executed batches separate
-// checkpoints (state snapshot + attested digest vote + log GC on
-// stability). k <= 0 disables checkpointing. The default comes from
-// smr.DefaultCheckpointInterval (the UNIDIR_CKPT environment knob).
-// Checkpointing requires the state machine to implement smr.Snapshotter;
-// with a plain smr.StateMachine the setting is ignored.
+// checkpoints (smr.EngineConfig.CheckpointInterval; checkpoint.go).
 func WithCheckpointInterval(k int) Option {
-	return func(r *Replica) {
-		if k <= 0 {
-			k = -1 // explicitly disabled (0 means "use the default")
-		}
-		r.ckptInterval = k
-	}
+	return func(c *config) { c.CheckpointInterval = k }
 }
 
 // WithDataDir makes the replica crash-restart capable: the latest stable
@@ -210,40 +157,29 @@ func WithCheckpointInterval(k int) Option {
 // the same dir), which the caller wires up — the replica only owns the
 // checkpoint file. Requires an smr.Snapshotter state machine.
 func WithDataDir(dir string) Option {
-	return func(r *Replica) { r.dataDir = dir }
+	return func(c *config) { c.dataDir = dir }
 }
 
-// pipelineDepth bounds the primary's proposed-but-unexecuted batches when
-// batching is on: one batch committing while the next accumulates. Depth 1
-// would stall arrivals during the commit round; a deeper pipeline measurably
-// hurts on a fast fabric — free proposal slots drain arrivals into tiny
-// batches, and per-batch authentication overhead then dominates.
-const pipelineDepth = 2
+// WithTracer attaches a distributed tracer. Spans land in the tracer's
+// SpanBuffer; the harness collector (internal/harness) merges buffers across
+// replicas into per-request latency breakdowns.
+func WithTracer(t *tracing.Tracer) Option {
+	return func(c *config) { c.Tracer = t }
+}
 
-// Replica is one MinBFT replica. Create with New, stop with Close.
+// Replica is one MinBFT replica: the ordering core of an smr.Engine. The
+// engine owns the request, read, reply and tracing planes; what is here is
+// what the trusted counter changes — UI-authenticated messages processed in
+// counter order, f+1 quorums over two phases, view change, the lease
+// protocol, checkpoint votes. Create with New, stop with Close.
 type Replica struct {
 	m   types.Membership
 	tr  transport.Transport
 	dev *trinc.Device
 	ver *trinc.Verifier
-	sm  smr.StateMachine
+	eng *smr.Engine
 
 	reqTimeout time.Duration
-	execLog    *smr.ExecutionLog
-	maxBatch   int
-
-	// Flow control (see smr/flowcontrol.go). All run-goroutine-owned.
-	batchDeadline    time.Duration // max hold on a partial batch; 0: cut immediately
-	batchDeadlineSet bool
-	batchFixed       bool // non-adaptive baseline: always wait out the deadline
-	trigger          *smr.BatchTrigger
-	admission        *smr.Admission
-	batchStart       time.Time // arrival of the oldest unproposed pending request
-	batchTimerArmed  bool      // a 'b' deadline timer is outstanding
-	maxInFlight      int       // pipelineDepth, or adaptivePipelineDepth with a deadline
-	paceDepth        int       // defer proposals past this peer send-queue depth; 0: off
-	paceDepthSet     bool
-	qd               transport.QueueDepther // nil unless the transport exposes depths
 
 	events    *syncx.Queue[event]
 	wg        sync.WaitGroup
@@ -265,44 +201,25 @@ type Replica struct {
 	entries   map[entryKey]*entry
 	prepOrder []entryKey // accepted prepares of the current view, in UI order
 	execIdx   int        // next prepOrder index to execute
-	proposing bool       // re-entrancy guard for maybePropose
+	orderBase uint64     // prepOrder entries trimmed by checkpoint GC (see orderer.ReadPoint)
+	inFlight  int        // batches this leader proposed but not yet executed
 
 	acceptedLog []logEntry // all prepares this replica ever endorsed
 
-	table    *smr.ClientTable
-	pending  map[pendingKey]smr.Request
-	proposed map[pendingKey]bool // requests inside an in-flight batch (leader, current view)
-	inFlight int                 // batches this leader proposed but not yet executed
-
-	// Introspection counters (status.go). Run-goroutine-owned, plain so
-	// Status works without WithMetrics. Process-lifetime: reset on restart,
-	// unlike execCount, which state transfer restores.
-	proposedCount    uint64 // batches this replica proposed as leader
-	executedReqCount uint64 // requests executed (including view-change replays)
-
 	vcVotes map[types.View]map[types.ProcessID]signedVC
 
-	// Leader leases for the read fast path (lease.go). Run-goroutine-owned.
-	leaseTerm       time.Duration // 0: leases (and leased reads) disabled
-	leaseTermSet    bool
-	leaseFull       bool         // require grants from all n replicas (default), not f+1
-	querier         smr.Querier  // nil: the state machine cannot answer reads
-	leaseRound      types.SeqNum // UI seq of our outstanding LEASE-REQUEST
-	leaseSentAt     time.Time
-	leaseGrants     map[types.ProcessID]bool
-	leaseUntil      time.Time           // zero: no lease held
-	renewArmed      bool                // an 'l' renewal timer is outstanding
-	grantUntil      time.Time           // our outstanding grantor promise horizon
-	deferredVC      types.View          // view change deferred behind grantUntil (0: none)
-	grantTimerArmed bool                // a 'g' grant-expiry timer is outstanding
-	leaseReads      []pendingRead       // leased reads waiting for the execute watermark
-	readReplies     map[uint64][][]byte // per-client read replies coalesced within one event-loop drain
+	// The lease protocol (lease.go); the engine keeps the tally.
+	leaseTerm       time.Duration // 0: leases disabled
+	leaseRound      types.SeqNum  // UI seq of our outstanding LEASE-REQUEST
+	renewArmed      bool          // an 'l' renewal timer is outstanding
+	grantUntil      time.Time     // our outstanding grantor promise horizon
+	deferredVC      types.View    // view change deferred behind grantUntil (0: none)
+	grantTimerArmed bool          // a 'g' grant-expiry timer is outstanding
 
 	// Checkpointing and recovery (checkpoint.go, persist.go).
-	snap            smr.Snapshotter // nil: state machine cannot snapshot
-	ckptInterval    int             // batches between checkpoints; 0 disables
-	dataDir         string          // "" : no crash-restart persistence
-	execCount       uint64          // fresh batches executed, in total order
+	ckptInterval    int    // batches between checkpoints; 0 disables
+	dataDir         string // "" : no crash-restart persistence
+	execCount       uint64 // fresh batches executed, in total order
 	ckptVotes       map[uint64]map[types.ProcessID]signedCkpt
 	ownStates       map[uint64][]byte                // our snapshots awaiting stability
 	stable          ckptCert                         // latest stable checkpoint certificate
@@ -318,14 +235,8 @@ type Replica struct {
 	statsMu sync.Mutex
 	fp      Footprint
 
-	metricsReg *obs.Registry
-	mx         metrics // all-nil (free no-ops) without WithMetrics
-
-	// Distributed tracing (tracing.go); nil without WithTracer.
-	tracer       *tracing.Tracer
-	reqTrace     map[pendingKey]reqTraceInfo // sampled requests awaiting execution
-	deferred     []deferredReply             // traced replies held while an execute span is open
-	deferReplies bool
+	mx     metrics         // all-nil (free no-ops) without WithMetrics
+	tracer *tracing.Tracer // for the ui-attest span; nil without WithTracer
 
 	// Readiness mirrors of inVC / stateTarget, readable off the run
 	// goroutine (Ready, the /readyz endpoint).
@@ -338,21 +249,14 @@ type entryKey struct {
 	seq  types.SeqNum // primary's UI counter value
 }
 
-type pendingKey struct {
-	client, num uint64
-}
-
 type entry struct {
+	smr.BatchTrace
 	reqs      []smr.Request // nil until the prepare binds the batch
 	reqDigest [sha256.Size]byte
 	prepUI    trinc.Attestation
 	votes     map[types.ProcessID]bool
 	executed  bool
-	mine      bool      // proposed by this replica (leader in-flight accounting)
-	boundAt   time.Time // prepare acceptance time; zero without WithMetrics
-
-	btc        tracing.Context // batch trace (zero unless the batch is sampled)
-	quorumSpan *tracing.Active // open commit-quorum span; nil when untraced
+	mine      bool // proposed by this replica (leader in-flight accounting)
 }
 
 type peerMsg struct {
@@ -372,7 +276,7 @@ type event struct {
 // Watch lane — reqTimeout is their one duration — and the rest use After.
 type timerEvent struct {
 	kind    byte // 't' request timeout, 'v' view-change timeout, 'f' fetch, 's' state fetch, 'b' batch deadline/pacing recheck, 'l' lease renewal, 'g' grantor-promise expiry
-	pending pendingKey
+	pending smr.RequestID
 	view    types.View
 	peer    types.ProcessID // fetch target trinket
 	seq     types.SeqNum    // fetch target counter value
@@ -396,86 +300,44 @@ func New(m types.Membership, tr transport.Transport, dev *trinc.Device, ver *tri
 	if dev.Owner() != tr.Self() {
 		return nil, fmt.Errorf("minbft: trinket owner %v != endpoint %v", dev.Owner(), tr.Self())
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	cfg := config{reqTimeout: 500 * time.Millisecond}
+	for _, opt := range opts {
+		opt(&cfg)
+	}
 	r := &Replica{
 		m:          m,
 		tr:         tr,
 		dev:        dev,
 		ver:        ver,
-		sm:         sm,
-		reqTimeout: 500 * time.Millisecond,
-		maxBatch:   smr.DefaultBatchSize(),
+		reqTimeout: cfg.reqTimeout,
+		dataDir:    cfg.dataDir,
+		tracer:     cfg.Tracer,
 		events:     syncx.NewQueue[event](),
-		cancel:     cancel,
 		lastUI:     make(map[types.ProcessID]types.SeqNum),
 		uiBuffer:   make(map[types.ProcessID]map[types.SeqNum]peerMsg),
 		msgStore:   make(map[types.ProcessID]map[types.SeqNum]peerMsg),
 		entries:    make(map[entryKey]*entry),
-		table:      smr.NewClientTable(),
-		pending:    make(map[pendingKey]smr.Request),
-		proposed:   make(map[pendingKey]bool),
 		vcVotes:    make(map[types.View]map[types.ProcessID]signedVC),
 		ckptVotes:  make(map[uint64]map[types.ProcessID]signedCkpt),
 		ownStates:  make(map[uint64][]byte),
 		gcVoteSeqs: make(map[types.ProcessID]types.SeqNum),
-		reqTrace:   make(map[pendingKey]reqTraceInfo),
 	}
-	for _, opt := range opts {
-		opt(r)
-	}
-	if !r.batchDeadlineSet {
-		r.batchDeadline = smr.DefaultBatchDeadline()
-	}
-	if !r.paceDepthSet {
-		r.paceDepth = smr.DefaultPaceDepth()
-	}
-	if r.admission == nil {
-		r.admission = smr.NewAdmission(smr.DefaultAdmissionConfig())
-	}
-	if r.batchFixed {
-		r.trigger = smr.NewFixedBatchTrigger(r.maxBatch, r.batchDeadline)
-	} else {
-		r.trigger = smr.NewBatchTrigger(r.maxBatch, r.batchDeadline)
-	}
-	r.maxInFlight = pipelineDepth
-	if qd, ok := tr.(transport.QueueDepther); ok {
-		r.qd = qd
-	}
-	if snap, ok := sm.(smr.Snapshotter); ok {
-		r.snap = snap
-	}
-	if q, ok := sm.(smr.Querier); ok {
-		r.querier = q
-	}
-	if !r.leaseTermSet {
-		r.leaseTerm = smr.DefaultLeaseTerm()
-	}
-	if r.querier == nil {
-		// Without a Querier nothing can answer a read, leased or fallback,
-		// so skip the lease traffic entirely.
-		r.leaseTerm = 0
-	}
-	// MinBFT's f+1 minimum grant quorum is not Byzantine-safe, so the
-	// default is the full quorum; UNIDIR_LEASE_QUORUM=fplus1 opts out.
-	r.leaseFull = smr.LeaseQuorumFull(false)
-	switch {
-	case r.ckptInterval == 0:
-		r.ckptInterval = smr.DefaultCheckpointInterval()
-	case r.ckptInterval < 0:
-		r.ckptInterval = 0
-	}
+	// Pacing waits on f peers, the commits a batch needs. A lease takes
+	// grants from all n replicas: the f+1 minimum is not Byzantine-safe here
+	// (DESIGN.md §8).
+	r.eng = smr.NewEngine("minbft", orderer{r}, tr, sm, smr.SystemClock,
+		m.Others(tr.Self()), m.F, m.N, cfg.EngineConfig)
+	r.leaseTerm = r.eng.LeaseTerm()
+	r.ckptInterval = r.eng.CheckpointInterval()
 	if r.dataDir != "" {
-		if r.snap == nil {
-			cancel()
+		if _, ok := sm.(smr.Snapshotter); !ok {
 			return nil, fmt.Errorf("minbft: data dir requires a snapshotting state machine (smr.Snapshotter)")
 		}
 		if err := os.MkdirAll(r.dataDir, 0o755); err != nil {
-			cancel()
 			return nil, fmt.Errorf("minbft: data dir: %w", err)
 		}
 		loaded, err := r.loadCheckpoint()
 		if err != nil {
-			cancel()
 			return nil, err
 		}
 		if loaded {
@@ -488,7 +350,9 @@ func New(m types.Membership, tr transport.Transport, dev *trinc.Device, ver *tri
 		r.announceRestart = true
 	}
 	r.deadlines = smr.NewDeadlines[timerEvent](smr.SystemClock, func() { r.events.Push(event{tick: true}) })
-	r.initMetrics()
+	r.initMetrics(cfg.Metrics)
+	ctx, cancel := context.WithCancel(context.Background())
+	r.cancel = cancel
 	r.wg.Add(2)
 	go r.recvLoop(ctx)
 	go r.run(ctx)
@@ -579,7 +443,7 @@ func (r *Replica) run(ctx context.Context) {
 	for {
 		// Draining the whole backlog per wakeup lets read replies produced
 		// while processing one burst coalesce into one frame per client
-		// (flushReadReplies) instead of one frame per read.
+		// (FlushReads) instead of one frame per read.
 		evs, err := r.events.PopAll(ctx)
 		if err != nil {
 			return
@@ -594,7 +458,7 @@ func (r *Replica) run(ctx context.Context) {
 				ev.status <- r.buildStatus()
 			}
 		}
-		r.flushReadReplies()
+		r.eng.FlushReads()
 	}
 }
 
@@ -606,17 +470,30 @@ func (r *Replica) attestAndSend(kind byte, body []byte) (trinc.Attestation, erro
 	return r.attestAndSendTraced(kind, body, nil)
 }
 
-func (r *Replica) reply(req smr.Request, result []byte) {
-	rep := smr.Reply{Replica: r.Self(), Client: req.Client, Num: req.Num, Result: result}
-	_ = r.tr.Send(types.ProcessID(req.Client), rep.Encode())
-}
-
-// replyOverloaded sheds a request with an overload-coded reply. The client
-// counts these as votes like any other reply, so it backs off only when f+1
-// replicas independently shed — one Byzantine replica cannot fake overload.
-func (r *Replica) replyOverloaded(req smr.Request) {
-	rep := smr.Reply{Replica: r.Self(), Client: req.Client, Num: req.Num, Code: smr.ReplyOverloaded}
-	_ = r.tr.Send(types.ProcessID(req.Client), rep.Encode())
+// attestAndSendTraced is attestAndSend with the batch span threaded through:
+// the USIG call gets a ui-attest child span, and the broadcast carries the
+// batch context so backups join the batch trace. A nil span degrades to the
+// plain path (zero-context sends are byte-identical to pre-tracing frames).
+func (r *Replica) attestAndSendTraced(kind byte, body []byte, span *tracing.Active) (trinc.Attestation, error) {
+	tc := span.Context()
+	att := r.tracer.Start("ui-attest", tc)
+	next := r.dev.LastAttested(usigCounter) + 1
+	e := wire.GetEncoder()
+	appendUIBinding(e, kind, body)
+	r.mx.sigSigns.Inc()
+	ui, err := r.dev.Attest(usigCounter, next, e.Bytes())
+	wire.PutEncoder(e)
+	att.End()
+	if err != nil {
+		return trinc.Attestation{}, fmt.Errorf("minbft: usig attest: %w", err)
+	}
+	payload := encodeEnvelope(kind, body, &ui)
+	if err := transport.BroadcastTraced(r.tr, r.m.Others(r.Self()), payload, tc); err != nil {
+		return trinc.Attestation{}, fmt.Errorf("minbft: broadcast: %w", err)
+	}
+	// Retain own sends so lagging peers can gap-fill from us directly.
+	r.storeMsg(r.Self(), ui.Seq, peerMsg{kind: kind, body: body, ui: ui})
+	return ui, nil
 }
 
 // --- receive path ---
@@ -635,7 +512,7 @@ func (r *Replica) handleEnvelope(env transport.Envelope) {
 		r.handleRequest(req, env.Trace)
 		return
 	case kindReadRequest:
-		r.handleReadRequest(body)
+		r.eng.HandleRead(body)
 		return
 	case kindFetch:
 		r.handleFetch(env.From, body)
@@ -799,158 +676,19 @@ func (r *Replica) dispatch(from types.ProcessID, msg peerMsg) {
 // --- client requests ---
 
 func (r *Replica) handleRequest(req smr.Request, tc tracing.Context) {
-	if result, ok := r.table.CachedReply(req); ok {
-		r.reply(req, result)
+	if !r.eng.HandleRequest(req, tc) {
 		return
 	}
-	key := pendingKey{req.Client, req.Num}
-	if !r.table.ShouldExecute(req) {
-		// Below the client's last executed num with the reply cache moved
-		// on: the table's per-client order means this request can never
-		// execute. That happens when an earlier shed left a num gap that the
-		// pipeline's later requests overtook. Purge any stranded pending
-		// copy — its watchdog must not blame the primary — and answer with
-		// an overload reply so the client's vote count converges instead of
-		// retransmitting forever.
-		if _, stranded := r.pending[key]; stranded {
-			delete(r.pending, key)
-			delete(r.proposed, key)
-			delete(r.reqTrace, key)
-			r.mx.pendingDepth.Set(int64(len(r.pending)))
-		}
-		r.mx.sheds.Inc()
-		r.replyOverloaded(req)
-		return
-	}
-	if _, dup := r.pending[key]; dup {
-		return
-	}
-	now := time.Now()
-	if !r.admission.Admit(req.Client, len(r.pending), now) {
-		// Shed before the request enters pending: no watchdog is armed, so
-		// overload cannot masquerade as a faulty primary and trigger view
-		// changes. A later retransmission is re-admitted on its own merits.
-		r.mx.sheds.Inc()
-		r.replyOverloaded(req)
-		return
-	}
-	r.pending[key] = req
-	r.mx.pendingDepth.Set(int64(len(r.pending)))
-	r.trigger.Arrive(now)
-	if r.batchStart.IsZero() {
-		r.batchStart = now
-	}
-	r.noteRequest(key, tc)
 	// Arm the liveness watchdog for this request.
-	r.deadlines.Watch(r.reqTimeout, timerEvent{kind: 't', pending: key, view: r.view})
+	r.deadlines.Watch(r.reqTimeout, timerEvent{kind: 't', pending: req.ID(), view: r.view})
 	r.mx.watchdogs.Set(int64(r.deadlines.Watched()))
-	r.maybePropose()
-}
-
-// maybePropose is the primary's batching valve: it packs pending requests
-// not yet inside an in-flight batch into PREPAREs, up to maxBatch requests
-// each. With batching on, at most maxInFlight batches are outstanding —
-// committing while the next accumulates arrivals — which is what amortizes
-// the attestation and the O(n) broadcast. With a batch deadline configured
-// the cut is size-or-deadline: a partial batch goes out immediately at
-// light load (the EWMA trigger says waiting cannot amortize anything) and
-// is otherwise held — never past the deadline — to fill toward the cap.
-// With maxBatch <= 1 there is no cap and every pending request goes out in
-// its own prepare immediately (the unbatched baseline).
-func (r *Replica) maybePropose() {
-	if r.m.Leader(r.view) != r.Self() || r.inVC || r.proposing {
-		return
-	}
-	r.proposing = true
-	defer func() { r.proposing = false }()
-	for {
-		if r.maxBatch > 1 && r.inFlight >= r.maxInFlight {
-			return
-		}
-		// Backpressure: a batch needs commits from f peers, and while fewer
-		// than f send queues are short, pushing more batches only grows
-		// them. Defer and recheck on a timer. Counting short queues (not
-		// looking for a long one) is what keeps a crashed peer, whose queue
-		// never drains, from wedging the primary.
-		if r.paceDepth > 0 && r.qd != nil &&
-			transport.QueuesBelow(r.qd, r.m.Others(r.Self()), r.paceDepth) < r.m.F {
-			r.mx.pacedProposals.Inc()
-			r.armBatchTimer(r.paceRecheck())
-			return
-		}
-		batch := make([]smr.Request, 0, r.maxBatch)
-		for _, req := range sortedPending(r.pending) {
-			key := pendingKey{req.Client, req.Num}
-			if r.proposed[key] {
-				continue
-			}
-			if !r.table.ShouldExecute(req) {
-				delete(r.pending, key) // executed meanwhile (e.g. via view change)
-				delete(r.reqTrace, key)
-				continue
-			}
-			batch = append(batch, req)
-			if len(batch) >= r.maxBatch {
-				break
-			}
-		}
-		if len(batch) == 0 {
-			r.batchStart = time.Time{}
-			return
-		}
-		if r.maxBatch > 1 && len(batch) < r.maxBatch {
-			if wait := r.trigger.Wait(len(batch), r.inFlight, r.batchStart, time.Now()); wait > 0 {
-				r.armBatchTimer(wait)
-				return
-			}
-		}
-		if !r.batchStart.IsZero() {
-			r.mx.batchWait.Observe(time.Since(r.batchStart).Seconds())
-		}
-		if !r.sendPrepare(batch) {
-			return // attest/broadcast failure; the watchdogs drive recovery
-		}
-		r.inFlight++
-		r.proposedCount++
-		r.mx.proposedBatches.Inc()
-		r.mx.batchSize.Observe(float64(len(batch)))
-		r.mx.inFlight.Set(int64(r.inFlight))
-		for _, req := range batch {
-			r.proposed[pendingKey{req.Client, req.Num}] = true
-		}
-		// Anything still unproposed starts accumulating a fresh batch now.
-		if len(r.pending) > len(r.proposed) {
-			r.batchStart = time.Now()
-		} else {
-			r.batchStart = time.Time{}
-		}
-	}
-}
-
-// paceRecheck is how long a paced primary waits before re-inspecting peer
-// queue depths.
-func (r *Replica) paceRecheck() time.Duration {
-	if r.batchDeadline > 0 {
-		return r.batchDeadline
-	}
-	return 100 * time.Microsecond
-}
-
-// armBatchTimer schedules one deadline/pacing recheck; at most one is
-// outstanding so deferred cuts cannot pile up timer events.
-func (r *Replica) armBatchTimer(d time.Duration) {
-	if r.batchTimerArmed {
-		return
-	}
-	r.batchTimerArmed = true
-	r.deadlines.After(d, timerEvent{kind: 'b'})
+	r.eng.MaybePropose()
 }
 
 // watchdogLive reports whether a request watchdog can still demand a view
 // change: its request is pending and it was recorded in the current view.
 func (r *Replica) watchdogLive(te timerEvent) bool {
-	_, pending := r.pending[te.pending]
-	return pending && te.view == r.view
+	return te.view == r.view && r.eng.Pending(te.pending)
 }
 
 // pruneWatchdogs drops the watchdogs at the head of the lane whose requests
@@ -965,10 +703,7 @@ func (r *Replica) pruneWatchdogs() {
 func (r *Replica) handleTimer(te timerEvent) {
 	switch te.kind {
 	case 'b':
-		// Batch deadline (or pacing recheck) expired: cut whatever is
-		// pending, however partial.
-		r.batchTimerArmed = false
-		r.maybePropose()
+		r.eng.BatchTimerFired()
 	case 't':
 		if r.watchdogLive(te) && !r.inVC {
 			r.startViewChange(r.view + 1)
@@ -1008,25 +743,6 @@ func (r *Replica) handleTimer(te timerEvent) {
 
 // --- normal case ---
 
-// sendPrepare attests and broadcasts one batch, reporting success.
-func (r *Replica) sendPrepare(batch []smr.Request) bool {
-	p := prepare{View: r.view, Reqs: batch}
-	body := p.encodeBody()
-	span := r.startProposeSpan(batch)
-	ui, err := r.attestAndSendTraced(kindPrepare, body, span)
-	btc := span.Context() // capture before End: the handle is pooled
-	span.End()
-	if err != nil {
-		return false
-	}
-	// The primary's prepare is its own endorsement.
-	r.acceptPrepare(r.Self(), p, ui, btc)
-	if en := r.entries[entryKey{p.View, ui.Seq}]; en != nil {
-		en.mine = true
-	}
-	return true
-}
-
 func (r *Replica) handlePrepare(from types.ProcessID, msg peerMsg) {
 	p, err := decodePrepareBody(msg.body)
 	if err != nil {
@@ -1039,13 +755,7 @@ func (r *Replica) handlePrepare(from types.ProcessID, msg peerMsg) {
 	// Stale requests are endorsed anyway: the batch is ordered as a unit and
 	// execution dedups per request through the client table, so endorsing
 	// a partially (or fully) executed batch is harmless.
-	for _, req := range p.Reqs {
-		if !r.table.ShouldExecute(req) {
-			if result, ok := r.table.CachedReply(req); ok {
-				r.reply(req, result)
-			}
-		}
-	}
+	r.eng.ResendCached(p.Reqs)
 	r.acceptPrepare(from, p, msg.ui, msg.tc)
 
 	// Endorse: broadcast a COMMIT with our own UI — one per batch, not per
@@ -1091,10 +801,10 @@ func (r *Replica) acceptPrepare(primary types.ProcessID, p prepare, prepUI trinc
 		en.reqs = p.Reqs
 		en.reqDigest = digest
 		en.prepUI = prepUI
-		if r.metricsReg != nil {
-			en.boundAt = time.Now()
-		}
-		r.bindEntryTrace(en, btc)
+		en.mine = primary == r.Self()
+		// On the primary btc is the propose span's context, on backups the
+		// context that arrived with the PREPARE frame.
+		r.eng.BindBatch(&en.BatchTrace, btc)
 		r.prepOrder = append(r.prepOrder, key)
 		r.mx.openSlots.Set(int64(len(r.prepOrder) - r.execIdx))
 		r.acceptedLog = append(r.acceptedLog, logEntry{
@@ -1153,7 +863,7 @@ func (r *Replica) tryExecute() {
 		// a slot is a function of the executed prefix alone, so the count —
 		// and the state digest voted at each count — is identical across
 		// correct replicas regardless of which path executed the slot.
-		fresh := r.anyFresh(en.reqs)
+		fresh := r.eng.AnyFresh(en.reqs)
 		if fresh && len(en.votes) < r.m.FPlusOne() {
 			break
 		}
@@ -1163,21 +873,15 @@ func (r *Replica) tryExecute() {
 		// covering the slot), so applying it is a deterministic no-op at
 		// every correct replica — and the commits completing its quorum may
 		// have been garbage-collected at the peers, which would wedge the
-		// pipeline behind it forever. execute() below still resends the
-		// cached replies.
+		// pipeline behind it forever. Execute below still resends the cached
+		// replies.
 		en.executed = true
 		r.execIdx++
-		execSpan := r.finishEntrySpans(en)
-		for _, req := range en.reqs {
-			r.execute(req)
-		}
-		execSpan.End()
-		r.flushReplies()
 		if en.mine && r.inFlight > 0 {
 			r.inFlight--
 		}
-		r.executedReqCount += uint64(len(en.reqs))
-		r.observeExecuted(en)
+		r.eng.Execute(en.reqs, &en.BatchTrace)
+		r.mx.openSlots.Set(int64(len(r.prepOrder) - r.execIdx))
 		if fresh {
 			r.countExecuted()
 		}
@@ -1185,29 +889,8 @@ func (r *Replica) tryExecute() {
 	}
 	if executed {
 		r.pruneWatchdogs()
-		r.flushLeaseReads()
-		r.maybePropose()
+		r.eng.AfterExecute()
 	}
-}
-
-// execute applies one request (with client-table dedup) and replies.
-func (r *Replica) execute(req smr.Request) {
-	key := pendingKey{req.Client, req.Num}
-	delete(r.pending, key)
-	delete(r.proposed, key)
-	if !r.table.ShouldExecute(req) {
-		delete(r.reqTrace, key)
-		if result, ok := r.table.CachedReply(req); ok {
-			r.reply(req, result)
-		}
-		return
-	}
-	if r.execLog != nil {
-		r.execLog.Record(req.Encode())
-	}
-	result := r.sm.Apply(req.Op)
-	r.table.Executed(req, result)
-	r.tracedReply(key, req, result)
 }
 
 // --- view change ---
@@ -1432,10 +1115,8 @@ func (r *Replica) installView(nv newView, raw []byte) {
 	for _, le := range ordered {
 		// Same freshness rule as tryExecute, so the checkpoint count stays
 		// consistent whichever path executes a slot.
-		fresh := r.anyFresh(le.Reqs)
-		for _, req := range le.Reqs {
-			r.execute(req)
-		}
+		fresh := r.eng.AnyFresh(le.Reqs)
+		r.eng.Replay(le.Reqs)
 		if fresh {
 			r.countExecuted()
 		}
@@ -1448,17 +1129,16 @@ func (r *Replica) installView(nv newView, raw []byte) {
 	r.mu.Unlock()
 	r.mx.view.Set(int64(nv.NewView))
 	r.mx.openSlots.Set(0)
-	r.mx.inFlight.Set(0)
-	r.mx.pendingDepth.Set(int64(len(r.pending)))
 	r.mx.trace.Record("new-view", "installed view %d (%d union entries)", nv.NewView, len(union))
 	r.inVC = false
 	r.rdyVC.Store(false)
 	r.entries = make(map[entryKey]*entry)
+	r.orderBase += uint64(r.execIdx)
 	r.prepOrder = nil
 	r.execIdx = 0
 	r.inFlight = 0
 	r.gcSeqFloor = 0
-	r.proposed = make(map[pendingKey]bool)
+	r.eng.ResetProposed()
 	r.lastNVRaw = raw
 	r.pendingNV, r.pendingNVRaw = nil, nil
 	for v := range r.vcVotes {
@@ -1467,8 +1147,8 @@ func (r *Replica) installView(nv newView, raw []byte) {
 		}
 	}
 	// Lease revocation: any lease we held belonged to the old view; queued
-	// leased reads are flushed as fallback votes (their watermark indexed
-	// the old view's prepOrder). Our grantor promise, if any, simply runs
+	// leased reads are flushed as fallback votes (their positions belonged
+	// to the old view's proposals). Our grantor promise, if any, simply runs
 	// out on its own. The new leader solicits a fresh lease immediately.
 	r.revokeLease()
 	if r.deferredVC <= r.view {
@@ -1480,22 +1160,12 @@ func (r *Replica) installView(nv newView, raw []byte) {
 	// batch lost with the old view comes back as (part of) a fresh batch
 	// under the new primary's UI, and per-request client-table dedup keeps
 	// any overlap with already-executed entries harmless.
-	r.maybePropose()
+	r.eng.MaybePropose()
 	// Every request still pending is the new primary's to order from now:
 	// watch each afresh, then drop the old view's watchdogs, which sit ahead
 	// of these on the lane and can no longer demand anything.
-	for key := range r.pending {
-		r.deadlines.Watch(r.reqTimeout, timerEvent{kind: 't', pending: key, view: r.view})
-	}
+	r.eng.RangePending(func(id smr.RequestID) {
+		r.deadlines.Watch(r.reqTimeout, timerEvent{kind: 't', pending: id, view: r.view})
+	})
 	r.pruneWatchdogs()
-}
-
-// sortedPending yields pending requests in a deterministic order.
-func sortedPending(pending map[pendingKey]smr.Request) []smr.Request {
-	out := make([]smr.Request, 0, len(pending))
-	for _, req := range pending {
-		out = append(out, req)
-	}
-	smr.SortRequests(out)
-	return out
 }

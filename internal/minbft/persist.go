@@ -21,7 +21,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"unidir/internal/smr"
 	"unidir/internal/types"
 	"unidir/internal/wire"
 )
@@ -84,14 +83,9 @@ func (r *Replica) loadCheckpoint() (bool, error) {
 	if sha256.Sum256(state) != cert.Digest {
 		return false, fmt.Errorf("minbft: checkpoint file state does not match cert digest")
 	}
-	app, table, err := smr.DecodeCheckpointState(state)
-	if err != nil {
+	if err := r.eng.Restore(state); err != nil {
 		return false, fmt.Errorf("minbft: checkpoint file state: %w", err)
 	}
-	if err := r.snap.Restore(app); err != nil {
-		return false, fmt.Errorf("minbft: restore checkpoint state: %w", err)
-	}
-	r.table = table
 	r.view = view
 	r.stable = cert
 	r.stableState = state

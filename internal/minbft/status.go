@@ -43,6 +43,13 @@ func (r *Replica) Status() obs.Status {
 	}
 }
 
+// Ready reports whether the replica is serving normally: view-active (no
+// view change in progress) and state-transfer idle. It is safe from any
+// goroutine and backs the /readyz endpoint.
+func (r *Replica) Ready() bool {
+	return !r.rdyVC.Load() && !r.rdyST.Load()
+}
+
 // ReadyReason is Ready with the name of the failing probe, for /readyz
 // bodies. Safe from any goroutine (atomic mirrors of inVC / stateTarget).
 func (r *Replica) ReadyReason() (bool, string) {
@@ -57,26 +64,20 @@ func (r *Replica) ReadyReason() (bool, string) {
 
 // buildStatus runs on the run goroutine (the ev.status case in run).
 func (r *Replica) buildStatus() obs.Status {
-	now := time.Now()
 	st := obs.Status{
-		Protocol:         "minbft",
-		Replica:          int(r.Self()),
-		View:             uint64(r.view),
-		ExecCount:        r.execCount,
-		ProposedBatches:  r.proposedCount,
-		ExecutedRequests: r.executedReqCount,
-		PendingRequests:  len(r.pending),
-		OpenSlots:        len(r.prepOrder) - r.execIdx,
-		InFlightBatches:  r.inFlight,
-		QueuedReads:      len(r.leaseReads),
+		Protocol:  "minbft",
+		View:      uint64(r.view),
+		ExecCount: r.execCount,
+		OpenSlots: len(r.prepOrder) - r.execIdx,
 		TrustedCounters: map[string]uint64{
 			"usig": uint64(r.dev.LastAttested(usigCounter)),
 		},
 	}
+	r.eng.FillStatus(&st)
 	r.pruneWatchdogs()
 	st.WatchdogEntries = r.deadlines.Watched()
 	if at, ok := r.deadlines.OldestWatch(); ok {
-		st.OldestPendingMs = (r.reqTimeout - at.Sub(now)).Milliseconds()
+		st.OldestPendingMs = (r.reqTimeout - time.Until(at)).Milliseconds()
 	}
 	switch {
 	case r.inVC:
@@ -90,15 +91,6 @@ func (r *Replica) buildStatus() obs.Status {
 		st.Checkpoint = &obs.CheckpointStatus{
 			Count:  r.stable.Count,
 			Digest: hex.EncodeToString(r.stable.Digest[:]),
-		}
-	}
-	// Only the holder reports a lease: a grantor's promise is not mutual
-	// exclusion, and the auditor counts holders per (shard, term).
-	if r.leaseValid(now) {
-		st.Lease = &obs.LeaseStatus{
-			Holder:      int(r.Self()),
-			Term:        uint64(r.view),
-			ExpiresInMS: r.leaseUntil.Sub(now).Milliseconds(),
 		}
 	}
 	return st

@@ -54,17 +54,13 @@ func uiBinding(kind byte, body []byte) []byte {
 	return e.Bytes()
 }
 
-// maxBatchDecode bounds decoded request batches (defensive; the proposer
-// side caps batches far lower).
-const maxBatchDecode = 1 << 14
-
 // encodeRequests is the canonical wire form of a request batch — the byte
 // string commits digest (one attestation and one quorum certificate cover
 // the whole batch). Shared with pbft via smr.
 func encodeRequests(reqs []smr.Request) []byte { return smr.EncodeRequests(reqs) }
 
 func decodeRequests(b []byte) ([]smr.Request, error) {
-	reqs, err := smr.DecodeRequests(b, maxBatchDecode)
+	reqs, err := smr.DecodeRequests(b, smr.MaxBatchSize)
 	if err != nil {
 		return nil, fmt.Errorf("minbft: %w", err)
 	}

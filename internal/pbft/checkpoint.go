@@ -4,7 +4,7 @@ package pbft
 // scoped to the package's fixed-view normal case.
 //
 // Every K executed batches (K = WithCheckpointInterval, default
-// smr.DefaultCheckpointInterval) a replica snapshots its state machine plus
+// smr.DefaultCheckpointInterval = 128) a replica snapshots its state machine plus
 // client table and broadcasts a signed CHECKPOINT(n, digest). 2f+1 matching
 // votes make the checkpoint stable — here the quorum is 2f+1 (not MinBFT's
 // f+1) because without trusted counters f of the voters may be Byzantine
@@ -26,7 +26,6 @@ import (
 	"crypto/sha256"
 	"fmt"
 
-	"unidir/internal/smr"
 	"unidir/internal/transport"
 	"unidir/internal/types"
 	"unidir/internal/wire"
@@ -133,14 +132,16 @@ func (r *Replica) updateFootprint() {
 	r.statsMu.Unlock()
 }
 
+// ckptEnabled reports whether this replica checkpoints (the engine resolves
+// the interval to 0 without a Snapshotter state machine).
 func (r *Replica) ckptEnabled() bool {
-	return r.snap != nil && r.ckptInterval > 0
+	return r.ckptInterval > 0
 }
 
 // takeCheckpoint snapshots at sequence n, broadcasts a signed CHECKPOINT,
 // and records our own vote.
 func (r *Replica) takeCheckpoint(n types.SeqNum) {
-	state := smr.EncodeCheckpointState(r.snap.Snapshot(), r.table)
+	state := r.eng.Snapshot()
 	r.ownStates[n] = state
 	digest := sha256.Sum256(state)
 	sig := r.sign(signedBytes(kindCheckpoint, r.view, n, digest[:]))
@@ -279,14 +280,9 @@ func (r *Replica) handleStateResp(payload []byte) {
 	if sha256.Sum256(state) != cert.Digest {
 		return
 	}
-	app, table, err := smr.DecodeCheckpointState(state)
-	if err != nil {
+	if r.eng.Restore(state) != nil {
 		return
 	}
-	if r.snap.Restore(app) != nil {
-		return
-	}
-	r.table = table
 	r.execNext = cert.Seq + 1
 	r.mx.stateTransfers.Inc()
 	r.mx.trace.Record("state-transfer", "installed checkpoint seq %d (%d bytes)", cert.Seq, len(state))

@@ -58,72 +58,36 @@ const (
 
 const sigDomain = "unidir/pbft/v1"
 
-// Replica is one PBFT replica. Create with New, stop with Close.
+// Replica is one PBFT replica: the ordering core of an smr.Engine. The
+// engine owns the request, read, reply and tracing planes; what is here is
+// what doing without trusted hardware costs — signed messages, 2f+1 quorums
+// over three phases — plus the lease protocol and checkpoint votes. Create
+// with New, stop with Close.
 type Replica struct {
 	m    types.Membership
 	tr   transport.Transport
 	ring *sig.Keyring
-	sm   smr.StateMachine
-
-	execLog *smr.ExecutionLog
+	eng  *smr.Engine
 
 	events    *syncx.Queue[event]
 	wg        sync.WaitGroup
 	cancel    context.CancelFunc
 	closeOnce sync.Once
 
-	maxBatch int
-
-	// Flow control (see smr/flowcontrol.go), mirroring minbft's. All
-	// run-goroutine-owned.
-	batchDeadline    time.Duration // max hold on a partial batch; 0: cut immediately
-	batchDeadlineSet bool
-	batchFixed       bool // non-adaptive baseline: always wait out the deadline
-	trigger          *smr.BatchTrigger
-	admission        *smr.Admission
-	batchStart       time.Time // arrival of the oldest unproposed pending request
-	batchTimerArmed  bool      // a batch deadline timer is outstanding
-	maxInFlight      int       // pipelineDepth, or adaptivePipelineDepth with a deadline
-	paceDepth        int       // defer proposals past this peer send-queue depth; 0: off
-	paceDepthSet     bool
-	qd               transport.QueueDepther // nil unless the transport exposes depths
-
 	// State below is owned by the run goroutine.
 	deadlines *smr.Deadlines[timerEvent] // the 'b' and 'l' timeouts, on one runtime timer
 	view      types.View
-	nextSeq   types.SeqNum // primary's next assignment
+	nextSeq   types.SeqNum // primary's last assignment
 	execNext  types.SeqNum // next sequence number to execute
 	slots     map[types.SeqNum]*slot
-	table     *smr.ClientTable
-	pending   map[pendingKey]smr.Request // primary's unproposed backlog
-	proposed  map[pendingKey]bool        // requests inside an assigned slot
-	proposing bool                       // re-entrancy guard for maybePropose
 
-	// Introspection counters (status.go). Run-goroutine-owned, plain so
-	// Status works without WithMetrics. Process-lifetime (reset on restart).
-	proposedCount    uint64 // batches this primary assigned
-	executedReqCount uint64 // requests executed
-
-	// Leader leases for the read fast path (lease.go). Run-goroutine-owned.
-	// With the view fixed at 0 the primary is the unique proposer forever,
-	// so the 2f+1-grant lease here proves liveness agreement rather than
-	// guarding against a competing primary; the freshness watermark is what
-	// makes leased reads linearizable (see DESIGN.md §8).
-	leaseTerm    time.Duration // 0: leases (and leased reads) disabled
-	leaseTermSet bool
-	leaseFull    bool         // require grants from all n replicas, not 2f+1
-	querier      smr.Querier  // nil: the state machine cannot answer reads
-	leaseRound   types.SeqNum // round counter of our outstanding LEASE-REQUEST
-	leaseSentAt  time.Time
-	leaseGrants  map[types.ProcessID]bool
-	leaseUntil   time.Time           // zero: no lease held
-	renewArmed   bool                // an 'l' renewal timer is outstanding
-	leaseReads   []pendingRead       // leased reads waiting for the execute watermark
-	readReplies  map[uint64][][]byte // per-client read replies coalesced within one event-loop drain
+	// The lease protocol (lease.go); the engine keeps the tally.
+	leaseTerm  time.Duration // 0: leases disabled
+	leaseRound types.SeqNum  // round counter of our outstanding LEASE-REQUEST
+	renewArmed bool          // an 'l' renewal timer is outstanding
 
 	// Checkpointing (checkpoint.go).
-	snap         smr.Snapshotter // nil: state machine cannot snapshot
-	ckptInterval int             // batches between checkpoints; 0 disables
+	ckptInterval int // batches between checkpoints; 0 disables
 	ckptVotes    map[types.SeqNum]map[types.ProcessID]ckptVote
 	ownStates    map[types.SeqNum][]byte // our snapshots awaiting stability
 	stable       ckptCert                // latest stable checkpoint
@@ -132,20 +96,8 @@ type Replica struct {
 	statsMu sync.Mutex
 	fp      Footprint
 
-	metricsReg *obs.Registry
-	mx         metrics // all-nil (free no-ops) without WithMetrics
-
-	// Distributed tracing (tracing.go); nil without WithTracer.
-	tracer       *tracing.Tracer
-	reqTrace     map[pendingKey]reqTraceInfo // sampled requests awaiting execution
-	deferred     []deferredReply             // traced replies held while an execute span is open
-	deferReplies bool
-
+	mx metrics // all-nil (free no-ops) without WithMetrics
 	lg *slog.Logger
-}
-
-type pendingKey struct {
-	client, num uint64
 }
 
 // event is one unit of work for the run goroutine.
@@ -160,6 +112,7 @@ type timerEvent struct {
 }
 
 type slot struct {
+	smr.BatchTrace
 	reqs      []smr.Request // nil until the pre-prepare binds the batch
 	digest    [sha256.Size]byte
 	prepares  map[types.ProcessID]bool
@@ -167,112 +120,80 @@ type slot struct {
 	prepared  bool
 	committed bool
 	executed  bool
-
-	btc        tracing.Context // batch trace (zero unless the batch is sampled)
-	quorumSpan *tracing.Active // open commit-quorum span; nil when untraced
 }
 
-// maxBatchDecode bounds decoded request batches (defensive; the proposer
-// side caps batches far lower).
-const maxBatchDecode = 1 << 14
-
-// pipelineDepth bounds the primary's assigned-but-unexecuted slots when
-// batching is on: one batch working through the three phases while the next
-// accumulates (same rationale as minbft's: deeper pipelines drain arrivals
-// into tiny batches and per-batch authentication overhead dominates).
-const pipelineDepth = 2
+// config is what the options fill in: the settings shared with MinBFT
+// (smr.EngineConfig, which documents and defaults them) plus the logger.
+type config struct {
+	smr.EngineConfig
+	lg *slog.Logger
+}
 
 // Option configures a Replica.
-type Option func(*Replica)
+type Option func(*config)
+
+// WithEngineConfig sets every shared setting at once (internal/cluster
+// translates a Spec into one); the other options below set single fields.
+func WithEngineConfig(cfg smr.EngineConfig) Option {
+	return func(c *config) { c.EngineConfig = cfg }
+}
 
 // WithExecutionLog attaches a command log for consistency checks.
 func WithExecutionLog(l *smr.ExecutionLog) Option {
-	return func(r *Replica) { r.execLog = l }
+	return func(c *config) { c.ExecutionLog = l }
 }
 
 // WithBatchSize caps how many pending requests the primary packs into one
-// PRE-PREPARE. k <= 1 disables batching (every request is its own slot, the
-// pre-batching behavior). The default comes from smr.DefaultBatchSize (the
-// UNIDIR_BATCH environment knob).
+// PRE-PREPARE (smr.EngineConfig.BatchSize).
 func WithBatchSize(k int) Option {
-	return func(r *Replica) {
-		if k < 1 {
-			k = 1
-		}
-		if k > maxBatchDecode {
-			k = maxBatchDecode
-		}
-		r.maxBatch = k
-	}
+	return func(c *config) { c.BatchSize = k }
 }
 
-// WithBatchDeadline sets the adaptive batching deadline, exactly as
-// minbft.WithBatchDeadline: a size-or-deadline trigger whose EWMA of the
-// arrival rate cuts partial batches immediately at light load and holds
-// them — never past d — to fill toward the cap near saturation. d == 0
-// disables deadline triggering (fixed two-deep pipeline, the pre-adaptive
-// behavior). The default comes from smr.DefaultBatchDeadline (the
-// UNIDIR_BATCH_DEADLINE environment knob).
+// WithBatchDeadline bounds how long a partial batch is held open
+// (smr.EngineConfig.BatchDeadline).
 func WithBatchDeadline(d time.Duration) Option {
-	return func(r *Replica) {
-		if d < 0 {
-			d = 0
-		}
-		r.batchDeadline = d
-		r.batchDeadlineSet = true
-	}
+	return func(c *config) { c.BatchDeadline = d }
 }
 
-// WithFixedBatchWindow makes the primary hold every partial batch for the
-// full batch deadline regardless of load or pipeline state — the classic
-// fixed batch timer, kept as the A/B baseline for the adaptive trigger
-// (benchharness B9's "fixed" mode).
-func WithFixedBatchWindow() Option {
-	return func(r *Replica) { r.batchFixed = true }
-}
-
-// WithAdmission sets the replica's admission bounds (pending-queue cap and
-// per-client token bucket; see smr.AdmissionConfig). Shed requests get an
-// overload-coded reply; with n = 3f+1 and uniform bounds, at least f+1
-// correct replicas shed together and the client observes a quorum-backed
-// retryable smr.ErrOverloaded. The default comes from
-// smr.DefaultAdmissionConfig (the UNIDIR_ADMIT_* environment knobs).
+// WithAdmission sets the replica's admission bounds
+// (smr.EngineConfig.Admission). With n = 3f+1 and uniform bounds, at least
+// f+1 correct replicas shed together and the client observes a quorum-backed
+// retryable smr.ErrOverloaded.
 func WithAdmission(cfg smr.AdmissionConfig) Option {
-	return func(r *Replica) {
-		r.admission = smr.NewAdmission(cfg)
-	}
+	return func(c *config) { c.Admission = &cfg }
 }
 
-// WithProposalPacing makes the primary defer cutting new batches while fewer
-// than 2f peers — the votes a batch needs — have a transport send queue
-// shorter than depth frames (requires a transport.QueueDepther transport;
-// otherwise a no-op). depth <= 0 disables
-// pacing. The default comes from smr.DefaultPaceDepth (the UNIDIR_PACE_DEPTH
-// environment knob).
+// WithProposalPacing sets the peer send-queue depth past which the primary
+// defers proposing (smr.EngineConfig.PaceDepth); it paces on 2f peers, the
+// votes a batch needs.
 func WithProposalPacing(depth int) Option {
-	return func(r *Replica) {
-		if depth < 0 {
-			depth = 0
-		}
-		r.paceDepth = depth
-		r.paceDepthSet = true
-	}
+	return func(c *config) { c.PaceDepth = depth }
 }
 
 // WithLeaseTerm sets the leader-lease term for the linearizable read fast
-// path (lease.go), exactly as minbft.WithLeaseTerm: d > 0 sets it, d < 0
-// disables leases, d == 0 keeps the smr.DefaultLeaseTerm default (the
-// UNIDIR_LEASE environment knob). All replicas must agree on the term.
+// path (smr.EngineConfig.LeaseTerm; lease.go).
 func WithLeaseTerm(d time.Duration) Option {
-	return func(r *Replica) {
-		if d < 0 {
-			d = 0
-		} else if d == 0 {
-			return // keep the environment default
-		}
-		r.leaseTerm = d
-		r.leaseTermSet = true
-	}
+	return func(c *config) { c.LeaseTerm = d }
+}
+
+// WithCheckpointInterval sets how many executed batches separate
+// checkpoints (smr.EngineConfig.CheckpointInterval; checkpoint.go).
+func WithCheckpointInterval(k int) Option {
+	return func(c *config) { c.CheckpointInterval = k }
+}
+
+// WithMetrics publishes replica metrics into reg, labelled by replica ID
+// (metrics.go, and the shared series of smr.Engine).
+func WithMetrics(reg *obs.Registry) Option {
+	return func(c *config) { c.Metrics = reg }
+}
+
+// WithTracer attaches a distributed tracer: the replica's side of sampled
+// requests (smr/engine_trace.go). PBFT adds no span of its own — there is no
+// trusted-hardware call to attribute, which is exactly the contrast with
+// MinBFT's ui-attest the breakdown tables surface.
+func WithTracer(t *tracing.Tracer) Option {
+	return func(c *config) { c.Tracer = t }
 }
 
 // WithLogger attaches a structured logger; consensus progress (committed
@@ -280,20 +201,7 @@ func WithLeaseTerm(d time.Duration) Option {
 // view/seq attrs, and lines on a sampled request's path carry the trace ID
 // under obs.TraceKey.
 func WithLogger(l *slog.Logger) Option {
-	return func(r *Replica) { r.lg = obs.OrNop(l) }
-}
-
-// WithCheckpointInterval sets how many executed batches separate
-// checkpoints (k <= 0 disables; 0-default from smr.DefaultCheckpointInterval,
-// the UNIDIR_CKPT knob). Requires an smr.Snapshotter state machine;
-// ignored otherwise.
-func WithCheckpointInterval(k int) Option {
-	return func(r *Replica) {
-		if k <= 0 {
-			k = -1 // explicitly disabled (0 means "use the default")
-		}
-		r.ckptInterval = k
-	}
+	return func(c *config) { c.lg = obs.OrNop(l) }
 }
 
 // New starts a replica (requires n >= 3f+1).
@@ -307,70 +215,32 @@ func New(m types.Membership, tr transport.Transport, ring *sig.Keyring, sm smr.S
 	if ring.Self() != tr.Self() {
 		return nil, fmt.Errorf("pbft: keyring %v != endpoint %v", ring.Self(), tr.Self())
 	}
+	cfg := config{lg: obs.NopLogger()}
+	for _, opt := range opts {
+		opt(&cfg)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	r := &Replica{
 		m:         m,
 		tr:        tr,
 		ring:      ring,
-		sm:        sm,
-		maxBatch:  smr.DefaultBatchSize(),
 		events:    syncx.NewQueue[event](),
 		cancel:    cancel,
 		execNext:  1,
 		slots:     make(map[types.SeqNum]*slot),
-		table:     smr.NewClientTable(),
-		pending:   make(map[pendingKey]smr.Request),
-		proposed:  make(map[pendingKey]bool),
 		ckptVotes: make(map[types.SeqNum]map[types.ProcessID]ckptVote),
 		ownStates: make(map[types.SeqNum][]byte),
-		reqTrace:  make(map[pendingKey]reqTraceInfo),
-		lg:        obs.NopLogger(),
+		lg:        cfg.lg,
 	}
-	for _, opt := range opts {
-		opt(r)
-	}
-	if !r.batchDeadlineSet {
-		r.batchDeadline = smr.DefaultBatchDeadline()
-	}
-	if !r.paceDepthSet {
-		r.paceDepth = smr.DefaultPaceDepth()
-	}
-	if r.admission == nil {
-		r.admission = smr.NewAdmission(smr.DefaultAdmissionConfig())
-	}
-	if r.batchFixed {
-		r.trigger = smr.NewFixedBatchTrigger(r.maxBatch, r.batchDeadline)
-	} else {
-		r.trigger = smr.NewBatchTrigger(r.maxBatch, r.batchDeadline)
-	}
-	r.maxInFlight = pipelineDepth
-	if qd, ok := tr.(transport.QueueDepther); ok {
-		r.qd = qd
-	}
-	if snap, ok := sm.(smr.Snapshotter); ok {
-		r.snap = snap
-	}
-	if q, ok := sm.(smr.Querier); ok {
-		r.querier = q
-	}
-	if !r.leaseTermSet {
-		r.leaseTerm = smr.DefaultLeaseTerm()
-	}
-	if r.querier == nil {
-		// Without a Querier nothing can answer a read; skip lease traffic.
-		r.leaseTerm = 0
-	}
-	// PBFT's 2f+1 minimum grant quorum already intersects every view-change
-	// quorum in a correct replica, so the minimum is the default.
-	r.leaseFull = smr.LeaseQuorumFull(true)
-	switch {
-	case r.ckptInterval == 0:
-		r.ckptInterval = smr.DefaultCheckpointInterval()
-	case r.ckptInterval < 0:
-		r.ckptInterval = 0
-	}
+	// Pacing waits on 2f peers, the votes a batch needs. A lease takes 2f+1
+	// grants: that quorum already intersects every view-change quorum in a
+	// correct replica.
+	r.eng = smr.NewEngine("pbft", orderer{r}, tr, sm, smr.SystemClock,
+		m.Others(tr.Self()), 2*m.F, m.Quorum(), cfg.EngineConfig)
+	r.leaseTerm = r.eng.LeaseTerm()
+	r.ckptInterval = r.eng.CheckpointInterval()
 	r.deadlines = smr.NewDeadlines[timerEvent](smr.SystemClock, func() { r.events.Push(event{tick: true}) })
-	r.initMetrics()
+	r.initMetrics(cfg.Metrics)
 	r.wg.Add(2)
 	go r.recvLoop(ctx)
 	go r.run(ctx)
@@ -413,7 +283,7 @@ func (r *Replica) run(ctx context.Context) {
 	for {
 		// Draining the whole backlog per wakeup lets read replies produced
 		// while processing one burst coalesce into one frame per client
-		// (flushReadReplies) instead of one frame per read.
+		// (FlushReads) instead of one frame per read.
 		evs, err := r.events.PopAll(ctx)
 		if err != nil {
 			return
@@ -428,17 +298,14 @@ func (r *Replica) run(ctx context.Context) {
 				ev.status <- r.buildStatus()
 			}
 		}
-		r.flushReadReplies()
+		r.eng.FlushReads()
 	}
 }
 
 func (r *Replica) handleTimer(te timerEvent) {
 	switch te.kind {
 	case 'b':
-		// Batch deadline (or pacing recheck) expired: cut whatever is
-		// pending, however partial.
-		r.batchTimerArmed = false
-		r.maybePropose()
+		r.eng.BatchTimerFired()
 	case 'l':
 		r.renewArmed = false
 		r.renewLease()
@@ -516,6 +383,14 @@ func (r *Replica) broadcast(kind byte, n types.SeqNum, payload []byte) {
 	r.broadcastTraced(kind, n, payload, tracing.Context{})
 }
 
+// broadcastTraced is broadcast with a trace context on the frames; a zero
+// context degrades to frames byte-identical to the untraced path.
+func (r *Replica) broadcastTraced(kind byte, n types.SeqNum, payload []byte, tc tracing.Context) {
+	signature := r.sign(signedBytes(kind, r.view, n, payload))
+	msg := encodeMsg(kind, r.view, n, payload, signature)
+	_ = transport.BroadcastTraced(r.tr, r.m.Others(r.Self()), msg, tc)
+}
+
 // sendSigned signs and sends one message point-to-point (lease grants go
 // only to the primary; everything quorum-forming is broadcast).
 func (r *Replica) sendSigned(to types.ProcessID, kind byte, n types.SeqNum, payload []byte) {
@@ -536,10 +411,12 @@ func (r *Replica) handle(env transport.Envelope) {
 		if err != nil {
 			return
 		}
-		r.handleRequest(req, env.Trace)
+		if r.eng.HandleRequest(req, env.Trace) {
+			r.eng.MaybePropose() // a no-op on a backup, which waits for the primary's pre-prepare
+		}
 		return
 	case kindReadRequest:
-		r.handleReadRequest(payload)
+		r.eng.HandleRead(payload)
 		return
 	case kindPrePrepare, kindPrepare, kindCommit, kindCheckpoint, kindStateFetch, kindStateResp,
 		kindLeaseRequest, kindLeaseGrant:
@@ -575,169 +452,6 @@ func (r *Replica) handle(env transport.Envelope) {
 	}
 }
 
-func (r *Replica) handleRequest(req smr.Request, tc tracing.Context) {
-	if result, ok := r.table.CachedReply(req); ok {
-		r.reply(req, result)
-		return
-	}
-	key := pendingKey{req.Client, req.Num}
-	if !r.table.ShouldExecute(req) {
-		// Same reasoning as minbft: a num below the client's last executed
-		// one can never execute (per-client order in the table), which
-		// happens when an earlier shed left a gap that later pipelined
-		// requests overtook. Purge any stranded pending copy and reply
-		// overloaded so the client's vote count converges.
-		if _, stranded := r.pending[key]; stranded {
-			delete(r.pending, key)
-			delete(r.reqTrace, key)
-			r.mx.pendingDepth.Set(int64(len(r.pending)))
-		}
-		r.mx.sheds.Inc()
-		r.replyOverloaded(req)
-		return
-	}
-	if _, dup := r.pending[key]; dup {
-		return
-	}
-	if r.proposed[key] {
-		return // already inside an assigned slot
-	}
-	// Admission runs at every replica — backups track pending (awaiting a
-	// covering pre-prepare) purely for this accounting — so under uniform
-	// overload at least f+1 correct replicas shed together and the client
-	// observes a quorum-backed ErrOverloaded, not one replica's claim.
-	now := time.Now()
-	if !r.admission.Admit(req.Client, len(r.pending), now) {
-		r.mx.sheds.Inc()
-		r.replyOverloaded(req)
-		return
-	}
-	r.noteRequest(key, tc)
-	r.pending[key] = req
-	r.mx.pendingDepth.Set(int64(len(r.pending)))
-	if r.m.Leader(r.view) != r.Self() {
-		return // backups wait for the primary's pre-prepare
-	}
-	r.trigger.Arrive(now)
-	if r.batchStart.IsZero() {
-		r.batchStart = now
-	}
-	r.maybePropose()
-}
-
-// maybePropose packs the primary's backlog into PRE-PREPAREs, up to maxBatch
-// requests each. With batching on, at most maxInFlight slots are assigned
-// but unexecuted at a time — working through the three phases while the
-// next accumulates; with a batch deadline the cut is size-or-deadline (see
-// minbft's maybePropose, the same valve); with maxBatch <= 1 every request
-// goes out immediately in its own slot (the unbatched baseline).
-func (r *Replica) maybePropose() {
-	if r.m.Leader(r.view) != r.Self() || r.proposing {
-		return
-	}
-	r.proposing = true
-	defer func() { r.proposing = false }()
-	for {
-		if r.maxBatch > 1 && int(r.nextSeq)-int(r.execNext)+1 >= r.maxInFlight {
-			return
-		}
-		// Backpressure: a batch needs votes from 2f peers; defer cutting
-		// while fewer than 2f send queues are short, rechecking on a timer.
-		// Counting short queues (not looking for a long one) is what keeps a
-		// crashed peer, whose queue never drains, from wedging the primary.
-		if r.paceDepth > 0 && r.qd != nil &&
-			transport.QueuesBelow(r.qd, r.m.Others(r.Self()), r.paceDepth) < 2*r.m.F {
-			r.mx.pacedProposals.Inc()
-			r.armBatchTimer(r.paceRecheck())
-			return
-		}
-		batch := make([]smr.Request, 0, r.maxBatch)
-		for _, req := range sortedPending(r.pending) {
-			key := pendingKey{req.Client, req.Num}
-			if !r.table.ShouldExecute(req) {
-				delete(r.pending, key) // executed meanwhile
-				delete(r.reqTrace, key)
-				continue
-			}
-			batch = append(batch, req)
-			if len(batch) >= r.maxBatch {
-				break
-			}
-		}
-		if len(batch) == 0 {
-			r.batchStart = time.Time{}
-			return
-		}
-		if r.maxBatch > 1 && len(batch) < r.maxBatch {
-			inflight := int(r.nextSeq) - int(r.execNext) + 1
-			if wait := r.trigger.Wait(len(batch), inflight, r.batchStart, time.Now()); wait > 0 {
-				r.armBatchTimer(wait)
-				return
-			}
-		}
-		if !r.batchStart.IsZero() {
-			r.mx.batchWait.Observe(time.Since(r.batchStart).Seconds())
-		}
-		r.nextSeq++
-		n := r.nextSeq
-		payload := smr.EncodeRequests(batch)
-		digest := sha256.Sum256(payload)
-		r.proposedCount++
-		r.mx.proposedBatches.Inc()
-		r.mx.batchSize.Observe(float64(len(batch)))
-		span := r.startProposeSpan(batch)
-		btc := span.Context()
-		r.broadcastTraced(kindPrePrepare, n, payload, btc)
-		span.End()
-		// The primary's pre-prepare stands for its prepare.
-		sl := r.slot(n)
-		r.adopt(sl, batch, digest)
-		r.bindSlotTrace(sl, btc)
-		sl.prepares[r.Self()] = true
-		for _, req := range batch {
-			key := pendingKey{req.Client, req.Num}
-			delete(r.pending, key)
-			r.proposed[key] = true
-		}
-		// Anything still unproposed starts accumulating a fresh batch now.
-		if len(r.pending) > 0 {
-			r.batchStart = time.Now()
-		} else {
-			r.batchStart = time.Time{}
-		}
-		r.progress(n, sl)
-	}
-}
-
-// paceRecheck is how long a paced primary waits before re-inspecting peer
-// queue depths.
-func (r *Replica) paceRecheck() time.Duration {
-	if r.batchDeadline > 0 {
-		return r.batchDeadline
-	}
-	return 100 * time.Microsecond
-}
-
-// armBatchTimer schedules one deadline/pacing recheck; at most one is
-// outstanding so deferred cuts cannot pile up timer events.
-func (r *Replica) armBatchTimer(d time.Duration) {
-	if r.batchTimerArmed {
-		return
-	}
-	r.batchTimerArmed = true
-	r.deadlines.After(d, timerEvent{kind: 'b'})
-}
-
-// sortedPending yields the backlog in a deterministic order.
-func sortedPending(pending map[pendingKey]smr.Request) []smr.Request {
-	out := make([]smr.Request, 0, len(pending))
-	for _, req := range pending {
-		out = append(out, req)
-	}
-	smr.SortRequests(out)
-	return out
-}
-
 func (r *Replica) slot(n types.SeqNum) *slot {
 	sl := r.slots[n]
 	if sl == nil {
@@ -761,7 +475,7 @@ func (r *Replica) handlePrePrepare(from types.ProcessID, n types.SeqNum, payload
 	if r.m.Leader(r.view) != from || n == 0 || n <= r.stable.Seq {
 		return
 	}
-	reqs, err := smr.DecodeRequests(payload, maxBatchDecode)
+	reqs, err := smr.DecodeRequests(payload, smr.MaxBatchSize)
 	if err != nil {
 		return
 	}
@@ -771,7 +485,7 @@ func (r *Replica) handlePrePrepare(from types.ProcessID, n types.SeqNum, payload
 		return // conflicting pre-prepare for a bound slot: ignore
 	}
 	r.adopt(sl, reqs, digest)
-	r.bindSlotTrace(sl, tc)
+	r.eng.BindBatch(&sl.BatchTrace, tc)
 	sl.prepares[from] = true
 	if !sl.prepares[r.Self()] {
 		sl.prepares[r.Self()] = true
@@ -827,8 +541,8 @@ func (r *Replica) progress(n types.SeqNum, sl *slot) {
 	}
 	if !sl.committed && sl.prepared && len(sl.commits) >= r.m.Quorum() {
 		sl.committed = true
-		if sl.btc.Sampled {
-			r.lg.Debug("batch committed", "view", r.view, "seq", n, "reqs", len(sl.reqs), obs.TraceKey, sl.btc.Trace)
+		if btc := sl.Context(); btc.Sampled {
+			r.lg.Debug("batch committed", "view", r.view, "seq", n, "reqs", len(sl.reqs), obs.TraceKey, btc.Trace)
 		} else {
 			r.lg.Debug("batch committed", "view", r.view, "seq", n, "reqs", len(sl.reqs))
 		}
@@ -843,15 +557,7 @@ func (r *Replica) progress(n types.SeqNum, sl *slot) {
 		next.executed = true
 		seq := r.execNext
 		r.execNext++
-		execSpan := r.finishSlotSpans(next)
-		for _, req := range next.reqs {
-			r.execute(req)
-		}
-		execSpan.End()
-		r.flushReplies()
-		r.executedReqCount += uint64(len(next.reqs))
-		r.mx.executedBatches.Inc()
-		r.mx.executedReqs.Add(uint64(len(next.reqs)))
+		r.eng.Execute(next.reqs, &next.BatchTrace)
 		if r.ckptEnabled() && uint64(seq)%uint64(r.ckptInterval) == 0 {
 			r.takeCheckpoint(seq)
 		}
@@ -859,39 +565,6 @@ func (r *Replica) progress(n types.SeqNum, sl *slot) {
 	}
 	if executed {
 		r.mx.openSlots.Set(int64(len(r.slots)))
-		r.mx.pendingDepth.Set(int64(len(r.pending)))
-		r.flushLeaseReads()
-		r.maybePropose()
+		r.eng.AfterExecute()
 	}
-}
-
-func (r *Replica) execute(req smr.Request) {
-	key := pendingKey{req.Client, req.Num}
-	delete(r.pending, key)
-	delete(r.proposed, key)
-	if !r.table.ShouldExecute(req) {
-		delete(r.reqTrace, key)
-		if result, ok := r.table.CachedReply(req); ok {
-			r.reply(req, result)
-		}
-		return
-	}
-	if r.execLog != nil {
-		r.execLog.Record(req.Encode())
-	}
-	result := r.sm.Apply(req.Op)
-	r.table.Executed(req, result)
-	r.tracedReply(key, req, result)
-}
-
-func (r *Replica) reply(req smr.Request, result []byte) {
-	rep := smr.Reply{Replica: r.Self(), Client: req.Client, Num: req.Num, Result: result}
-	_ = r.tr.Send(types.ProcessID(req.Client), rep.Encode())
-}
-
-// replyOverloaded sheds a request with an overload-coded reply; the client
-// acts on it only once f+1 replicas agree (see smr.Reply).
-func (r *Replica) replyOverloaded(req smr.Request) {
-	rep := smr.Reply{Replica: r.Self(), Client: req.Client, Num: req.Num, Code: smr.ReplyOverloaded}
-	_ = r.tr.Send(types.ProcessID(req.Client), rep.Encode())
 }

@@ -7,8 +7,9 @@ import (
 	"unidir/internal/obs"
 )
 
-// statusTimeout bounds how long Status waits for the run goroutine before
-// degrading to a stale snapshot (see minbft/status.go for rationale).
+// statusTimeout bounds how long Status waits for the run goroutine. A
+// healthy replica answers in microseconds; a wedged one must not wedge its
+// monitors too, so past the deadline Status degrades to a stale snapshot.
 const statusTimeout = 2 * time.Second
 
 // Status implements obs.StatusProvider: a consistent cut of protocol state
@@ -43,35 +44,18 @@ func (r *Replica) Ready() bool { return true }
 
 // buildStatus runs on the run goroutine (the ev.status case in run).
 func (r *Replica) buildStatus() obs.Status {
-	now := time.Now()
-	inflight := int(r.nextSeq) - int(r.execNext) + 1
-	if inflight < 0 {
-		inflight = 0
-	}
 	st := obs.Status{
-		Protocol:         "pbft",
-		Replica:          int(r.Self()),
-		View:             uint64(r.view),
-		Ready:            true,
-		ExecCount:        uint64(r.execNext) - 1,
-		ProposedBatches:  r.proposedCount,
-		ExecutedRequests: r.executedReqCount,
-		PendingRequests:  len(r.pending),
-		OpenSlots:        len(r.slots),
-		InFlightBatches:  inflight,
-		QueuedReads:      len(r.leaseReads),
+		Protocol:  "pbft",
+		View:      uint64(r.view),
+		Ready:     true,
+		ExecCount: uint64(r.execNext) - 1,
+		OpenSlots: len(r.slots),
 	}
+	r.eng.FillStatus(&st)
 	if r.stable.Seq > 0 {
 		st.Checkpoint = &obs.CheckpointStatus{
 			Count:  uint64(r.stable.Seq),
 			Digest: hex.EncodeToString(r.stable.Digest[:]),
-		}
-	}
-	if r.leaseValid(now) {
-		st.Lease = &obs.LeaseStatus{
-			Holder:      int(r.Self()),
-			Term:        uint64(r.view),
-			ExpiresInMS: r.leaseUntil.Sub(now).Milliseconds(),
 		}
 	}
 	return st

@@ -3,8 +3,6 @@ package smr
 import (
 	"errors"
 	"time"
-
-	"unidir/internal/obs/knob"
 )
 
 // ErrOverloaded is the typed, retryable overload signal. Replicas return it
@@ -22,46 +20,6 @@ const (
 	ReplyOK         byte = 0
 	ReplyOverloaded byte = 1
 )
-
-// defaultBatchDeadline is the adaptive batching deadline when
-// UNIDIR_BATCH_DEADLINE is unset.
-const defaultBatchDeadline = 100 * time.Microsecond
-
-// DefaultBatchDeadline returns the default size-or-deadline batch trigger
-// deadline, controlled by the UNIDIR_BATCH_DEADLINE environment variable:
-//
-//	unset / ""      -> 100µs (adaptive batching on, the default)
-//	"off" or "0"    -> 0     (disabled: cut immediately, pre-adaptive behavior)
-//	duration string -> parsed (e.g. "250us", "1ms")
-//
-// Malformed values fall back to the default with a logged warning. Protocol
-// options (minbft.WithBatchDeadline, pbft.WithBatchDeadline) override it
-// per replica.
-func DefaultBatchDeadline() time.Duration {
-	return knob.Duration("UNIDIR_BATCH_DEADLINE", defaultBatchDeadline,
-		map[string]time.Duration{"on": defaultBatchDeadline, "off": 0, "0": 0})
-}
-
-// defaultPaceDepth is the proposal-pacing bound when UNIDIR_PACE_DEPTH is
-// unset: the primary defers cutting new batches while any peer's transport
-// send queue is this deep or deeper.
-const defaultPaceDepth = 4096
-
-// DefaultPaceDepth returns the transport send-queue depth past which a
-// primary pauses proposing, controlled by the UNIDIR_PACE_DEPTH environment
-// variable:
-//
-//	unset / ""    -> 4096 frames
-//	"off" or "0"  -> 0 (pacing disabled)
-//	integer k > 0 -> k
-//
-// Pacing only takes effect on transports that expose queue depths
-// (transport.QueueDepther — tcpnet does, simnet does not). Malformed values
-// fall back to the default with a logged warning.
-func DefaultPaceDepth() int {
-	return knob.Int("UNIDIR_PACE_DEPTH", defaultPaceDepth, 1,
-		map[string]int{"on": defaultPaceDepth, "off": 0, "0": 0})
-}
 
 // minBatchGain is the expected number of arrivals within the deadline below
 // which waiting cannot pay for itself: with fewer than ~2 requests expected,
@@ -83,7 +41,6 @@ const minBatchGain = 2.0
 type BatchTrigger struct {
 	cap     int
 	maxWait time.Duration
-	fixed   bool    // always wait out maxWait (the fixed-window baseline)
 	gap     float64 // EWMA inter-arrival gap, seconds; 0 until first interval
 	last    time.Time
 }
@@ -96,17 +53,6 @@ func NewBatchTrigger(cap int, maxWait time.Duration) *BatchTrigger {
 		cap = 1
 	}
 	return &BatchTrigger{cap: cap, maxWait: maxWait}
-}
-
-// NewFixedBatchTrigger returns the non-adaptive baseline: every partial
-// batch is held for the full maxWait window regardless of load or pipeline
-// state (classic fixed batch timer). It exists for A/B comparison — the B9
-// experiment's "fixed" mode — and for operators who want fully predictable
-// cut timing.
-func NewFixedBatchTrigger(cap int, maxWait time.Duration) *BatchTrigger {
-	t := NewBatchTrigger(cap, maxWait)
-	t.fixed = true
-	return t
 }
 
 // Arrive records one request arrival at time now, updating the rate EWMA.
@@ -133,8 +79,6 @@ func (t *BatchTrigger) Arrive(now time.Time) {
 // `inflight` proposals already working through consensus. Zero means cut
 // now: the batch is full, waiting is disabled, the pipeline has an idle
 // slot, or the arrival rate is too low for waiting to amortize anything.
-// A fixed trigger ignores the pipeline and rate gates and waits out the
-// window (the pre-adaptive baseline).
 func (t *BatchTrigger) Wait(pending, inflight int, oldest, now time.Time) time.Duration {
 	if t.maxWait <= 0 || pending >= t.cap {
 		return 0
@@ -142,12 +86,6 @@ func (t *BatchTrigger) Wait(pending, inflight int, oldest, now time.Time) time.D
 	waited := time.Duration(0)
 	if !oldest.IsZero() {
 		waited = now.Sub(oldest)
-	}
-	if t.fixed {
-		if rest := t.maxWait - waited; rest > 0 {
-			return rest
-		}
-		return 0
 	}
 	if inflight < 1 {
 		return 0 // idle pipeline: proposing now beats any amortization
@@ -184,27 +122,6 @@ type AdmissionConfig struct {
 	// Burst is the token-bucket capacity (instantaneous burst allowance).
 	// <= 0 with Rate > 0 defaults to max(1, Rate/10).
 	Burst int
-}
-
-// DefaultAdmissionConfig returns the admission bounds controlled by the
-// UNIDIR_ADMIT_PENDING, UNIDIR_ADMIT_RATE, and UNIDIR_ADMIT_BURST
-// environment variables:
-//
-//	UNIDIR_ADMIT_PENDING  unset -> 4096; "off"/"0" -> unbounded; k > 0 -> k
-//	UNIDIR_ADMIT_RATE     unset/"off"/"0" -> no per-client rate limit; r > 0 -> r req/s
-//	UNIDIR_ADMIT_BURST    unset -> Rate/10 (min 1); k > 0 -> k
-//
-// Malformed values fall back to the respective defaults with a logged
-// warning.
-func DefaultAdmissionConfig() AdmissionConfig {
-	const defaultMaxPending = 4096
-	return AdmissionConfig{
-		MaxPending: knob.Int("UNIDIR_ADMIT_PENDING", defaultMaxPending, 1,
-			map[string]int{"on": defaultMaxPending, "off": 0, "0": 0}),
-		Rate: knob.Float("UNIDIR_ADMIT_RATE", 0, 0,
-			map[string]float64{"off": 0, "0": 0}),
-		Burst: knob.Int("UNIDIR_ADMIT_BURST", 0, 1, nil),
-	}
 }
 
 // Admission is a replica's admission controller: a global pending-queue

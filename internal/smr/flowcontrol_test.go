@@ -48,25 +48,6 @@ func TestBatchTriggerWaitsAtHighLoad(t *testing.T) {
 	}
 }
 
-func TestFixedBatchTriggerAlwaysWaits(t *testing.T) {
-	const deadline = 100 * time.Microsecond
-	tr := NewFixedBatchTrigger(64, deadline)
-	now := time.Now()
-	// No rate estimate, idle pipeline: the fixed window still holds.
-	if w := tr.Wait(1, 0, now, now); w != deadline {
-		t.Fatalf("fixed wait = %v, want %v", w, deadline)
-	}
-	if w := tr.Wait(1, 0, now.Add(-deadline/2), now); w != deadline/2 {
-		t.Fatalf("half-elapsed fixed wait = %v, want %v", w, deadline/2)
-	}
-	if w := tr.Wait(1, 0, now.Add(-2*deadline), now); w != 0 {
-		t.Fatalf("expired fixed wait = %v, want 0", w)
-	}
-	if w := tr.Wait(64, 0, now, now); w != 0 {
-		t.Fatalf("full fixed batch wait = %v, want 0", w)
-	}
-}
-
 func TestBatchTriggerDisabled(t *testing.T) {
 	tr := NewBatchTrigger(64, 0)
 	base := time.Now()
@@ -160,49 +141,6 @@ func TestReplyCodeRoundTrip(t *testing.T) {
 	}
 	if got.Code != ReplyOK {
 		t.Fatalf("legacy code = %d, want ReplyOK", got.Code)
-	}
-}
-
-func TestDefaultBatchDeadlineKnob(t *testing.T) {
-	cases := []struct {
-		env  string
-		want time.Duration
-	}{
-		{"", defaultBatchDeadline},
-		{"on", defaultBatchDeadline},
-		{"off", 0},
-		{"0", 0},
-		{"250us", 250 * time.Microsecond},
-		{"1ms", time.Millisecond},
-		{"garbage", defaultBatchDeadline},
-		{"-5ms", defaultBatchDeadline},
-	}
-	for _, c := range cases {
-		t.Setenv("UNIDIR_BATCH_DEADLINE", c.env)
-		if got := DefaultBatchDeadline(); got != c.want {
-			t.Errorf("UNIDIR_BATCH_DEADLINE=%q -> %v, want %v", c.env, got, c.want)
-		}
-	}
-}
-
-func TestDefaultAdmissionConfigKnobs(t *testing.T) {
-	t.Setenv("UNIDIR_ADMIT_PENDING", "")
-	t.Setenv("UNIDIR_ADMIT_RATE", "")
-	t.Setenv("UNIDIR_ADMIT_BURST", "")
-	cfg := DefaultAdmissionConfig()
-	if cfg.MaxPending != 4096 || cfg.Rate != 0 {
-		t.Fatalf("defaults = %+v", cfg)
-	}
-	t.Setenv("UNIDIR_ADMIT_PENDING", "128")
-	t.Setenv("UNIDIR_ADMIT_RATE", "5000")
-	t.Setenv("UNIDIR_ADMIT_BURST", "64")
-	cfg = DefaultAdmissionConfig()
-	if cfg.MaxPending != 128 || cfg.Rate != 5000 || cfg.Burst != 64 {
-		t.Fatalf("knobs = %+v", cfg)
-	}
-	t.Setenv("UNIDIR_ADMIT_PENDING", "off")
-	if cfg := DefaultAdmissionConfig(); cfg.MaxPending != 0 {
-		t.Fatalf("off pending = %+v", cfg)
 	}
 }
 

@@ -4,7 +4,7 @@ package smr
 // class (ReadRequest/ReadReply) served off the ordering path, the reply
 // codes distinguishing a lease-holder answer from a quorum-read vote, the
 // Querier interface a state machine implements to answer reads without
-// going through Apply, and the UNIDIR_LEASE* environment knobs.
+// going through Apply, and the client's UNIDIR_READ_WINDOW knob.
 //
 // Two ways a read completes (see DESIGN.md §8):
 //
@@ -21,7 +21,6 @@ package smr
 
 import (
 	"fmt"
-	"time"
 
 	"unidir/internal/obs/knob"
 	"unidir/internal/types"
@@ -139,58 +138,6 @@ func (r ReadReply) voteKey() string {
 	e.Uint64(r.ExecSeq)
 	e.BytesField(r.Result)
 	return string(e.Bytes())
-}
-
-// defaultLeaseTerm is the leader-lease term when UNIDIR_LEASE is unset.
-const defaultLeaseTerm = 250 * time.Millisecond
-
-// DefaultLeaseTerm returns the default leader-lease term, controlled by the
-// UNIDIR_LEASE environment variable:
-//
-//	unset / "on"    -> 250ms (leases on, the default)
-//	"off" or "0"    -> 0     (leases disabled; every read quorum-reads)
-//	duration string -> parsed (e.g. "100ms", "1s")
-//
-// Malformed values fall back to the default with a logged warning. Protocol
-// options (minbft.WithLeaseTerm, pbft.WithLeaseTerm) override it per
-// replica. The term is the grantor's promise horizon; the holder renews at
-// half the term and treats its lease as expired one eighth of a term early,
-// so clock rate skew below ~12% cannot open a stale window.
-func DefaultLeaseTerm() time.Duration {
-	return knob.Duration("UNIDIR_LEASE", defaultLeaseTerm,
-		map[string]time.Duration{"on": defaultLeaseTerm, "off": 0, "0": 0})
-}
-
-// LeaseQuorumFull reports whether leases require a full (all-n) grant
-// quorum rather than the protocol's minimum, controlled by the
-// UNIDIR_LEASE_QUORUM environment variable:
-//
-//	"full"           -> all n replicas
-//	"min" / "fplus1" -> the protocol minimum (f+1 MinBFT, 2f+1 PBFT)
-//	unset            -> the protocol's Byzantine-safe default
-//	other            -> the default, with a logged warning
-//
-// minIsByzantineSafe tells the knob what the caller's minimum already
-// guarantees. PBFT's 2f+1-of-3f+1 grant quorum intersects every view-change
-// quorum in a correct replica, so its minimum doubles as its default.
-// MinBFT's f+1-of-2f+1 minimum is safe under crash and timing faults only:
-// a single Byzantine grantor can grant a lease and still vote a new primary
-// in (its trusted counter makes the defection provable, not preventable),
-// leaving the deposed holder serving stale leased reads. MinBFT therefore
-// defaults to the full quorum, and f+1 is the explicit opt-in performance
-// mode for deployments that rule out Byzantine grantors — at the price that
-// a full quorum needs every replica up to establish a lease (reads degrade
-// to quorum-read fallbacks otherwise, never to wrong answers). See
-// DESIGN.md §8.
-func LeaseQuorumFull(minIsByzantineSafe bool) bool {
-	switch knob.Choice("UNIDIR_LEASE_QUORUM", "", "full", "min", "fplus1") {
-	case "full":
-		return true
-	case "min", "fplus1":
-		return false
-	default:
-		return !minIsByzantineSafe
-	}
 }
 
 // DefaultReadWindow returns the pipelined client's default read window (the

@@ -14,32 +14,10 @@ import (
 	"sync"
 	"time"
 
-	"unidir/internal/obs/knob"
 	"unidir/internal/transport"
 	"unidir/internal/types"
 	"unidir/internal/wire"
 )
-
-// defaultBatchSize is the consensus batch cap when UNIDIR_BATCH is unset.
-const defaultBatchSize = 64
-
-// DefaultBatchSize returns the default consensus batch cap used by the SMR
-// protocols (requests per PREPARE/PRE-PREPARE), controlled by the
-// UNIDIR_BATCH environment variable, mirroring UNIDIR_FASTVERIFY:
-//
-//	unset / ""    -> 64 (batching on, the default)
-//	"off" or "0"  -> 1  (batching disabled; one request per consensus slot)
-//	integer k > 0 -> k
-//
-// Malformed values fall back to the default with a logged warning (see
-// internal/obs/knob). Protocol options (minbft.WithBatchSize,
-// pbft.WithBatchSize) override it per replica. Batching is semantically
-// transparent either way; the knob exists for honest A/B measurement and as
-// an operational escape hatch.
-func DefaultBatchSize() int {
-	return knob.Int("UNIDIR_BATCH", defaultBatchSize, 1,
-		map[string]int{"on": defaultBatchSize, "off": 1, "0": 1})
-}
 
 // StateMachine is the deterministic application replicated by the
 // protocols. Apply must be deterministic: same command sequence, same

@@ -4,13 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"log/slog"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
-	"unidir/internal/obs/knob"
 	"unidir/internal/simnet"
 	"unidir/internal/types"
 )
@@ -241,55 +238,5 @@ func TestClientValidation(t *testing.T) {
 	}
 	if _, err := NewClient(net.Endpoint(1), []types.ProcessID{0}, 0, 1, 0); err == nil {
 		t.Fatal("need 0 accepted")
-	}
-}
-
-func TestDefaultBatchSizeKnob(t *testing.T) {
-	cases := []struct {
-		env  string
-		want int
-	}{
-		{"", 64},
-		{"on", 64},
-		{"off", 1},
-		{"0", 1},
-		{"1", 1},
-		{"16", 16},
-		{"-3", 64},
-		{"bogus", 64},
-	}
-	for _, tc := range cases {
-		t.Setenv("UNIDIR_BATCH", tc.env)
-		if got := DefaultBatchSize(); got != tc.want {
-			t.Errorf("UNIDIR_BATCH=%q: DefaultBatchSize() = %d, want %d", tc.env, got, tc.want)
-		}
-	}
-}
-
-// A malformed UNIDIR_BATCH must fall back to the default AND leave a trace
-// in the logs — silent fallback is exactly the bug the shared knob helper
-// fixes.
-func TestDefaultBatchSizeWarnsOnMalformed(t *testing.T) {
-	var buf bytes.Buffer
-	restore := knob.SetLogger(slog.New(slog.NewTextHandler(&buf, nil)))
-	defer restore()
-
-	t.Setenv("UNIDIR_BATCH", "banana")
-	if got := DefaultBatchSize(); got != defaultBatchSize {
-		t.Fatalf("malformed UNIDIR_BATCH: got %d, want default %d", got, defaultBatchSize)
-	}
-	log := buf.String()
-	if !strings.Contains(log, "UNIDIR_BATCH") || !strings.Contains(log, "banana") {
-		t.Fatalf("warning must name the knob and the bad value, got %q", log)
-	}
-
-	// A well-formed value must stay quiet.
-	buf.Reset()
-	t.Setenv("UNIDIR_BATCH", "16")
-	if got := DefaultBatchSize(); got != 16 {
-		t.Fatalf("UNIDIR_BATCH=16: got %d", got)
-	}
-	if buf.Len() != 0 {
-		t.Fatalf("valid value logged a warning: %q", buf.String())
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"sort"
 
-	"unidir/internal/obs/knob"
 	"unidir/internal/wire"
 )
 
@@ -25,26 +24,6 @@ type Snapshotter interface {
 	StateMachine
 	Snapshot() []byte
 	Restore(snap []byte) error
-}
-
-// defaultCheckpointInterval is the checkpoint cadence (in executed batches)
-// when UNIDIR_CKPT is unset.
-const defaultCheckpointInterval = 128
-
-// DefaultCheckpointInterval returns the default checkpoint interval used by
-// the SMR protocols (a checkpoint every K executed batches), controlled by
-// the UNIDIR_CKPT environment variable, mirroring UNIDIR_BATCH:
-//
-//	unset / ""    -> 128 (checkpointing on, the default)
-//	"off" or "0"  -> 0   (checkpointing disabled; logs grow without bound)
-//	integer k > 0 -> k
-//
-// Malformed values fall back to the default with a logged warning. Protocol
-// options (minbft.WithCheckpointInterval, pbft.WithCheckpointInterval)
-// override it per replica.
-func DefaultCheckpointInterval() int {
-	return knob.Int("UNIDIR_CKPT", defaultCheckpointInterval, 1,
-		map[string]int{"on": defaultCheckpointInterval, "off": 0, "0": 0})
 }
 
 // maxTableClients bounds decoded client tables (defensive).

@@ -52,24 +52,3 @@ func TestCheckpointStateRoundTrip(t *testing.T) {
 		t.Fatal("DecodeCheckpointState accepted garbage")
 	}
 }
-
-func TestDefaultCheckpointIntervalKnob(t *testing.T) {
-	cases := []struct {
-		env  string
-		want int
-	}{
-		{"", 128},
-		{"on", 128},
-		{"off", 0},
-		{"0", 0},
-		{"64", 64},
-		{"-3", 128},
-		{"junk", 128},
-	}
-	for _, c := range cases {
-		t.Setenv("UNIDIR_CKPT", c.env)
-		if got := DefaultCheckpointInterval(); got != c.want {
-			t.Fatalf("UNIDIR_CKPT=%q: interval = %d, want %d", c.env, got, c.want)
-		}
-	}
-}
