@@ -76,14 +76,19 @@ doctor:
 	$(GO) test -race -count=1 ./internal/watch/ ./cmd/unidir-doctor/
 	$(GO) run ./cmd/unidir-doctor -cluster minbft -shards 2
 
-# flake is the pre-merge flake hunt (ROADMAP "Fix first"): the two tests
-# that are known to fail some fraction of the time, repeated; the protocol
-# packages under the race detector, repeated; and the failover scenario —
-# kill the primary, view change, restart from the data dir — ten times.
-# Any failure stops it. Slow (several minutes): run before declaring a PR
-# done, not on every edit.
+# flake is the pre-merge flake hunt (ROADMAP "Fix first"): the tests that
+# used to fail some fraction of the time, repeated; the protocol packages
+# under the race detector, repeated; and the failover scenario — kill the
+# primary, view change, restart from the data dir — ten times. Any failure
+# stops it. Slow (several minutes): run before declaring a PR done, not on
+# every edit.
 flake:
-	$(GO) test -count=$(FLAKE_COUNT) -run 'TestScenario1LivenessWithoutHearingC1' ./internal/separation/
+	$(GO) test -count=$(FLAKE_COUNT) -run 'TestScenario1' ./internal/separation/
+	$(GO) test -count=$(FLAKE_COUNT) -run 'TestMetricsCountTraffic' ./internal/tcpnet/
+	$(GO) test -count=$(FLAKE_COUNT) -run 'TestMinBFTSurvivesSpamAndReplay' ./internal/byz/
+	$(GO) test -count=$(FLAKE_COUNT) -run 'TestLiveClusterForgedDigestCaught' ./internal/watch/
+	$(GO) test -count=10 -run 'TestMetricsEndToEnd' ./internal/integration/
+	$(GO) test -count=10 -run 'TestDoctorForgedDigestExitsNonzero' ./cmd/unidir-doctor/
 	$(GO) test -race -count=5 -run 'TestSoak' ./internal/minbft/
 	$(GO) test -race -count=3 ./internal/smr/ ./internal/minbft/ ./internal/pbft/
 	@for i in 1 2 3 4 5 6 7 8 9 10; do \

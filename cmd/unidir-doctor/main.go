@@ -126,6 +126,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 					return err
 				}
 			}
+			settle(ctx, sources)
 			return nil
 		}
 	default:
@@ -183,4 +184,35 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	return 0
+}
+
+// settle gives a self-driven cluster up to settleWait after its traffic to
+// converge: every group's replicas reporting one stable checkpoint count.
+// Only then does the audit see a claim from each replica, and blame for a
+// divergent digest needs f+1 claims agreeing on one (DESIGN.md §10).
+func settle(ctx context.Context, sources []watch.Source) {
+	for deadline := time.Now().Add(settleWait); time.Now().Before(deadline); time.Sleep(20 * time.Millisecond) {
+		converged := true
+		for _, src := range sources {
+			sts, err := src.Fetch(ctx)
+			if err != nil {
+				return
+			}
+			for _, st := range sts {
+				converged = converged && ckptCount(st) == ckptCount(sts[0])
+			}
+		}
+		if converged {
+			return
+		}
+	}
+}
+
+const settleWait = 10 * time.Second
+
+func ckptCount(st obs.Status) uint64 {
+	if st.Checkpoint == nil {
+		return 0
+	}
+	return st.Checkpoint.Count
 }

@@ -40,7 +40,9 @@ type Spammer struct {
 }
 
 // NewSpammer starts a spammer on tr aimed at targets, emitting one garbage
-// payload per target every interval. Stop it with Stop.
+// payload per target every interval. The first volley is on the wire when
+// NewSpammer returns, so load started afterwards always meets the attack.
+// Stop it with Stop.
 func NewSpammer(tr transport.Transport, targets []types.ProcessID, seed int64, interval time.Duration) *Spammer {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Spammer{
@@ -50,6 +52,10 @@ func NewSpammer(tr transport.Transport, targets []types.ProcessID, seed int64, i
 		every:   interval,
 		cancel:  cancel,
 		done:    make(chan struct{}),
+	}
+	if !s.volley() {
+		close(s.done)
+		return s
 	}
 	go s.run(ctx)
 	return s
@@ -78,16 +84,25 @@ func (s *Spammer) run(ctx context.Context) {
 			return
 		case <-ticker.C:
 		}
-		payload := s.garbage()
-		for _, to := range s.targets {
-			if err := s.tr.Send(to, payload); err != nil {
-				return
-			}
-			s.mu.Lock()
-			s.sent++
-			s.mu.Unlock()
+		if !s.volley() {
+			return
 		}
 	}
+}
+
+// volley sends one garbage payload to every target; false once the
+// transport refuses.
+func (s *Spammer) volley() bool {
+	payload := s.garbage()
+	for _, to := range s.targets {
+		if err := s.tr.Send(to, payload); err != nil {
+			return false
+		}
+		s.mu.Lock()
+		s.sent++
+		s.mu.Unlock()
+	}
+	return true
 }
 
 // garbage produces one of several malformation families.

@@ -99,9 +99,13 @@ func TestMetricsEndToEnd(t *testing.T) {
 
 	// Let the metrics settle: the f+1th reply completes the client before
 	// the slowest replica finishes executing, so poll until every layer's
-	// accounting closes.
+	// accounting closes. Batches may still execute after the last request
+	// (a retransmission batched again), and a snapshot reads the counters
+	// before the histograms, so the batch accounting has settled only once
+	// two polls in a row agree on it.
 	deadline := time.Now().Add(15 * time.Second)
 	var snap obs.Snapshot
+	var prevBatches [n][2]uint64
 	for {
 		snap = reg.Snapshot()
 		settled := snap.Counter("sig_lookups_total") ==
@@ -109,10 +113,15 @@ func TestMetricsEndToEnd(t *testing.T) {
 				snap.Counter("sig_cache_neg_hits_total")+snap.Counter("sig_verifications_total")
 		done := true
 		for i := 0; i < n; i++ {
-			exec := snap.Counter(obs.Name("minbft_requests_executed_total", "replica", types.ProcessID(i)))
-			if exec < ops {
+			id := types.ProcessID(i)
+			batches := [2]uint64{
+				snap.Counter(obs.Name("minbft_batches_executed_total", "replica", id)),
+				snap.Histograms[obs.Name("minbft_commit_latency_seconds", "replica", id)].Count,
+			}
+			if snap.Counter(obs.Name("minbft_requests_executed_total", "replica", id)) < ops || batches != prevBatches[i] {
 				done = false
 			}
+			prevBatches[i] = batches
 		}
 		if settled && done {
 			break

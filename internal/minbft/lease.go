@@ -29,16 +29,19 @@ import (
 // renewLease starts a new lease round: attest and broadcast a
 // LEASE-REQUEST, restart the engine's grant tally, and arm the next
 // renewal at half the term so a healthy leader's lease never lapses.
-// Called at startup (view-0 leader), from installView (a new leader), and
-// from the 'l' renewal timer. Bails — without re-arming — when this replica
-// is not the leader, a view change is in flight, or leases are disabled
-// (installView restarts renewal when leadership returns). A failed
-// attest/send, by contrast, must NOT stop the timer: the 'l' handler just
-// cleared renewArmed, so the timer is re-armed before anything can fail, or
-// one transient failure would silently end renewal until the next view
-// change and strand every read on the fallback path.
+// Called at startup (view-0 leader), from installView (a new leader), from
+// the 'l' renewal timer, and when a deferred view change is dropped. Bails —
+// without re-arming — when this replica is not the leader, a view change is
+// in flight or deferred, or leases are disabled (installView or grantExpired
+// restarts renewal). A leader that has itself deferred a view change must
+// not renew: its self-grant would extend the very promise it is waiting out,
+// and the view change would be deferred forever. A failed attest/send, by
+// contrast, must NOT stop the timer: the 'l' handler just cleared
+// renewArmed, so the timer is re-armed before anything can fail, or one
+// transient failure would silently end renewal until the next view change
+// and strand every read on the fallback path.
 func (r *Replica) renewLease() {
-	if r.leaseTerm <= 0 || r.inVC || r.m.Leader(r.view) != r.Self() {
+	if r.leaseTerm <= 0 || r.inVC || r.deferredVC > r.view || r.m.Leader(r.view) != r.Self() {
 		return
 	}
 	if !r.renewArmed {
@@ -115,7 +118,8 @@ func (r *Replica) handleLeaseGrant(from types.ProcessID, msg peerMsg) {
 // grantExpired runs when the 'g' timer fires: the grantor promise horizon
 // has (probably) passed, so a deferred view change may proceed — but only
 // if the demand is still warranted (a request still pending, or f+1 peers
-// still demanding it); the stall may have resolved itself while we waited.
+// still demanding it); the stall may have resolved itself while we waited,
+// and then a leader resumes renewing its lease.
 func (r *Replica) grantExpired() {
 	r.grantTimerArmed = false
 	if r.deferredVC <= r.view || r.inVC {
@@ -131,5 +135,7 @@ func (r *Replica) grantExpired() {
 	r.deferredVC = 0
 	if r.eng.PendingLen() > 0 || len(r.vcVotes[target]) >= r.m.FPlusOne() {
 		r.startViewChange(target)
+		return
 	}
+	r.renewLease()
 }

@@ -37,15 +37,15 @@
 // answer from their message stores — a Byzantine sender cannot stall
 // correct replicas by sending to only some of them.
 //
-// Checkpointing (checkpoint.go): every K executed batches the replica
-// snapshots its state machine plus client table and broadcasts an attested
-// CHECKPOINT(count, digest); f+1 matching votes make it stable, after which
-// the accepted-prepare log, the per-slot entries, and the fetch store are
-// garbage-collected below it, keeping replica memory bounded. A replica
-// proven behind a stable checkpoint installs it via state transfer, and a
-// replica restarted from a data dir (persist.go) rehydrates its trusted
-// counter and latest stable checkpoint, announces RESTART, and catches up
-// the same way.
+// Checkpointing (checkpoint.go, and the engine's checkpoint plane): every K
+// executed batches the replica snapshots its state machine plus client table
+// and broadcasts an attested CHECKPOINT(count, digest); f+1 matching votes
+// make it stable, after which the accepted-prepare log, the per-slot
+// entries, and the fetch store are garbage-collected below it, keeping
+// replica memory bounded. A replica proven behind a stable checkpoint
+// installs it via state transfer, and a replica restarted from a data dir
+// rehydrates its trusted counter and latest stable checkpoint, announces
+// RESTART, and catches up the same way.
 //
 // View change: on request timeout a replica
 // broadcasts VIEW-CHANGE(v+1, accepted-prepare log)+UI; the new primary
@@ -64,7 +64,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -150,7 +149,7 @@ func WithCheckpointInterval(k int) Option {
 }
 
 // WithDataDir makes the replica crash-restart capable: the latest stable
-// checkpoint is persisted under dir (atomically, see persist.go) and
+// checkpoint is persisted under dir (atomically, see smr/engine_ckpt.go) and
 // reloaded by New, after which the replica announces its restart and
 // catches the rest up via state transfer. The trusted counter itself is
 // persisted by the device (trinc.Device.Persist with a ctrstore WAL under
@@ -216,17 +215,10 @@ type Replica struct {
 	deferredVC      types.View    // view change deferred behind grantUntil (0: none)
 	grantTimerArmed bool          // a 'g' grant-expiry timer is outstanding
 
-	// Checkpointing and recovery (checkpoint.go, persist.go).
-	ckptInterval    int    // batches between checkpoints; 0 disables
-	dataDir         string // "" : no crash-restart persistence
-	execCount       uint64 // fresh batches executed, in total order
-	ckptVotes       map[uint64]map[types.ProcessID]signedCkpt
-	ownStates       map[uint64][]byte                // our snapshots awaiting stability
-	stable          ckptCert                         // latest stable checkpoint certificate
-	stableState     []byte                           // the state the stable cert certifies
+	// Checkpointing and recovery (checkpoint.go); the engine keeps the rest.
+	execCount       uint64                           // fresh batches executed, in total order
 	gcVoteSeqs      map[types.ProcessID]types.SeqNum // fetch-store GC watermarks
 	gcSeqFloor      types.SeqNum                     // current-view prepare seqs GC'd below
-	stateTarget     uint64                           // checkpoint count being fetched (0: none)
 	pendingNV       *newView                         // NEW-VIEW deferred behind a state fetch
 	pendingNVRaw    []byte
 	lastNVRaw       []byte // encoded NEW-VIEW envelope of the installed view
@@ -238,10 +230,9 @@ type Replica struct {
 	mx     metrics         // all-nil (free no-ops) without WithMetrics
 	tracer *tracing.Tracer // for the ui-attest span; nil without WithTracer
 
-	// Readiness mirrors of inVC / stateTarget, readable off the run
-	// goroutine (Ready, the /readyz endpoint).
-	rdyVC atomic.Bool // view change in progress
-	rdyST atomic.Bool // state transfer in progress
+	// Readiness mirror of inVC, readable off the run goroutine (Ready, the
+	// /readyz endpoint); the engine mirrors state transfer (Fetching).
+	rdyVC atomic.Bool
 }
 
 type entryKey struct {
@@ -275,7 +266,7 @@ type event struct {
 // timerEvent is one entry of r.deadlines. Request watchdogs ('t') ride the
 // Watch lane — reqTimeout is their one duration — and the rest use After.
 type timerEvent struct {
-	kind    byte // 't' request timeout, 'v' view-change timeout, 'f' fetch, 's' state fetch, 'b' batch deadline/pacing recheck, 'l' lease renewal, 'g' grantor-promise expiry
+	kind    byte // 't' request timeout, 'v' view-change timeout, 'f' fetch, 'e' engine timer, 'l' lease renewal, 'g' grantor-promise expiry
 	pending smr.RequestID
 	view    types.View
 	peer    types.ProcessID // fetch target trinket
@@ -310,7 +301,6 @@ func New(m types.Membership, tr transport.Transport, dev *trinc.Device, ver *tri
 		dev:        dev,
 		ver:        ver,
 		reqTimeout: cfg.reqTimeout,
-		dataDir:    cfg.dataDir,
 		tracer:     cfg.Tracer,
 		events:     syncx.NewQueue[event](),
 		lastUI:     make(map[types.ProcessID]types.SeqNum),
@@ -318,39 +308,23 @@ func New(m types.Membership, tr transport.Transport, dev *trinc.Device, ver *tri
 		msgStore:   make(map[types.ProcessID]map[types.SeqNum]peerMsg),
 		entries:    make(map[entryKey]*entry),
 		vcVotes:    make(map[types.View]map[types.ProcessID]signedVC),
-		ckptVotes:  make(map[uint64]map[types.ProcessID]signedCkpt),
-		ownStates:  make(map[uint64][]byte),
 		gcVoteSeqs: make(map[types.ProcessID]types.SeqNum),
-	}
-	// Pacing waits on f peers, the commits a batch needs. A lease takes
-	// grants from all n replicas: the f+1 minimum is not Byzantine-safe here
-	// (DESIGN.md §8).
-	r.eng = smr.NewEngine("minbft", orderer{r}, tr, sm, smr.SystemClock,
-		m.Others(tr.Self()), m.F, m.N, cfg.EngineConfig)
-	r.leaseTerm = r.eng.LeaseTerm()
-	r.ckptInterval = r.eng.CheckpointInterval()
-	if r.dataDir != "" {
-		if _, ok := sm.(smr.Snapshotter); !ok {
-			return nil, fmt.Errorf("minbft: data dir requires a snapshotting state machine (smr.Snapshotter)")
-		}
-		if err := os.MkdirAll(r.dataDir, 0o755); err != nil {
-			return nil, fmt.Errorf("minbft: data dir: %w", err)
-		}
-		loaded, err := r.loadCheckpoint()
-		if err != nil {
-			return nil, err
-		}
-		if loaded {
-			r.announceRestart = true
-		}
-	}
-	if dev.LastAttested(usigCounter) > 0 {
-		// The trinket attested before this process started: we are a
-		// rehydrated restart even without a checkpoint on disk.
-		r.announceRestart = true
 	}
 	r.deadlines = smr.NewDeadlines[timerEvent](smr.SystemClock, func() { r.events.Push(event{tick: true}) })
 	r.initMetrics(cfg.Metrics)
+	// Pacing waits on f peers, the commits a batch needs. A lease takes
+	// grants from all n replicas: the f+1 minimum is not Byzantine-safe here
+	// (DESIGN.md §8). f+1 attested checkpoint votes make a certificate.
+	r.eng = smr.NewEngine("minbft", orderer{r}, tr, sm, smr.SystemClock,
+		m.Others(tr.Self()), m.F, m.N, m.FPlusOne(), cfg.dataDir, cfg.EngineConfig)
+	r.leaseTerm = r.eng.LeaseTerm()
+	loaded, err := r.eng.LoadCheckpoint()
+	if err != nil {
+		return nil, err
+	}
+	// A trinket that attested before this process started makes this a
+	// rehydrated restart even without a checkpoint on disk.
+	r.announceRestart = loaded || dev.LastAttested(usigCounter) > 0
 	ctx, cancel := context.WithCancel(context.Background())
 	r.cancel = cancel
 	r.wg.Add(2)
@@ -518,10 +492,10 @@ func (r *Replica) handleEnvelope(env transport.Envelope) {
 		r.handleFetch(env.From, body)
 		return
 	case kindStateFetch:
-		r.handleStateFetch(env.From, body)
+		r.eng.HandleStateFetch(env.From, body)
 		return
 	case kindStateResp:
-		r.handleStateResp(body)
+		r.eng.HandleStateResp(body)
 		return
 	case kindFetchResp:
 		// The response carries a stored original envelope; it is
@@ -643,8 +617,8 @@ func (r *Replica) handleFetch(from types.ProcessID, body []byte) {
 	if !ok {
 		// Garbage-collected below the stable checkpoint? Then the fetcher
 		// can never gap-fill its way forward — offer the state instead.
-		if seq <= r.gcVoteSeqs[peer] && r.stableState != nil {
-			r.sendStableState(from)
+		if seq <= r.gcVoteSeqs[peer] {
+			r.eng.ServeState(from, 0)
 		}
 		return
 	}
@@ -702,8 +676,8 @@ func (r *Replica) pruneWatchdogs() {
 
 func (r *Replica) handleTimer(te timerEvent) {
 	switch te.kind {
-	case 'b':
-		r.eng.BatchTimerFired()
+	case 'e':
+		r.eng.TimerFired()
 	case 't':
 		if r.watchdogLive(te) && !r.inVC {
 			r.startViewChange(r.view + 1)
@@ -722,17 +696,6 @@ func (r *Replica) handleTimer(te timerEvent) {
 		next := te
 		next.retries++
 		r.deadlines.After(r.reqTimeout/2, next)
-	case 's':
-		if r.stateTarget == 0 || uint64(te.seq) < r.stateTarget {
-			return // superseded by a later target (which armed its own timer)
-		}
-		if r.execCount >= r.stateTarget {
-			r.stateTarget = 0
-			r.rdyST.Store(false)
-			return
-		}
-		r.broadcastStateFetch()
-		r.deadlines.After(r.reqTimeout, te)
 	case 'l':
 		r.renewArmed = false
 		r.renewLease()
@@ -925,7 +888,7 @@ func (r *Replica) startViewChange(target types.View) {
 	r.targetView = target
 	r.mx.viewChanges.Inc()
 	r.mx.trace.Record("view-change", "demanding view %d (from view %d)", target, r.view)
-	vc := viewChange{NewView: target, Log: r.acceptedLog, Cert: r.stable}
+	vc := viewChange{NewView: target, Log: r.acceptedLog, Cert: r.eng.Stable()}
 	body := vc.encodeBody()
 	ui, err := r.attestAndSend(kindViewChange, body)
 	if err != nil {
@@ -1053,27 +1016,24 @@ func (r *Replica) installView(nv newView, raw []byte) {
 	if nv.NewView <= r.view {
 		return
 	}
-	if r.ckptEnabled() {
+	if r.eng.CheckpointInterval() > 0 {
 		// Checkpoint horizon: the highest verified stable checkpoint among
 		// the embedded view changes. If it is ahead of our execution, the
 		// surviving union suffix builds on state we do not have (its prefix
 		// was garbage-collected at that checkpoint) — executing it here
 		// would diverge. Install the checkpoint first, then resume.
-		var horizon ckptCert
+		var horizon uint64
 		for _, vc := range nv.VCs {
 			body, err := decodeViewChangeBody(vc.Body, maxLogEntries)
-			if err != nil {
-				continue
-			}
-			if body.Cert.Count > horizon.Count && r.verifyCkptCertVotes(body.Cert) == nil {
-				horizon = body.Cert
+			if err == nil && body.Cert.Count > horizon && r.eng.VerifyCert(body.Cert) == nil {
+				horizon = body.Cert.Count
 			}
 		}
-		if horizon.Count > r.execCount {
+		if horizon > r.execCount {
 			nvCopy := nv
 			r.pendingNV = &nvCopy
 			r.pendingNVRaw = raw
-			r.requestState(horizon.Count)
+			r.eng.RequestState(horizon)
 			return
 		}
 	}

@@ -47,6 +47,6 @@ func (r orderer) ReadPoint() (proposed, executed, execSeq uint64) {
 	return r.orderBase + uint64(len(r.prepOrder)), r.orderBase + uint64(r.execIdx), r.execCount
 }
 
-func (r orderer) ArmBatchTimer(d time.Duration) {
-	r.deadlines.After(d, timerEvent{kind: 'b'})
+func (r orderer) ArmTimer(d time.Duration) {
+	r.deadlines.After(d, timerEvent{kind: 'e'})
 }

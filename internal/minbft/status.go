@@ -1,7 +1,6 @@
 package minbft
 
 import (
-	"encoding/hex"
 	"time"
 
 	"unidir/internal/obs"
@@ -47,16 +46,18 @@ func (r *Replica) Status() obs.Status {
 // view change in progress) and state-transfer idle. It is safe from any
 // goroutine and backs the /readyz endpoint.
 func (r *Replica) Ready() bool {
-	return !r.rdyVC.Load() && !r.rdyST.Load()
+	ready, _ := r.ReadyReason()
+	return ready
 }
 
 // ReadyReason is Ready with the name of the failing probe, for /readyz
-// bodies. Safe from any goroutine (atomic mirrors of inVC / stateTarget).
+// bodies. Safe from any goroutine (atomic mirrors of inVC and of the
+// engine's state fetch).
 func (r *Replica) ReadyReason() (bool, string) {
 	switch {
 	case r.rdyVC.Load():
 		return false, "view change in progress"
-	case r.rdyST.Load():
+	case r.eng.Fetching():
 		return false, "state transfer in progress"
 	}
 	return true, ""
@@ -67,7 +68,6 @@ func (r *Replica) buildStatus() obs.Status {
 	st := obs.Status{
 		Protocol:  "minbft",
 		View:      uint64(r.view),
-		ExecCount: r.execCount,
 		OpenSlots: len(r.prepOrder) - r.execIdx,
 		TrustedCounters: map[string]uint64{
 			"usig": uint64(r.dev.LastAttested(usigCounter)),
@@ -79,19 +79,6 @@ func (r *Replica) buildStatus() obs.Status {
 	if at, ok := r.deadlines.OldestWatch(); ok {
 		st.OldestPendingMs = (r.reqTimeout - time.Until(at)).Milliseconds()
 	}
-	switch {
-	case r.inVC:
-		st.ReadyReason = "view change in progress"
-	case r.stateTarget != 0:
-		st.ReadyReason = "state transfer in progress"
-	default:
-		st.Ready = true
-	}
-	if r.stable.Count > 0 {
-		st.Checkpoint = &obs.CheckpointStatus{
-			Count:  r.stable.Count,
-			Digest: hex.EncodeToString(r.stable.Digest[:]),
-		}
-	}
+	st.Ready, st.ReadyReason = r.ReadyReason()
 	return st
 }

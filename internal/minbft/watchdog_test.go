@@ -2,11 +2,16 @@ package minbft
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 	"time"
 
 	"unidir/internal/kvstore"
+	"unidir/internal/sig"
+	"unidir/internal/simnet"
 	"unidir/internal/smr"
+	"unidir/internal/trusted/trinc"
+	"unidir/internal/types"
 )
 
 func TestWatchdogRestartsAtViewInstall(t *testing.T) {
@@ -101,5 +106,55 @@ func TestWatchdogRestartsAtViewInstall(t *testing.T) {
 	if st.PendingRequests != 2 || st.WatchdogEntries != 0 {
 		t.Fatalf("after the blame: %d pending, %d watchdogs; want 2 pending (nobody ordered them) and 0 watchdogs (both fired)",
 			st.PendingRequests, st.WatchdogEntries)
+	}
+}
+
+func TestDeferredViewChangeStopsLeaderRenewal(t *testing.T) {
+	// The view-0 primary is alone: its backups (endpoints the test holds)
+	// never answer, so its request never commits and no lease grant arrives.
+	// Its watchdog must still end the view. The VIEW-CHANGE waits out the
+	// primary's own grantor promise — its self-grant — so that promise must
+	// stop growing once the view change is deferred: a primary that went on
+	// renewing its lease would defer the view change forever.
+	const timeout, term = 200 * time.Millisecond, 100 * time.Millisecond
+	m, err := types.NewMembership(3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	netM, err := types.NewMembership(4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := simnet.New(netM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	tu, err := trinc.NewUniverse(m, sig.HMAC, rand.New(rand.NewSource(83)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p0, err := New(m, net.Endpoint(0), tu.Devices[0], tu.Verifier, kvstore.New(),
+		WithRequestTimeout(timeout), WithLeaseTerm(term))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p0.Close()
+	net.Inject(3, 0, EncodeRequestEnvelope(smr.Request{Client: 3, Num: 1, Op: kvstore.EncodePut("k", nil)}))
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*timeout)
+	defer cancel()
+	for {
+		env, err := net.Endpoint(1).Recv(ctx)
+		if err != nil {
+			t.Fatalf("the primary never demanded view 1: %v", err)
+		}
+		kind, body, ui, err := decodeEnvelope(env.Payload)
+		if err != nil || kind != kindViewChange || ui == nil || ui.Trinket != 0 {
+			continue
+		}
+		if vc, err := decodeViewChangeBody(body, maxLogEntries); err == nil && vc.NewView == 1 {
+			return
+		}
 	}
 }

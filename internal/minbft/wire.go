@@ -23,8 +23,8 @@ const (
 	kindFetch        // unattested query: "send me peer P's message at UI seq S"
 	kindFetchResp    // carries a stored original envelope, self-authenticating
 	kindCheckpoint   // attested state digest at an execution-count boundary
-	kindStateFetch   // unattested query: "send me your stable checkpoint >= count"
-	kindStateResp    // checkpoint cert + state payload, self-certifying (cert UIs)
+	kindStateFetch   // the engine's unattested "send me your stable checkpoint >= count"
+	kindStateResp    // the engine's checkpoint cert + state, self-certifying (cert UIs)
 	kindRestart      // attested counter-jump announcement after a crash-restart
 	kindReadRequest  // client read-only request, served off the ordering path
 	kindLeaseRequest // primary's attested lease solicitation (body: view)
@@ -188,7 +188,7 @@ func decodeLogEntry(d *wire.Decoder) (logEntry, error) {
 type viewChange struct {
 	NewView types.View
 	Log     []logEntry
-	Cert    ckptCert // stable checkpoint certificate (Count 0: none yet)
+	Cert    smr.CkptCert // stable checkpoint certificate (Count 0: none yet)
 }
 
 func (v viewChange) encodeBody() []byte {
@@ -198,7 +198,7 @@ func (v viewChange) encodeBody() []byte {
 	for _, le := range v.Log {
 		encodeLogEntry(e, le)
 	}
-	encodeCkptCert(e, v.Cert)
+	smr.EncodeCkptCert(e, v.Cert)
 	return e.Bytes()
 }
 
@@ -220,7 +220,7 @@ func decodeViewChangeBody(b []byte, maxEntries int) (viewChange, error) {
 		}
 		v.Log = append(v.Log, le)
 	}
-	cert, err := decodeCkptCert(d, maxCertVotes)
+	cert, err := smr.DecodeCkptCert(d)
 	if err != nil {
 		return viewChange{}, fmt.Errorf("minbft: decode view-change: %w", err)
 	}

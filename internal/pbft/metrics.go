@@ -10,14 +10,10 @@ import (
 )
 
 type metrics struct {
-	openSlots      *obs.Gauge
-	ckptTaken      *obs.Counter
-	ckptStable     *obs.Counter
-	stateTransfers *obs.Counter
-	leaseGrants    *obs.Counter // grants this replica issued as a backup
-	sigSigns       *obs.Counter // keyring signatures made (shared series, all replicas)
-	sigVerifies    *obs.Counter // keyring verifications run (shared series, all replicas)
-	trace          *obs.Trace
+	openSlots   *obs.Gauge
+	leaseGrants *obs.Counter // grants this replica issued as a backup
+	sigSigns    *obs.Counter // keyring signatures made (shared series, all replicas)
+	sigVerifies *obs.Counter // keyring verifications run (shared series, all replicas)
 }
 
 func (r *Replica) initMetrics(reg *obs.Registry) {
@@ -26,13 +22,9 @@ func (r *Replica) initMetrics(reg *obs.Registry) {
 	}
 	id := r.Self()
 	r.mx = metrics{
-		openSlots:      reg.Gauge(obs.Name("pbft_open_slots", "replica", id)),
-		ckptTaken:      reg.Counter(obs.Name("pbft_checkpoints_taken_total", "replica", id)),
-		ckptStable:     reg.Counter(obs.Name("pbft_checkpoints_stable_total", "replica", id)),
-		stateTransfers: reg.Counter(obs.Name("pbft_state_transfers_total", "replica", id)),
-		leaseGrants:    reg.Counter(obs.Name("pbft_lease_grants_total", "replica", id)),
-		sigSigns:       reg.Counter("sig_signs_total"),
-		sigVerifies:    reg.Counter("sig_verifications_total"),
-		trace:          reg.Trace(obs.Name("pbft", "replica", id), 256),
+		openSlots:   reg.Gauge(obs.Name("pbft_open_slots", "replica", id)),
+		leaseGrants: reg.Counter(obs.Name("pbft_lease_grants_total", "replica", id)),
+		sigSigns:    reg.Counter("sig_signs_total"),
+		sigVerifies: reg.Counter("sig_verifications_total"),
 	}
 }

@@ -47,6 +47,6 @@ func (r orderer) ReadPoint() (proposed, executed, execSeq uint64) {
 	return uint64(r.nextSeq), done, done
 }
 
-func (r orderer) ArmBatchTimer(d time.Duration) {
-	r.deadlines.After(d, timerEvent{kind: 'b'})
+func (r orderer) ArmTimer(d time.Duration) {
+	r.deadlines.After(d, timerEvent{kind: 'e'})
 }

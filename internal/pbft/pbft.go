@@ -11,10 +11,10 @@
 // sequence number; requests execute in in-batch order with per-client dedup,
 // so batching changes the amortization, not the properties (DESIGN.md §5).
 //
-// Checkpointing (checkpoint.go): every K executed batches the replica
-// snapshots its state and broadcasts a signed CHECKPOINT; 2f+1 matching
-// votes make it stable, releasing all slots below and enabling state
-// transfer for replicas the quorum has left behind.
+// Checkpointing (checkpoint.go, and the engine's checkpoint plane): every K
+// executed batches the replica snapshots its state and broadcasts a signed
+// CHECKPOINT; 2f+1 matching votes make it stable, releasing all slots below
+// and enabling state transfer for replicas the quorum has left behind.
 //
 // Scope note (DESIGN.md): view changes are not implemented; the benchmarks
 // compare normal-case behavior, and the liveness tests for leader failure
@@ -49,8 +49,8 @@ const (
 	kindPrepare
 	kindCommit
 	kindCheckpoint   // signed state digest at a sequence-number boundary
-	kindStateFetch   // signed query for a stable checkpoint >= n
-	kindStateResp    // stable cert (2f+1 signed votes) + state payload
+	kindStateFetch   // the engine's unsigned query for a stable checkpoint
+	kindStateResp    // the engine's stable cert (2f+1 signed votes) + state, self-certifying
 	kindLeaseRequest // primary's signed lease solicitation (n: lease round)
 	kindLeaseGrant   // backup's signed lease promise (n: granted round)
 	kindReadRequest  // client read-only request, served off the ordering path
@@ -75,7 +75,7 @@ type Replica struct {
 	closeOnce sync.Once
 
 	// State below is owned by the run goroutine.
-	deadlines *smr.Deadlines[timerEvent] // the 'b' and 'l' timeouts, on one runtime timer
+	deadlines *smr.Deadlines[timerEvent] // the 'e' and 'l' timeouts, on one runtime timer
 	view      types.View
 	nextSeq   types.SeqNum // primary's last assignment
 	execNext  types.SeqNum // next sequence number to execute
@@ -85,13 +85,6 @@ type Replica struct {
 	leaseTerm  time.Duration // 0: leases disabled
 	leaseRound types.SeqNum  // round counter of our outstanding LEASE-REQUEST
 	renewArmed bool          // an 'l' renewal timer is outstanding
-
-	// Checkpointing (checkpoint.go).
-	ckptInterval int // batches between checkpoints; 0 disables
-	ckptVotes    map[types.SeqNum]map[types.ProcessID]ckptVote
-	ownStates    map[types.SeqNum][]byte // our snapshots awaiting stability
-	stable       ckptCert                // latest stable checkpoint
-	stableState  []byte
 
 	statsMu sync.Mutex
 	fp      Footprint
@@ -108,7 +101,7 @@ type event struct {
 }
 
 type timerEvent struct {
-	kind byte // 'b' batch deadline / pacing recheck, 'l' lease renewal
+	kind byte // 'e' engine timer, 'l' lease renewal
 }
 
 type slot struct {
@@ -221,24 +214,21 @@ func New(m types.Membership, tr transport.Transport, ring *sig.Keyring, sm smr.S
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	r := &Replica{
-		m:         m,
-		tr:        tr,
-		ring:      ring,
-		events:    syncx.NewQueue[event](),
-		cancel:    cancel,
-		execNext:  1,
-		slots:     make(map[types.SeqNum]*slot),
-		ckptVotes: make(map[types.SeqNum]map[types.ProcessID]ckptVote),
-		ownStates: make(map[types.SeqNum][]byte),
-		lg:        cfg.lg,
+		m:        m,
+		tr:       tr,
+		ring:     ring,
+		events:   syncx.NewQueue[event](),
+		cancel:   cancel,
+		execNext: 1,
+		slots:    make(map[types.SeqNum]*slot),
+		lg:       cfg.lg,
 	}
 	// Pacing waits on 2f peers, the votes a batch needs. A lease takes 2f+1
 	// grants: that quorum already intersects every view-change quorum in a
-	// correct replica.
+	// correct replica. 2f+1 signed checkpoint votes make a certificate.
 	r.eng = smr.NewEngine("pbft", orderer{r}, tr, sm, smr.SystemClock,
-		m.Others(tr.Self()), 2*m.F, m.Quorum(), cfg.EngineConfig)
+		m.Others(tr.Self()), 2*m.F, m.Quorum(), m.Quorum(), "", cfg.EngineConfig)
 	r.leaseTerm = r.eng.LeaseTerm()
-	r.ckptInterval = r.eng.CheckpointInterval()
 	r.deadlines = smr.NewDeadlines[timerEvent](smr.SystemClock, func() { r.events.Push(event{tick: true}) })
 	r.initMetrics(cfg.Metrics)
 	r.wg.Add(2)
@@ -304,8 +294,8 @@ func (r *Replica) run(ctx context.Context) {
 
 func (r *Replica) handleTimer(te timerEvent) {
 	switch te.kind {
-	case 'b':
-		r.eng.BatchTimerFired()
+	case 'e':
+		r.eng.TimerFired()
 	case 'l':
 		r.renewArmed = false
 		r.renewLease()
@@ -418,8 +408,13 @@ func (r *Replica) handle(env transport.Envelope) {
 	case kindReadRequest:
 		r.eng.HandleRead(payload)
 		return
-	case kindPrePrepare, kindPrepare, kindCommit, kindCheckpoint, kindStateFetch, kindStateResp,
-		kindLeaseRequest, kindLeaseGrant:
+	case kindStateFetch:
+		r.eng.HandleStateFetch(env.From, payload)
+		return
+	case kindStateResp:
+		r.eng.HandleStateResp(payload)
+		return
+	case kindPrePrepare, kindPrepare, kindCommit, kindCheckpoint, kindLeaseRequest, kindLeaseGrant:
 		if v != r.view {
 			return
 		}
@@ -441,10 +436,6 @@ func (r *Replica) handle(env transport.Envelope) {
 		r.handleCommit(env.From, n, payload)
 	case kindCheckpoint:
 		r.handleCheckpoint(env.From, n, payload, signature)
-	case kindStateFetch:
-		r.handleStateFetch(env.From, n)
-	case kindStateResp:
-		r.handleStateResp(payload)
 	case kindLeaseRequest:
 		r.handleLeaseRequest(env.From, n)
 	case kindLeaseGrant:
@@ -472,7 +463,7 @@ func (r *Replica) adopt(sl *slot, reqs []smr.Request, digest [sha256.Size]byte) 
 }
 
 func (r *Replica) handlePrePrepare(from types.ProcessID, n types.SeqNum, payload []byte, tc tracing.Context) {
-	if r.m.Leader(r.view) != from || n == 0 || n <= r.stable.Seq {
+	if r.m.Leader(r.view) != from || n == 0 || r.released(n) {
 		return
 	}
 	reqs, err := smr.DecodeRequests(payload, smr.MaxBatchSize)
@@ -494,8 +485,11 @@ func (r *Replica) handlePrePrepare(from types.ProcessID, n types.SeqNum, payload
 	r.progress(n, sl)
 }
 
+// released reports whether slot n is at or below the stable checkpoint.
+func (r *Replica) released(n types.SeqNum) bool { return uint64(n) <= r.eng.Stable().Count }
+
 func (r *Replica) handlePrepare(from types.ProcessID, n types.SeqNum, digest []byte) {
-	if len(digest) != sha256.Size || n <= r.stable.Seq {
+	if len(digest) != sha256.Size || r.released(n) {
 		return // released slots take no further votes
 	}
 	sl := r.slot(n)
@@ -511,7 +505,7 @@ func (r *Replica) handlePrepare(from types.ProcessID, n types.SeqNum, digest []b
 }
 
 func (r *Replica) handleCommit(from types.ProcessID, n types.SeqNum, digest []byte) {
-	if len(digest) != sha256.Size || n <= r.stable.Seq {
+	if len(digest) != sha256.Size || r.released(n) {
 		return // released slots take no further votes
 	}
 	sl := r.slot(n)
@@ -558,9 +552,7 @@ func (r *Replica) progress(n types.SeqNum, sl *slot) {
 		seq := r.execNext
 		r.execNext++
 		r.eng.Execute(next.reqs, &next.BatchTrace)
-		if r.ckptEnabled() && uint64(seq)%uint64(r.ckptInterval) == 0 {
-			r.takeCheckpoint(seq)
-		}
+		r.eng.Executed(uint64(seq))
 		executed = true
 	}
 	if executed {

@@ -298,3 +298,43 @@ func TestPacingIgnoresDeadPeer(t *testing.T) {
 		t.Fatalf("sig_signs_total=%d sig_verifications_total=%d after 20 ordered requests", signs, verifies)
 	}
 }
+
+func TestStateTransferAfterDroppedTraffic(t *testing.T) {
+	// Replica 3's links drop (rather than hold) everything while the others
+	// commit and release four checkpoints' worth of slots, so it can only
+	// come back through a state transfer: an unsigned fetch, a
+	// self-certifying response whose 2f+1 vote signatures this core checks,
+	// and the install.
+	reg := obs.NewRegistry()
+	h := newHarness(t, 4, 1, 1, pbft.WithCheckpointInterval(2), pbft.WithMetrics(reg))
+	c := h.client(0)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cut := func(rate float64) {
+		for p := types.ProcessID(0); p < 3; p++ {
+			h.net.SetDropRate(3, p, rate)
+			h.net.SetDropRate(p, 3, rate)
+		}
+	}
+	cut(1)
+	for i := 0; i < 8; i++ {
+		if _, err := c.invoke(ctx, kvstore.EncodePut(fmt.Sprintf("away-%d", i), []byte{byte(i)})); err != nil {
+			t.Fatalf("invoke %d: %v", i, err)
+		}
+	}
+	cut(0)
+	for i := 0; h.replicas[3].Footprint().StableSeq < 8; i++ {
+		if ctx.Err() != nil {
+			t.Fatalf("replica 3 never caught up: %+v", h.replicas[3].Footprint())
+		}
+		if _, err := c.invoke(ctx, kvstore.EncodePut(fmt.Sprintf("back-%d", i), []byte{byte(i)})); err != nil {
+			t.Fatalf("invoke back-%d: %v", i, err)
+		}
+	}
+	if n := reg.Snapshot().Counter(obs.Name("pbft_state_transfers_total", "replica", types.ProcessID(3))); n == 0 {
+		t.Fatal("replica 3 caught up without a state transfer")
+	}
+	if st := h.replicas[3].Status(); st.Checkpoint == nil || st.ExecCount < st.Checkpoint.Count {
+		t.Fatalf("status after the install: %+v", st)
+	}
+}

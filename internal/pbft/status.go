@@ -1,7 +1,6 @@
 package pbft
 
 import (
-	"encoding/hex"
 	"time"
 
 	"unidir/internal/obs"
@@ -48,15 +47,8 @@ func (r *Replica) buildStatus() obs.Status {
 		Protocol:  "pbft",
 		View:      uint64(r.view),
 		Ready:     true,
-		ExecCount: uint64(r.execNext) - 1,
 		OpenSlots: len(r.slots),
 	}
 	r.eng.FillStatus(&st)
-	if r.stable.Seq > 0 {
-		st.Checkpoint = &obs.CheckpointStatus{
-			Count:  uint64(r.stable.Seq),
-			Digest: hex.EncodeToString(r.stable.Digest[:]),
-		}
-	}
 	return st
 }

@@ -141,6 +141,11 @@ func (s *srbRounds) pump(ctx context.Context) {
 		if dec.Finish() != nil || r == 0 {
 			continue
 		}
+		// Report possession before the table can end the round (waitEnd), so
+		// a boundary never precedes the Got of the message that reached it.
+		if s.obs != nil && d.Sender != s.node.Self() {
+			s.obs.Got(s.node.Self(), d.Sender, r)
+		}
 		s.mu.Lock()
 		byRound := s.table[r]
 		if byRound == nil {
@@ -151,9 +156,6 @@ func (s *srbRounds) pump(ctx context.Context) {
 			byRound[d.Sender] = data
 		}
 		s.mu.Unlock()
-		if s.obs != nil && d.Sender != s.node.Self() {
-			s.obs.Got(s.node.Self(), d.Sender, r)
-		}
 		s.pulse.Fire()
 	}
 }
@@ -176,6 +178,9 @@ func (s *srbRounds) send(r types.Round, data []byte) error {
 func (s *srbRounds) waitEnd(ctx context.Context, r types.Round) error {
 	need := s.m.Correct()
 	for {
+		// Take the wakeup channel before looking: a delivery landing between
+		// the look and the wait then still wakes us.
+		ch := s.pulse.Wait()
 		s.mu.Lock()
 		have := len(s.table[r])
 		s.mu.Unlock()
@@ -185,7 +190,6 @@ func (s *srbRounds) waitEnd(ctx context.Context, r types.Round) error {
 			}
 			return nil
 		}
-		ch := s.pulse.Wait()
 		select {
 		case <-ch:
 		case <-ctx.Done():
@@ -247,6 +251,22 @@ func remove(ids []types.ProcessID, drop ...types.ProcessID) []types.ProcessID {
 // which processes completed round 1 and the violations among the
 // scenario's correct processes.
 func RunScenario(m types.Membership, which int, timeout time.Duration) (ScenarioOutcome, error) {
+	return runScenario(m, which, timeout, nil)
+}
+
+// schedule is what a test driving one scenario run controls (runScenario).
+type schedule struct {
+	net     *simnet.Network
+	checker *core.UniChecker
+	begin   func(types.ProcessID) // lets a process send its round message
+}
+
+// runScenario is RunScenario under an optional schedule. With drive set, the
+// network starts held (simnet.Hold: every send waits to be released, the
+// scenario's delayed links included, so drive must never release those), no
+// process sends its round message until drive begins it, and drive runs
+// alongside the processes.
+func runScenario(m types.Membership, which int, timeout time.Duration, drive func(schedule)) (ScenarioOutcome, error) {
 	g, err := NewGeometry(m)
 	if err != nil {
 		return ScenarioOutcome{}, err
@@ -301,15 +321,35 @@ func RunScenario(m types.Membership, which int, timeout time.Duration) (Scenario
 		}
 	}()
 
+	gates := make(map[types.ProcessID]chan struct{}, len(peers))
+	for id := range peers {
+		gates[id] = make(chan struct{})
+		if drive == nil {
+			close(gates[id])
+		}
+	}
 	outcome := ScenarioOutcome{Completed: make(map[types.ProcessID]bool)}
 	var mu sync.Mutex
 	var wg sync.WaitGroup
+	if drive != nil {
+		net.Hold()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			drive(schedule{net: net, checker: checker, begin: func(id types.ProcessID) { close(gates[id]) }})
+		}()
+	}
 	for id, p := range peers {
 		wg.Add(1)
 		go func(id types.ProcessID, p *peer) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), timeout)
 			defer cancel()
+			select {
+			case <-gates[id]:
+			case <-ctx.Done():
+				return
+			}
 			if err := p.rs.send(1, []byte(fmt.Sprintf("round-1 from %v", id))); err != nil {
 				return
 			}

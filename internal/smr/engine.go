@@ -7,10 +7,11 @@ package smr
 // leave": the client table, the pending set, admission, the batching valve
 // with its deadline and pacing gates, execution and replies, request tracing
 // (engine_trace.go), the read server with the lease tally (engine_read.go),
-// the shared metric series and status fields (engine_obs.go) and the shared
-// settings (engine_config.go). internal/minbft and internal/pbft are the two
-// ordering cores: they keep wire formats, message authentication, slots and
-// quorum counting, view change, the lease protocol and checkpoint votes.
+// the checkpoint plane (engine_ckpt.go), the shared metric series and status
+// fields (engine_obs.go) and the shared settings (engine_config.go).
+// internal/minbft and internal/pbft are the two ordering cores: they keep
+// wire formats, message authentication, slots and quorum counting, view
+// change, the lease protocol, and how a checkpoint vote is authenticated.
 //
 // An Engine is owned by its replica's run goroutine; none of its methods is
 // safe for concurrent use. It never asks which protocol it serves: what
@@ -18,6 +19,8 @@ package smr
 // (DESIGN.md §5, "Replica engine and ordering cores").
 
 import (
+	"crypto/sha256"
+	"sync/atomic"
 	"time"
 
 	"unidir/internal/obs/tracing"
@@ -47,8 +50,24 @@ type Orderer interface {
 	// failed on every revocation, so the scale may restart between views),
 	// and the execution watermark read replies carry as ExecSeq.
 	ReadPoint() (proposed, executed, execSeq uint64)
-	// ArmBatchTimer makes the core call BatchTimerFired once, d from now.
-	ArmBatchTimer(d time.Duration)
+	// ArmTimer makes the core call TimerFired once, d from now.
+	ArmTimer(d time.Duration)
+
+	// VoteCheckpoint authenticates and broadcasts this replica's checkpoint
+	// vote for the state digest at position count, and returns its proof.
+	// False means nothing was sent.
+	VoteCheckpoint(count uint64, digest [sha256.Size]byte) (proof []byte, ok bool)
+	// VerifyCheckpoint checks every proof of a certificate whose size and
+	// voters the engine has already checked.
+	VerifyCheckpoint(cert CkptCert) error
+	// FrameState wraps a STATE-FETCH (resp false) or STATE-RESP body for the
+	// wire. Both are unauthenticated: a response is self-certifying.
+	FrameState(resp bool, body []byte) []byte
+	// CheckpointStable follows every stable advance: prev was the stable
+	// certificate, cert is. The core releases what cert subsumes; installed
+	// says the state was installed from elsewhere (a transfer, or the
+	// checkpoint file at start), so execution resumes just past cert.Count.
+	CheckpointStable(prev, cert CkptCert, installed bool)
 }
 
 // RequestID names one client request.
@@ -107,7 +126,18 @@ type Engine struct {
 	leaseReads  []pendingRead       // leased reads waiting for the execute watermark
 	readReplies map[uint64][][]byte // per-client read replies of the current event burst
 
-	ckptInterval int // batches between checkpoints; 0: off
+	// Checkpoint plane (engine_ckpt.go).
+	ckptInterval int    // executed positions between checkpoints; 0: off
+	ckptQuorum   int    // matching votes that make a certificate
+	dataDir      string // "": no checkpoint file
+	execPos      uint64 // the last executed position the core reported
+	ckptTally    map[uint64]map[types.ProcessID]ckptBallot
+	ckptOwn      map[uint64]ownCkpt // own snapshots awaiting stability
+	stable       CkptCert
+	stableState  []byte      // the state stable certifies
+	fetchTarget  uint64      // stable position being fetched (0: none)
+	fetchAt      time.Time   // when the fetch is re-sent
+	fetching     atomic.Bool // fetchTarget != 0, for readiness probes
 
 	// Process-lifetime counters for FillStatus; plain so that status works
 	// without a registry.
@@ -126,10 +156,12 @@ type Engine struct {
 // series ("<name>_batches_proposed_total{replica=…}"). peers are the other
 // replicas; paceQuorum is how many of them must have a short send queue for
 // a proposal to go out (the votes a batch needs from them), grantQuorum how
-// many lease grants, the leader's own included, hold a lease. All time is
+// many lease grants, the leader's own included, hold a lease, ckptQuorum how
+// many matching checkpoint votes make a certificate. With a dataDir the
+// stable checkpoint is kept in a file there (LoadCheckpoint). All time is
 // read from clock.
 func NewEngine(name string, core Orderer, tr transport.Transport, sm StateMachine, clock Clock,
-	peers []types.ProcessID, paceQuorum, grantQuorum int, cfg EngineConfig) *Engine {
+	peers []types.ProcessID, paceQuorum, grantQuorum, ckptQuorum int, dataDir string, cfg EngineConfig) *Engine {
 	cfg = cfg.Resolved()
 	e := &Engine{
 		core:          core,
@@ -148,6 +180,10 @@ func NewEngine(name string, core Orderer, tr transport.Transport, sm StateMachin
 		paceQuorum:    paceQuorum,
 		peers:         peers,
 		grantQuorum:   grantQuorum,
+		ckptQuorum:    ckptQuorum,
+		dataDir:       dataDir,
+		ckptTally:     make(map[uint64]map[types.ProcessID]ckptBallot),
+		ckptOwn:       make(map[uint64]ownCkpt),
 		tracer:        cfg.Tracer,
 		reqTrace:      make(map[RequestID]reqTraceInfo),
 	}
@@ -335,13 +371,6 @@ func (e *Engine) MaybePropose() {
 	}
 }
 
-// BatchTimerFired is the core's answer to ArmBatchTimer: the batch deadline
-// (or pacing recheck) expired, so cut whatever is pending, however partial.
-func (e *Engine) BatchTimerFired() {
-	e.batchTimerArmed = false
-	e.MaybePropose()
-}
-
 // ResetProposed forgets which requests were in flight: a new view is
 // installed, the old view's proposals are gone, and everything still pending
 // is the new leader's to batch afresh (per-request dedup in the client table
@@ -362,13 +391,14 @@ func (e *Engine) paceRecheck() time.Duration {
 }
 
 // armBatchTimer schedules one deadline/pacing recheck; at most one is
-// outstanding so deferred cuts cannot pile up timer events.
+// outstanding so deferred cuts cannot pile up timer events. When it fires
+// (TimerFired), whatever is pending is cut, however partial.
 func (e *Engine) armBatchTimer(d time.Duration) {
 	if e.batchTimerArmed {
 		return
 	}
 	e.batchTimerArmed = true
-	e.core.ArmBatchTimer(d)
+	e.core.ArmTimer(d)
 }
 
 // sortedBacklog yields the pending requests not yet inside an in-flight

@@ -6,6 +6,8 @@ package smr
 // recording site is a nil-check (see internal/obs).
 
 import (
+	"encoding/hex"
+
 	"unidir/internal/obs"
 )
 
@@ -24,6 +26,10 @@ type engineMetrics struct {
 	leaseExpiries   *obs.Counter   // renewals that found the previous lease lapsed
 	leasedReads     *obs.Counter   // reads answered from the lease
 	fallbackReads   *obs.Counter   // reads answered as quorum-read fallback votes
+	ckptTaken       *obs.Counter
+	ckptStable      *obs.Counter
+	stateTransfers  *obs.Counter
+	trace           *obs.Trace // the replica's protocol-event ring, shared with its core
 }
 
 func (e *Engine) initMetrics(name string, reg *obs.Registry) {
@@ -46,15 +52,24 @@ func (e *Engine) initMetrics(name string, reg *obs.Registry) {
 		leaseExpiries:   reg.Counter(series("_lease_expiries_total")),
 		leasedReads:     reg.Counter(series("_leased_reads_total")),
 		fallbackReads:   reg.Counter(series("_fallback_reads_total")),
+		ckptTaken:       reg.Counter(series("_checkpoints_taken_total")),
+		ckptStable:      reg.Counter(series("_checkpoints_stable_total")),
+		stateTransfers:  reg.Counter(series("_state_transfers_total")),
+		trace:           reg.Trace(series(""), 256),
 	}
 }
 
 // FillStatus fills in the engine's share of a status snapshot: the replica
-// ID, the process-lifetime progress counters, the queue gauges, and the
-// lease if this replica holds one. The core sets View first (a lease's term
-// is the view it belongs to) and the protocol's own fields around it.
+// ID, the execution position, the stable checkpoint, the process-lifetime
+// progress counters, the queue gauges, and the lease if this replica holds
+// one. The core sets View first (a lease's term is the view it belongs to)
+// and the protocol's own fields around it.
 func (e *Engine) FillStatus(st *obs.Status) {
 	st.Replica = int(e.tr.Self())
+	st.ExecCount = e.execPos
+	if e.stable.Count > 0 {
+		st.Checkpoint = &obs.CheckpointStatus{Count: e.stable.Count, Digest: hex.EncodeToString(e.stable.Digest[:])}
+	}
 	st.ProposedBatches = e.proposedCount
 	st.ExecutedRequests = e.executedReqCount
 	st.PendingRequests = len(e.pending)

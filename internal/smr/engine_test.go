@@ -15,7 +15,7 @@ import (
 // The engine against a scripted ordering core, a recording transport and the
 // hand-advanced clock of deadlines_test.go: no cluster, no goroutines, no
 // sleeps. The test plays the core's part — it calls MaybePropose after an
-// admission, BatchTimerFired when it decides the armed timer is due, and
+// admission, TimerFired when it decides the armed timer is due, and
 // Execute/AfterExecute when it decides a batch has committed.
 
 const us = time.Microsecond
@@ -27,9 +27,47 @@ type fakeCore struct {
 	refuse    bool            // Propose fails, as when the USIG refuses to attest
 	inFlight  int             // bumped by Propose, lowered by rig.commit
 	proposals [][]Request     // what Propose was handed
-	armed     []time.Duration // every ArmBatchTimer call
+	armed     []time.Duration // every ArmTimer call
 
 	proposed, executed, execSeq uint64 // ReadPoint's answer
+
+	voted   []uint64      // every VoteCheckpoint position
+	stables []stableEvent // every CheckpointStable call
+}
+
+type stableEvent struct {
+	prev, cert CkptCert
+	installed  bool
+}
+
+// VoteCheckpoint's proof is the voter's name; VerifyCheckpoint accepts
+// exactly the proofs that name their sender.
+func (c *fakeCore) VoteCheckpoint(count uint64, _ [32]byte) ([]byte, bool) {
+	c.voted = append(c.voted, count)
+	return proof(0), true
+}
+
+func (c *fakeCore) VerifyCheckpoint(cert CkptCert) error {
+	for _, v := range cert.Votes {
+		if string(v.Proof) != string(proof(v.Sender)) {
+			return fmt.Errorf("bad proof from %v", v.Sender)
+		}
+	}
+	return nil
+}
+
+func proof(p types.ProcessID) []byte { return []byte(fmt.Sprintf("vote of p%d", p)) }
+
+// FrameState prefixes 'R' to a response body, 'F' to a fetch.
+func (c *fakeCore) FrameState(resp bool, body []byte) []byte {
+	if resp {
+		return append([]byte{'R'}, body...)
+	}
+	return append([]byte{'F'}, body...)
+}
+
+func (c *fakeCore) CheckpointStable(prev, cert CkptCert, installed bool) {
+	c.stables = append(c.stables, stableEvent{prev, cert, installed})
 }
 
 func (c *fakeCore) Leading() bool { return c.leading }
@@ -50,7 +88,7 @@ func (c *fakeCore) ReadPoint() (proposed, executed, execSeq uint64) {
 	return c.proposed, c.executed, c.execSeq
 }
 
-func (c *fakeCore) ArmBatchTimer(d time.Duration) { c.armed = append(c.armed, d) }
+func (c *fakeCore) ArmTimer(d time.Duration) { c.armed = append(c.armed, d) }
 
 // fakeNet records what the engine sends. It is not a QueueDepther.
 type fakeNet struct {
@@ -104,7 +142,7 @@ func (s *fakeSM) Snapshot() []byte        { return []byte{byte(s.applied)} }
 func (s *fakeSM) Restore(b []byte) error  { s.applied = int(b[0]); return nil }
 
 // rig is replica 0 of a group of three: pacing waits on one peer, a lease
-// takes all three grants.
+// takes all three grants, a checkpoint certificate two votes.
 type rig struct {
 	*Engine
 	t     *testing.T
@@ -117,19 +155,20 @@ type rig struct {
 
 func newRig(t *testing.T, cfg EngineConfig) *rig {
 	net := &fakeNet{}
-	return newRigOn(t, net, net, cfg)
+	return newRigOn(t, net, net, "", cfg)
 }
 
 // newDeepRig is newRig over a transport that reports send-queue depths.
 func newDeepRig(t *testing.T, net *deepNet, cfg EngineConfig) *rig {
-	return newRigOn(t, net, &net.fakeNet, cfg)
+	return newRigOn(t, net, &net.fakeNet, "", cfg)
 }
 
-// newRigOn builds the rig over tr, which records into net.
-func newRigOn(t *testing.T, tr transport.Transport, net *fakeNet, cfg EngineConfig) *rig {
+// newRigOn builds the rig over tr, which records into net, keeping its
+// checkpoint file in dir ("": none).
+func newRigOn(t *testing.T, tr transport.Transport, net *fakeNet, dir string, cfg EngineConfig) *rig {
 	r := &rig{t: t, core: &fakeCore{leading: true}, net: net, clock: newFakeClock(), sm: &fakeSM{}, reg: obs.NewRegistry()}
 	cfg.Metrics = r.reg
-	r.Engine = NewEngine("x", r.core, tr, r.sm, r.clock, []types.ProcessID{1, 2}, 1, 3, cfg)
+	r.Engine = NewEngine("x", r.core, tr, r.sm, r.clock, []types.ProcessID{1, 2}, 1, 3, 2, dir, cfg)
 	r.core.eng = r.Engine
 	return r
 }
@@ -258,7 +297,7 @@ func TestEngineHoldsThenCutsAtDeadline(t *testing.T) {
 		t.Fatalf("deferred cuts piled up timers: %v", r.core.armed)
 	}
 	r.clock.Advance(30 * us)
-	r.BatchTimerFired()
+	r.TimerFired()
 	wantProposals(t, r.core, 3)
 	if got := r.reg.Snapshot().HistogramCount("x_batch_wait_seconds"); got != 1 {
 		t.Fatalf("batch_wait observations = %d, want 1", got)
@@ -304,7 +343,7 @@ func TestEnginePacingDefersAndRearms(t *testing.T) {
 	if len(r.core.armed) != 1 || r.core.armed[0] != 100*us {
 		t.Fatalf("armed %v, want one recheck at the batch deadline", r.core.armed)
 	}
-	r.BatchTimerFired() // still deep: deferred again, re-armed
+	r.TimerFired() // still deep: deferred again, re-armed
 	wantProposals(t, r.core)
 	if got, timers := r.counter("paced_proposals_total"), len(r.core.armed); got != 2 || timers != 2 {
 		t.Fatalf("after the recheck: paced %d times, %d timers; want 2 and 2", got, timers)
@@ -312,7 +351,7 @@ func TestEnginePacingDefersAndRearms(t *testing.T) {
 	// One peer drains. The other — a dead one, say — never does; the batch
 	// does not need it.
 	net.depth[2] = 3
-	r.BatchTimerFired()
+	r.TimerFired()
 	wantProposals(t, r.core, 1)
 
 	// PaceDepth < 0 turns the gate off.
@@ -503,7 +542,7 @@ func TestEngineSnapshotRestore(t *testing.T) {
 // features off whatever the settings say.
 func TestEnginePlainStateMachine(t *testing.T) {
 	type plain struct{ StateMachine }
-	e := NewEngine("x", &fakeCore{}, &fakeNet{}, plain{&fakeSM{}}, newFakeClock(), nil, 0, 1, EngineConfig{})
+	e := NewEngine("x", &fakeCore{}, &fakeNet{}, plain{&fakeSM{}}, newFakeClock(), nil, 0, 1, 1, "", EngineConfig{})
 	if e.CheckpointInterval() != 0 || e.LeaseTerm() != 0 {
 		t.Fatalf("ckpt %d, lease %v", e.CheckpointInterval(), e.LeaseTerm())
 	}

@@ -96,7 +96,16 @@ func TestMetricsCountTraffic(t *testing.T) {
 	for i := 0; i < count; i++ {
 		recvOne(t, nets[1], 5*time.Second)
 	}
-	s := reg.Snapshot()
+	// The sender counts a batch (frames, then bytes) after its flush
+	// returns, so the receiver can drain all of it first: wait until the
+	// sender's byte count — its last — covers everything received.
+	var s obs.Snapshot
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		s = reg.Snapshot()
+		if s.CounterSum("tcpnet_tx_bytes_total") >= s.CounterSum("tcpnet_rx_bytes_total") || time.Now().After(deadline) {
+			break
+		}
+	}
 	tx := s.CounterSum("tcpnet_tx_frames_total")
 	rx := s.CounterSum("tcpnet_rx_frames_total")
 	if tx != count || rx != count {

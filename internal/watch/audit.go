@@ -285,51 +285,78 @@ func (a *auditor) observe(statuses []obs.Status, groups map[string]GroupHealth) 
 
 // ckptViolation assembles a checkpoint-divergence violation for key: every
 // claim visible for that (shard, count) — this scrape's plus the recorded
-// one — goes into the evidence, and the replicas whose digest departs from
-// the majority digest are named as the diverging ones. With at most f
-// Byzantine replicas in a group of 2f+1 (or 3f+1) the majority digest is
-// the honest one, so the minority list is the blame list; in a 1-vs-1 split
-// both are listed (the auditor cannot arbitrate a tie — see DESIGN.md §10).
+// one — goes into the evidence. Blame needs f+1 claims agreeing on one
+// digest: at most f replicas lie, so such a digest is vouched for by an
+// honest replica, and the replicas departing from it diverge. Without one
+// (two claims of a three-replica group, say, one replica lagging) the
+// violation stands but its blame list is empty — the statuses alone cannot
+// say who lied (DESIGN.md §10). f comes from the group's size in this scrape
+// and its protocol.
 func (a *auditor) ckptViolation(key ckptKey, prev ckptClaim, statuses []obs.Status) Violation {
 	claims := []ckptClaim{prev}
+	n, protocol := 0, ""
 	for _, st := range statuses {
-		if st.Stale || st.Shard != key.shard || st.Checkpoint == nil ||
-			st.Checkpoint.Count != key.count || st.Replica == prev.replica {
+		if st.Shard != key.shard {
+			continue
+		}
+		n, protocol = n+1, st.Protocol
+		if st.Stale || st.Checkpoint == nil || st.Checkpoint.Count != key.count || st.Replica == prev.replica {
 			continue
 		}
 		claims = append(claims, ckptClaim{digest: st.Checkpoint.Digest, replica: st.Replica})
 	}
+	f := faultBound(protocol, n)
 	tally := make(map[string]int)
 	for _, c := range claims {
 		tally[c.digest]++
 	}
-	majority, best := "", 0
-	for d, n := range tally {
-		if n > best {
-			majority, best = d, n
+	agreed := ""
+	for d, votes := range tally {
+		if votes >= f+1 {
+			if agreed != "" {
+				agreed = "" // two f+1-backed digests: the fault bound itself is broken
+				break
+			}
+			agreed = d
 		}
 	}
-	var diverging []int
+	diverging := []int{}
 	evClaims := make([]map[string]any, 0, len(claims))
 	for _, c := range claims {
 		evClaims = append(evClaims, map[string]any{"replica": c.replica, "digest": c.digest})
-		if c.digest != majority || best*2 <= len(claims) {
+		if agreed != "" && c.digest != agreed {
 			diverging = append(diverging, c.replica)
 		}
 	}
 	sort.Ints(diverging)
+	detail := fmt.Sprintf("checkpoint %d: replicas %v diverge from the digest %d replicas agree on",
+		key.count, diverging, f+1)
+	if agreed == "" {
+		detail = fmt.Sprintf("checkpoint %d: divergence, blame undetermined (no digest has %d agreeing claims)",
+			key.count, f+1)
+	}
 	return Violation{
-		Rule:  RuleCheckpointDivergence,
-		Shard: key.shard,
-		Detail: fmt.Sprintf("checkpoint %d: replicas %v diverge from the majority digest",
-			key.count, diverging),
+		Rule:   RuleCheckpointDivergence,
+		Shard:  key.shard,
+		Detail: detail,
 		Evidence: evidence(map[string]any{
 			"checkpoint_count": key.count,
 			"claims":           evClaims,
-			"majority_digest":  majority,
+			"f":                f,
+			"agreed_digest":    agreed,
 			"diverging":        diverging,
 		}),
 	}
+}
+
+// faultBound is the f a group of n replicas tolerates: MinBFT runs n = 2f+1,
+// PBFT n = 3f+1. Any other protocol gets MinBFT's larger bound, which only
+// makes blame harder to assign.
+func faultBound(protocol string, n int) int {
+	if protocol == "pbft" {
+		return (n - 1) / 3
+	}
+	return (n - 1) / 2
 }
 
 // prune drops checkpoint-digest history far below each shard's newest

@@ -89,6 +89,28 @@ func writeUntilCheckpoints(ctx context.Context, t *testing.T, sc *harness.Sharde
 	}
 }
 
+// waitOneCheckpoint polls src until all its replicas report a stable
+// checkpoint at one count.
+func waitOneCheckpoint(ctx context.Context, t *testing.T, src watch.Source) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		sts, err := src.Fetch(ctx)
+		if err != nil {
+			t.Fatalf("fetch: %v", err)
+		}
+		one := true
+		for _, st := range sts {
+			one = one && st.Checkpoint != nil && sts[0].Checkpoint != nil && st.Checkpoint.Count == sts[0].Checkpoint.Count
+		}
+		if one {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replicas never agreed on one checkpoint count: %+v", sts)
+		}
+	}
+}
+
 func quietWatcher(sources []watch.Source, reg *obs.Registry) *watch.Watcher {
 	return watch.New(watch.Config{
 		Sources: sources,
@@ -144,6 +166,10 @@ func TestLiveClusterForgedDigestCaught(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
 	defer cancel()
 	writeUntilCheckpoints(ctx, t, sc, sources)
+	// Blame needs f+1 = 2 claims agreeing on a digest: with one replica
+	// lagging, shard 0 would show the forged claim against one honest one.
+	// With the writes stopped the group converges on one stable checkpoint.
+	waitOneCheckpoint(ctx, t, sources[0])
 
 	reg := obs.NewRegistry()
 	w := quietWatcher(sources, reg)

@@ -3,6 +3,7 @@ package watch
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"strings"
@@ -134,16 +135,8 @@ func TestCheckpointDivergenceCaught(t *testing.T) {
 	if len(rep.Violations) != 1 || rep.Violations[0].Rule != RuleCheckpointDivergence {
 		t.Fatalf("violations = %v", rep.Violations)
 	}
-	v := rep.Violations[0]
-	var ev struct {
-		Count     uint64 `json:"checkpoint_count"`
-		Majority  string `json:"majority_digest"`
-		Diverging []int  `json:"diverging"`
-	}
-	if err := json.Unmarshal(v.Evidence, &ev); err != nil {
-		t.Fatalf("evidence: %v", err)
-	}
-	if ev.Count != 8 || ev.Majority != "aaaa" {
+	ev := ckptEvidence(t, rep.Violations[0])
+	if ev.Count != 8 || ev.Agreed != "aaaa" || ev.F != 1 {
 		t.Fatalf("evidence = %+v", ev)
 	}
 	if len(ev.Diverging) != 1 || ev.Diverging[0] != 2 {
@@ -151,6 +144,62 @@ func TestCheckpointDivergenceCaught(t *testing.T) {
 	}
 	if got := reg.Snapshot().CounterSum("watch_violations_total"); got != 1 {
 		t.Fatalf("watch_violations_total = %d, want 1", got)
+	}
+}
+
+type ckptEv struct {
+	Count     uint64 `json:"checkpoint_count"`
+	F         int    `json:"f"`
+	Agreed    string `json:"agreed_digest"`
+	Diverging []int  `json:"diverging"`
+}
+
+func ckptEvidence(t *testing.T, v Violation) ckptEv {
+	t.Helper()
+	var ev ckptEv
+	if err := json.Unmarshal(v.Evidence, &ev); err != nil {
+		t.Fatalf("evidence: %v", err)
+	}
+	return ev
+}
+
+// Blame needs f+1 agreeing claims; the group's f follows its size and
+// protocol.
+func TestCheckpointDivergenceBlameNeedsFPlusOne(t *testing.T) {
+	lagging := st("0", 2, 6) // no claim at 8 yet
+	pbft := func(s obs.Status) obs.Status { s.Protocol = "pbft"; return s }
+	for name, c := range map[string]struct {
+		scrape []obs.Status
+		f      int
+		blame  []int
+	}{
+		"minbft, 1 vs 1 of 3": {
+			[]obs.Status{withCkpt(st("0", 0, 8), 8, "ffff"), withCkpt(st("0", 1, 8), 8, "aaaa"), lagging},
+			1, []int{},
+		},
+		"minbft, 2 vs 1 of 5": {
+			[]obs.Status{withCkpt(st("0", 0, 8), 8, "ffff"), withCkpt(st("0", 1, 8), 8, "aaaa"),
+				withCkpt(st("0", 2, 8), 8, "aaaa"), st("0", 3, 6), st("0", 4, 6)},
+			2, []int{},
+		},
+		"pbft, 2 vs 1 of 4": {
+			[]obs.Status{pbft(withCkpt(st("0", 0, 8), 8, "ffff")), pbft(withCkpt(st("0", 1, 8), 8, "aaaa")),
+				pbft(withCkpt(st("0", 2, 8), 8, "aaaa")), pbft(st("0", 3, 6))},
+			1, []int{0},
+		},
+	} {
+		w, _ := newTestWatcher(t, &feed{scrapes: [][]obs.Status{c.scrape}})
+		rep := w.Scrape(context.Background())
+		if len(rep.Violations) != 1 {
+			t.Fatalf("%s: violations = %v", name, rep.Violations)
+		}
+		ev := ckptEvidence(t, rep.Violations[0])
+		if ev.F != c.f || fmt.Sprint(ev.Diverging) != fmt.Sprint(c.blame) {
+			t.Fatalf("%s: f = %d, blame %v; want %d, %v", name, ev.F, ev.Diverging, c.f, c.blame)
+		}
+		if undetermined := strings.Contains(rep.Violations[0].Detail, "blame undetermined"); undetermined != (len(c.blame) == 0) {
+			t.Fatalf("%s: detail %q", name, rep.Violations[0].Detail)
+		}
 	}
 }
 
