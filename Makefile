@@ -51,13 +51,14 @@ test:
 	$(GO) test -race -shuffle=on ./...
 
 # race re-runs just the concurrency regression tests (transport send/close
-# races, queue semantics, registry snapshot consistency) and the replica
+# races, queue semantics, registry snapshot consistency), the replica
 # engine's tests (single-goroutine by contract: a report there means the
-# engine grew a goroutine or a test shares a rig) under the race detector
-# with caching disabled.
+# engine grew a goroutine or a test shares a rig) and the replica loop's
+# (its receive and run goroutines, Close, the Status round trip) under the
+# race detector with caching disabled.
 race:
 	$(GO) test -race -count=5 \
-		-run 'TestSelfSend|TestConcurrentSendClose|TestSendCloseRaceWindow|TestHelloWriteDeadline|TestQueue|TestSnapshotConsistentUnderConcurrentWriters|TestLabeledConcurrentScrape|TestEngine' \
+		-run 'TestSelfSend|TestConcurrentSendClose|TestSendCloseRaceWindow|TestHelloWriteDeadline|TestQueue|TestSnapshotConsistentUnderConcurrentWriters|TestLabeledConcurrentScrape|TestEngine|TestLoop' \
 		./internal/tcpnet/ ./internal/syncx/ ./internal/obs/ ./internal/smr/
 
 # soak repeats the fault-injection soak (lossy links, rolling partitions,

@@ -65,9 +65,7 @@ func expB12(ops int, rep *report) error {
 			for g, group := range sc.Groups {
 				providers := make([]obs.StatusProvider, 0, len(group.Replicas))
 				for _, r := range group.Replicas {
-					if sp := cluster.StatusProvider(r); sp != nil {
-						providers = append(providers, sp)
-					}
+					providers = append(providers, r)
 				}
 				sources = append(sources, watch.Local(strconv.Itoa(g), providers...))
 			}

@@ -304,10 +304,8 @@ func runReplica(m types.Membership, self types.ProcessID, g int, cfg tcpnet.Conf
 	if reg != nil {
 		opts := []obs.HandlerOption{
 			obs.WithSpans(spans),
-			obs.WithReadinessDetail(cluster.ReadinessDetail(rep)),
-		}
-		if sp := cluster.StatusProvider(rep); sp != nil {
-			opts = append(opts, obs.WithStatus(strconv.Itoa(g), sp))
+			obs.WithReadinessDetail(rep.ReadyReason),
+			obs.WithStatus(strconv.Itoa(g), rep),
 		}
 		handler := obs.Handler(reg, opts...)
 		go func() {

@@ -56,7 +56,7 @@ func TestHealthAndReadinessEndpoints(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		opts := []minbft.Option{minbft.WithRequestTimeout(5 * time.Second)}
 		if i == 0 {
-			opts = append(opts, minbft.WithTracer(tracing.NewTracer("r0", 1, spans)))
+			opts = append(opts, minbft.WithEngineConfig(smr.EngineConfig{Tracer: tracing.NewTracer("r0", 1, spans)}))
 		}
 		rep, err := minbft.New(m, nets[i], universe.Devices[i], universe.Verifier, kvstore.New(), opts...)
 		if err != nil {

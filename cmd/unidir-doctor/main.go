@@ -107,11 +107,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for g, group := range sc.Groups {
 			providers := make([]obs.StatusProvider, 0, len(group.Replicas))
 			for i, rep := range group.Replicas {
-				sp := cluster.StatusProvider(rep)
-				if sp == nil {
-					fmt.Fprintf(stderr, "unidir-doctor: shard %d replica %d has no status surface\n", g, i)
-					return 2
-				}
+				var sp obs.StatusProvider = rep
 				if g == 0 && i == *forge {
 					sp = byz.ForgeCheckpointDigest(sp)
 				}

@@ -70,7 +70,7 @@ func TestMinBFTSurvivesSpamAndReplay(t *testing.T) {
 	for i := 0; i < 3; i++ { // replicas 0..2 correct
 		logs[i] = &smr.ExecutionLog{}
 		rep, err := minbft.New(m, net.Endpoint(types.ProcessID(i)), tu.Devices[i], tu.Verifier,
-			kvstore.New(), minbft.WithRequestTimeout(2*time.Second), minbft.WithExecutionLog(logs[i]))
+			kvstore.New(), minbft.WithRequestTimeout(2*time.Second), minbft.WithEngineConfig(smr.EngineConfig{ExecutionLog: logs[i]}))
 		if err != nil {
 			t.Fatalf("minbft.New: %v", err)
 		}

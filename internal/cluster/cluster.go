@@ -226,50 +226,19 @@ func (k *Keys) Persist(self types.ProcessID, dataDir string, logger *slog.Logger
 	return counters, nil
 }
 
-// Replica is a running group member, protocol-agnostic.
+// Replica is a running group member, protocol-agnostic: both protocols
+// answer readiness probes and status requests through the same replica loop
+// (smr.Loop).
 type Replica interface {
 	Close() error
+	// ReadyReason reports whether the replica is serving normally and, if
+	// not, why (for /readyz bodies). Safe from any goroutine.
+	ReadyReason() (bool, string)
+	obs.StatusProvider
 }
 
-// Readiness returns r's readiness probe: MinBFT replicas report whether
-// they have an operational view, protocols without a probe report always
-// ready.
-func Readiness(r Replica) func() bool {
-	type readier interface{ Ready() bool }
-	if rr, ok := r.(readier); ok {
-		return rr.Ready
-	}
-	return func() bool { return true }
-}
-
-// ReadinessDetail returns r's readiness probe with the failing-probe name
-// (for /readyz reason bodies): MinBFT replicas distinguish view changes
-// from state transfers; protocols with only a boolean probe report a
-// generic reason; protocols without one report always ready.
-func ReadinessDetail(r Replica) func() (bool, string) {
-	type detailed interface{ ReadyReason() (bool, string) }
-	if rr, ok := r.(detailed); ok {
-		return rr.ReadyReason
-	}
-	if probe := Readiness(r); probe != nil {
-		return func() (bool, string) {
-			if !probe() {
-				return false, "replica not ready"
-			}
-			return true, ""
-		}
-	}
-	return func() (bool, string) { return true, "" }
-}
-
-// StatusProvider returns r as an obs.StatusProvider when the protocol
-// implements one (both minbft and pbft do), or nil.
-func StatusProvider(r Replica) obs.StatusProvider {
-	if sp, ok := r.(obs.StatusProvider); ok {
-		return sp
-	}
-	return nil
-}
+// StatusProvider returns r's status provider (every Replica is one).
+func StatusProvider(r Replica) obs.StatusProvider { return r }
 
 // engineConfig is the one translation from a Spec to the settings both
 // protocols share. Values pass through verbatim: Spec spells "default" and

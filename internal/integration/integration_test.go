@@ -62,7 +62,7 @@ func TestMinBFTOverTCP(t *testing.T) {
 	for i := 0; i < n; i++ {
 		logs[i] = &smr.ExecutionLog{}
 		replicas[i], err = minbft.New(m, nets[i], tu.Devices[i], tu.Verifier, kvstore.New(),
-			minbft.WithRequestTimeout(2*time.Second), minbft.WithExecutionLog(logs[i]))
+			minbft.WithRequestTimeout(2*time.Second), minbft.WithEngineConfig(smr.EngineConfig{ExecutionLog: logs[i]}))
 		if err != nil {
 			t.Fatalf("minbft.New: %v", err)
 		}
@@ -287,8 +287,8 @@ func TestPipelinedClientBatchedMinBFTOverTCP(t *testing.T) {
 	for i := 0; i < n; i++ {
 		logs[i] = &smr.ExecutionLog{}
 		replicas[i], err = minbft.New(m, nets[i], tu.Devices[i], tu.Verifier, kvstore.New(),
-			minbft.WithRequestTimeout(2*time.Second), minbft.WithBatchSize(8),
-			minbft.WithExecutionLog(logs[i]))
+			minbft.WithRequestTimeout(2*time.Second),
+			minbft.WithEngineConfig(smr.EngineConfig{BatchSize: 8, ExecutionLog: logs[i]}))
 		if err != nil {
 			t.Fatalf("minbft.New: %v", err)
 		}

@@ -67,7 +67,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	replicas := make([]*minbft.Replica, n)
 	for i := 0; i < n; i++ {
 		replicas[i], err = minbft.New(m, nets[i], tu.Devices[i], tu.Verifier, kvstore.New(),
-			minbft.WithRequestTimeout(5*time.Second), minbft.WithMetrics(reg))
+			minbft.WithRequestTimeout(5*time.Second), minbft.WithEngineConfig(smr.EngineConfig{Metrics: reg}))
 		if err != nil {
 			t.Fatalf("minbft.New: %v", err)
 		}

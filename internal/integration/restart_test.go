@@ -63,15 +63,10 @@ func TestMinBFTCrashRestartOverTCP(t *testing.T) {
 		if err := dev.Persist(cs); err != nil {
 			t.Fatalf("Persist: %v", err)
 		}
-		opts := []minbft.Option{
-			minbft.WithRequestTimeout(2 * time.Second),
-			minbft.WithCheckpointInterval(interval),
-			minbft.WithDataDir(dirs[i]),
-		}
-		if log != nil {
-			opts = append(opts, minbft.WithExecutionLog(log))
-		}
-		rep, err := minbft.New(m, tr, dev, tu.Verifier, kvstore.New(), opts...)
+		rep, err := minbft.New(m, tr, dev, tu.Verifier, kvstore.New(),
+			minbft.WithRequestTimeout(2*time.Second),
+			minbft.WithEngineConfig(smr.EngineConfig{CheckpointInterval: interval, ExecutionLog: log}),
+			minbft.WithDataDir(dirs[i]))
 		if err != nil {
 			t.Fatalf("minbft.New(%d): %v", i, err)
 		}

@@ -40,7 +40,7 @@ func checkNoDoubleExecution(t *testing.T, h *harness, skip map[int]bool) {
 func TestBatchedBurstCommits(t *testing.T) {
 	// A burst from several clients against a batching primary: everything
 	// commits, no request executes twice, logs agree.
-	h := newHarness(t, 3, 1, 4, 2*time.Second, minbft.WithBatchSize(8))
+	h := newHarness(t, 3, 1, 4, 2*time.Second, smr.EngineConfig{BatchSize: 8})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	var wg sync.WaitGroup
@@ -81,7 +81,7 @@ func TestBatchedViewChangeNoLossNoDouble(t *testing.T) {
 	// Clients push batched traffic while the primary is crashed mid-stream.
 	// The view change must re-propose every pending batch under the new
 	// primary without losing or double-executing a single request.
-	h := newHarness(t, 3, 1, 3, 150*time.Millisecond, minbft.WithBatchSize(8))
+	h := newHarness(t, 3, 1, 3, 150*time.Millisecond, smr.EngineConfig{BatchSize: 8})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	var wg sync.WaitGroup
@@ -146,7 +146,7 @@ func TestWatchdogStateBoundedByPending(t *testing.T) {
 		ops    = 20000
 		window = 64
 	)
-	h := newHarness(t, 3, 1, 1, 5*time.Second, minbft.WithBatchSize(64))
+	h := newHarness(t, 3, 1, 1, 5*time.Second, smr.EngineConfig{BatchSize: 64})
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	id := types.ProcessID(h.m.N)

@@ -49,7 +49,7 @@ func logContainsOp(t *testing.T, log *smr.ExecutionLog, op []byte) bool {
 
 func TestCheckpointGCBoundsState(t *testing.T) {
 	const interval = 4
-	h := newHarness(t, 3, 1, 1, 2*time.Second, minbft.WithCheckpointInterval(interval))
+	h := newHarness(t, 3, 1, 1, 2*time.Second, smr.EngineConfig{CheckpointInterval: interval})
 	kv := h.client(0)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -85,7 +85,7 @@ func TestCheckpointGCBoundsState(t *testing.T) {
 
 func TestStateTransferAfterGC(t *testing.T) {
 	const interval = 2
-	h := newHarness(t, 3, 1, 1, 2*time.Second, minbft.WithCheckpointInterval(interval))
+	h := newHarness(t, 3, 1, 1, 2*time.Second, smr.EngineConfig{CheckpointInterval: interval})
 	kv := h.client(0)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -150,7 +150,7 @@ func TestBoundedHeapLongRun(t *testing.T) {
 		window   = 32
 	)
 	h := newHarness(t, 3, 1, 1, 5*time.Second,
-		minbft.WithCheckpointInterval(interval), minbft.WithBatchSize(8))
+		smr.EngineConfig{CheckpointInterval: interval, BatchSize: 8})
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 

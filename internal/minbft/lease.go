@@ -46,9 +46,9 @@ func (r *Replica) renewLease() {
 	}
 	if !r.renewArmed {
 		r.renewArmed = true
-		r.deadlines.After(r.leaseTerm/2, timerEvent{kind: 'l'})
+		r.loop.After(r.leaseTerm/2, timerEvent{kind: 'l'})
 	}
-	now := time.Now()
+	now := r.loop.Now()
 	ui, err := r.attestAndSend(kindLeaseRequest, encodeLeaseRequestBody(r.view))
 	if err != nil {
 		return
@@ -94,7 +94,7 @@ func (r *Replica) handleLeaseRequest(from types.ProcessID, msg peerMsg) {
 	if r.deferredVC > r.view {
 		return // refusing to extend the lease we are waiting out
 	}
-	r.promiseGrant(time.Now())
+	r.promiseGrant(r.loop.Now())
 	// Grants are broadcast, not sent point-to-point: every attested message
 	// must reach every peer or their cursor for our trinket would gap.
 	if _, err := r.attestAndSend(kindLeaseGrant, encodeLeaseGrantBody(view, msg.ui.Seq)); err != nil {
@@ -125,10 +125,10 @@ func (r *Replica) grantExpired() {
 	if r.deferredVC <= r.view || r.inVC {
 		return
 	}
-	if hold := time.Until(r.grantUntil); hold > 0 {
+	if hold := r.grantUntil.Sub(r.loop.Now()); hold > 0 {
 		// A renewal landed while the timer was in flight; wait it out too.
 		r.grantTimerArmed = true
-		r.deadlines.After(hold, timerEvent{kind: 'g'})
+		r.loop.After(hold, timerEvent{kind: 'g'})
 		return
 	}
 	target := r.deferredVC

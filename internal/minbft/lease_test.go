@@ -79,7 +79,7 @@ func TestLeasedReadFastPath(t *testing.T) {
 // read/write paths.
 func TestLeaseRevocationNoStaleRead(t *testing.T) {
 	h := newHarness(t, 3, 1, 2, 500*time.Millisecond,
-		minbft.WithLeaseTerm(100*time.Millisecond))
+		smr.EngineConfig{LeaseTerm: 100 * time.Millisecond})
 	writer := h.client(0)
 	reader := h.pipe(1, 100*time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -157,7 +157,7 @@ func TestLeaseRevocationNoStaleRead(t *testing.T) {
 // The long pipeline retry below keeps retransmits from masking a strand.
 func TestLeasedReadsSurviveCheckpointGC(t *testing.T) {
 	h := newHarness(t, 3, 1, 1, 2*time.Second,
-		minbft.WithCheckpointInterval(2), minbft.WithBatchSize(1))
+		smr.EngineConfig{CheckpointInterval: 2, BatchSize: 1})
 	kv := h.pipe(0, 30*time.Second)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()

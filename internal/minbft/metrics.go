@@ -3,22 +3,14 @@ package minbft
 // Metrics: the ordering core's obs instrumentation; the series MinBFT shares
 // with PBFT (batches, requests, batch size and wait, commit latency, sheds,
 // pending depth, pacing, lease rounds, reads, checkpoints and state
-// transfers) are the engine's (smr/engine_obs.go). Everything here is optional — without WithMetrics
-// every handle below stays nil and each recording site is a nil-check (see
-// internal/obs), so the protocol pays nothing.
+// transfers) are the engine's (smr/engine_obs.go). Everything here is
+// optional — without EngineConfig.Metrics every handle below stays nil and
+// each recording site is a nil-check (see internal/obs), so the protocol pays
+// nothing.
 
 import (
 	"unidir/internal/obs"
 )
-
-// WithMetrics publishes replica metrics into reg, labelled by replica ID:
-// batches/requests proposed and executed, batch sizes, commit latency,
-// slots in flight, view changes, checkpoint/GC/state-transfer counts, and a
-// per-replica trace ring of protocol events (view changes, checkpoints,
-// state transfers, restarts).
-func WithMetrics(reg *obs.Registry) Option {
-	return func(c *config) { c.Metrics = reg }
-}
 
 // metrics holds the core's metric handles; the zero value (all nil) is a
 // fully functional no-op.

@@ -23,9 +23,9 @@
 //	result vouched for by f+1 replicas.
 //
 // The primary batches: all requests pending when a proposal slot frees are
-// packed into one PREPARE (capped by WithBatchSize), so the USIG
-// attestation, the O(n) broadcast, and the f+1 quorum certificate are paid
-// once per batch rather than once per request. A batch occupies exactly one
+// packed into one PREPARE (capped by smr.EngineConfig.BatchSize), so the
+// USIG attestation, the O(n) broadcast, and the f+1 quorum certificate are
+// paid once per batch rather than once per request. A batch occupies exactly one
 // slot in the total order; requests inside it execute in their in-batch
 // order, each still deduplicated by the per-client table, so batching
 // changes the amortization, not the properties (DESIGN.md §5).
@@ -60,27 +60,20 @@
 package minbft
 
 import (
-	"context"
 	"crypto/sha256"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"unidir/internal/obs"
 	"unidir/internal/obs/tracing"
 	"unidir/internal/smr"
-	"unidir/internal/syncx"
 	"unidir/internal/transport"
 	"unidir/internal/trusted/trinc"
 	"unidir/internal/types"
 	"unidir/internal/wire"
 )
-
-// ErrClosed reports use of a closed replica.
-var ErrClosed = errors.New("minbft: replica closed")
 
 // config is what the options fill in: the settings shared with PBFT
 // (smr.EngineConfig, which documents and defaults them) plus MinBFT's own.
@@ -93,8 +86,9 @@ type config struct {
 // Option configures a Replica.
 type Option func(*config)
 
-// WithEngineConfig sets every shared setting at once (internal/cluster
-// translates a Spec into one); the other options below set single fields.
+// WithEngineConfig sets every setting MinBFT shares with PBFT: batching,
+// pacing, admission, leases, checkpoints, metrics, tracing and the execution
+// log (internal/cluster translates a Spec into one).
 func WithEngineConfig(cfg smr.EngineConfig) Option {
 	return func(c *config) { c.EngineConfig = cfg }
 }
@@ -103,49 +97,6 @@ func WithEngineConfig(cfg smr.EngineConfig) Option {
 // replica initiates a view change (default 500ms).
 func WithRequestTimeout(d time.Duration) Option {
 	return func(c *config) { c.reqTimeout = d }
-}
-
-// WithExecutionLog attaches a log capturing every applied command, for
-// cross-replica consistency checking in tests.
-func WithExecutionLog(l *smr.ExecutionLog) Option {
-	return func(c *config) { c.ExecutionLog = l }
-}
-
-// WithBatchSize caps how many pending requests the primary packs into one
-// PREPARE (smr.EngineConfig.BatchSize).
-func WithBatchSize(k int) Option {
-	return func(c *config) { c.BatchSize = k }
-}
-
-// WithBatchDeadline bounds how long a partial batch is held open
-// (smr.EngineConfig.BatchDeadline).
-func WithBatchDeadline(d time.Duration) Option {
-	return func(c *config) { c.BatchDeadline = d }
-}
-
-// WithAdmission sets the replica's admission bounds
-// (smr.EngineConfig.Admission).
-func WithAdmission(cfg smr.AdmissionConfig) Option {
-	return func(c *config) { c.Admission = &cfg }
-}
-
-// WithProposalPacing sets the peer send-queue depth past which the primary
-// defers proposing (smr.EngineConfig.PaceDepth); it paces on f peers, the
-// commits a batch needs.
-func WithProposalPacing(depth int) Option {
-	return func(c *config) { c.PaceDepth = depth }
-}
-
-// WithLeaseTerm sets the leader-lease term for the linearizable read fast
-// path (smr.EngineConfig.LeaseTerm; lease.go).
-func WithLeaseTerm(d time.Duration) Option {
-	return func(c *config) { c.LeaseTerm = d }
-}
-
-// WithCheckpointInterval sets how many executed batches separate
-// checkpoints (smr.EngineConfig.CheckpointInterval; checkpoint.go).
-func WithCheckpointInterval(k int) Option {
-	return func(c *config) { c.CheckpointInterval = k }
 }
 
 // WithDataDir makes the replica crash-restart capable: the latest stable
@@ -159,36 +110,23 @@ func WithDataDir(dir string) Option {
 	return func(c *config) { c.dataDir = dir }
 }
 
-// WithTracer attaches a distributed tracer. Spans land in the tracer's
-// SpanBuffer; the harness collector (internal/harness) merges buffers across
-// replicas into per-request latency breakdowns.
-func WithTracer(t *tracing.Tracer) Option {
-	return func(c *config) { c.Tracer = t }
-}
-
 // Replica is one MinBFT replica: the ordering core of an smr.Engine. The
 // engine owns the request, read, reply and tracing planes; what is here is
 // what the trusted counter changes — UI-authenticated messages processed in
 // counter order, f+1 quorums over two phases, view change, the lease
-// protocol, checkpoint votes. Create with New, stop with Close.
+// protocol, checkpoint votes. The smr.Loop drives both. Create with New,
+// stop with Close.
 type Replica struct {
-	m   types.Membership
-	tr  transport.Transport
-	dev *trinc.Device
-	ver *trinc.Verifier
-	eng *smr.Engine
+	m    types.Membership
+	tr   transport.Transport
+	dev  *trinc.Device
+	ver  *trinc.Verifier
+	eng  *smr.Engine
+	loop *smr.Loop[timerEvent] // every timeout below, on one runtime timer
 
 	reqTimeout time.Duration
 
-	events    *syncx.Queue[event]
-	wg        sync.WaitGroup
-	cancel    context.CancelFunc
-	closeOnce sync.Once
-
-	mu sync.Mutex // guards view, for the View accessor
-
 	// State below is owned by the run goroutine.
-	deadlines  *smr.Deadlines[timerEvent] // every timeout below, on one runtime timer
 	view       types.View
 	inVC       bool       // view change in progress
 	targetView types.View // view being changed to while inVC
@@ -227,12 +165,13 @@ type Replica struct {
 	statsMu sync.Mutex
 	fp      Footprint
 
-	mx     metrics         // all-nil (free no-ops) without WithMetrics
-	tracer *tracing.Tracer // for the ui-attest span; nil without WithTracer
+	mx     metrics         // all-nil (free no-ops) without EngineConfig.Metrics
+	tracer *tracing.Tracer // for the ui-attest span; nil without EngineConfig.Tracer
 
-	// Readiness mirror of inVC, readable off the run goroutine (Ready, the
-	// /readyz endpoint); the engine mirrors state transfer (Fetching).
-	rdyVC atomic.Bool
+	// Mirrors of view and inVC, readable off the run goroutine (View, Ready,
+	// the stale Status); the engine mirrors state transfer (Fetching).
+	viewMirror atomic.Uint64
+	rdyVC      atomic.Bool
 }
 
 type entryKey struct {
@@ -257,16 +196,11 @@ type peerMsg struct {
 	tc   tracing.Context // trace context the message arrived with
 }
 
-type event struct {
-	env    *transport.Envelope
-	tick   bool            // a queued deadline has passed: drain r.deadlines
-	status chan obs.Status // introspection request; answered on the run goroutine (status.go)
-}
-
-// timerEvent is one entry of r.deadlines. Request watchdogs ('t') ride the
-// Watch lane — reqTimeout is their one duration — and the rest use After.
+// timerEvent is one of the core's timeouts on r.loop. Request watchdogs ('t')
+// ride the Watch lane — reqTimeout is their one duration — and the rest use
+// After.
 type timerEvent struct {
-	kind    byte // 't' request timeout, 'v' view-change timeout, 'f' fetch, 'e' engine timer, 'l' lease renewal, 'g' grantor-promise expiry
+	kind    byte // 't' request timeout, 'v' view-change timeout, 'f' fetch, 'l' lease renewal, 'g' grantor-promise expiry
 	pending smr.RequestID
 	view    types.View
 	peer    types.ProcessID // fetch target trinket
@@ -302,7 +236,6 @@ func New(m types.Membership, tr transport.Transport, dev *trinc.Device, ver *tri
 		ver:        ver,
 		reqTimeout: cfg.reqTimeout,
 		tracer:     cfg.Tracer,
-		events:     syncx.NewQueue[event](),
 		lastUI:     make(map[types.ProcessID]types.SeqNum),
 		uiBuffer:   make(map[types.ProcessID]map[types.SeqNum]peerMsg),
 		msgStore:   make(map[types.ProcessID]map[types.SeqNum]peerMsg),
@@ -310,13 +243,17 @@ func New(m types.Membership, tr transport.Transport, dev *trinc.Device, ver *tri
 		vcVotes:    make(map[types.View]map[types.ProcessID]signedVC),
 		gcVoteSeqs: make(map[types.ProcessID]types.SeqNum),
 	}
-	r.deadlines = smr.NewDeadlines[timerEvent](smr.SystemClock, func() { r.events.Push(event{tick: true}) })
 	r.initMetrics(cfg.Metrics)
 	// Pacing waits on f peers, the commits a batch needs. A lease takes
 	// grants from all n replicas: the f+1 minimum is not Byzantine-safe here
 	// (DESIGN.md §8). f+1 attested checkpoint votes make a certificate.
 	r.eng = smr.NewEngine("minbft", orderer{r}, tr, sm, smr.SystemClock,
 		m.Others(tr.Self()), m.F, m.N, m.FPlusOne(), cfg.dataDir, cfg.EngineConfig)
+	var prewarm func([]byte)
+	if ver.Concurrent() {
+		prewarm = r.prewarm
+	}
+	r.loop = smr.NewLoop[timerEvent](r.eng, orderer{r}, prewarm)
 	r.leaseTerm = r.eng.LeaseTerm()
 	loaded, err := r.eng.LoadCheckpoint()
 	if err != nil {
@@ -325,34 +262,21 @@ func New(m types.Membership, tr transport.Transport, dev *trinc.Device, ver *tri
 	// A trinket that attested before this process started makes this a
 	// rehydrated restart even without a checkpoint on disk.
 	r.announceRestart = loaded || dev.LastAttested(usigCounter) > 0
-	ctx, cancel := context.WithCancel(context.Background())
-	r.cancel = cancel
-	r.wg.Add(2)
-	go r.recvLoop(ctx)
-	go r.run(ctx)
+	r.loop.Start()
 	return r, nil
 }
 
 // Self returns the replica's process ID.
 func (r *Replica) Self() types.ProcessID { return r.tr.Self() }
 
-// View returns the replica's current view (for tests and monitoring).
-func (r *Replica) View() types.View {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.view
-}
+// View returns the replica's current view (for tests and monitoring). Safe
+// from any goroutine.
+func (r *Replica) View() types.View { return types.View(r.viewMirror.Load()) }
 
 // Close stops the replica's goroutines and then its timer plane, so nothing
 // fires once Close has returned.
 func (r *Replica) Close() error {
-	r.closeOnce.Do(func() {
-		r.cancel()
-		r.events.Close()
-		_ = r.tr.Close()
-		r.wg.Wait()
-		r.deadlines.Stop() // the run goroutine, its only other user, has exited
-	})
+	r.loop.Close()
 	return nil
 }
 
@@ -360,33 +284,27 @@ func (r *Replica) Close() error {
 // however many timeouts are queued, zero after Close (exposed for tests and
 // monitoring).
 func (r *Replica) PendingTimers() int {
-	if r.deadlines.Armed() {
+	if r.loop.Armed() {
 		return 1
 	}
 	return 0
 }
 
-func (r *Replica) recvLoop(ctx context.Context) {
-	defer r.wg.Done()
-	verifyAhead := r.ver.Concurrent()
-	for {
-		env, err := r.tr.Recv(ctx)
-		if err != nil {
-			return
-		}
-		if verifyAhead {
-			r.prewarm(env.Payload)
-		}
-		e := env
-		r.events.Push(event{env: &e})
+// Start is the loop's first act on the run goroutine: a restarted replica
+// announces its counter jump, and the view-0 leader solicits its first lease
+// so the read fast path is live before the first read arrives.
+func (r orderer) Start() {
+	if r.announceRestart {
+		r.sendRestart()
 	}
+	r.renewLease()
 }
 
-// prewarm verifies a replica message's UI before the run goroutine sees it,
-// overlapping crypto with protocol processing when a spare core exists.
-// Purely an optimization: the result is ignored (failures are
-// negative-cached, also cheap to re-hit) and the authoritative check in
-// ingestReplicaMsg re-verifies through the cache.
+// prewarm verifies a replica message's UI on the loop's receive goroutine,
+// before the run goroutine sees it, overlapping crypto with protocol
+// processing when a spare core exists. Purely an optimization: the result is
+// ignored (failures are negative-cached, also cheap to re-hit) and the
+// authoritative check in ingestReplicaMsg re-verifies through the cache.
 func (r *Replica) prewarm(payload []byte) {
 	kind, body, ui, err := decodeEnvelope(payload)
 	if err != nil || ui == nil || kind == kindRequest || kind == kindFetch || kind == kindFetchResp {
@@ -404,36 +322,6 @@ func (r *Replica) checkUI(ui trinc.Attestation, kind byte, body []byte) error {
 	err := r.ver.CheckMessage(ui, e.Bytes())
 	wire.PutEncoder(e)
 	return err
-}
-
-func (r *Replica) run(ctx context.Context) {
-	defer r.wg.Done()
-	if r.announceRestart {
-		r.sendRestart()
-	}
-	// The view-0 leader solicits its first lease up front so the read fast
-	// path is live before the first read arrives.
-	r.renewLease()
-	for {
-		// Draining the whole backlog per wakeup lets read replies produced
-		// while processing one burst coalesce into one frame per client
-		// (FlushReads) instead of one frame per read.
-		evs, err := r.events.PopAll(ctx)
-		if err != nil {
-			return
-		}
-		for _, ev := range evs {
-			switch {
-			case ev.env != nil:
-				r.handleEnvelope(*ev.env)
-			case ev.tick:
-				r.deadlines.Due(r.handleTimer)
-			case ev.status != nil:
-				ev.status <- r.buildStatus()
-			}
-		}
-		r.eng.FlushReads()
-	}
 }
 
 // --- sending helpers ---
@@ -472,7 +360,8 @@ func (r *Replica) attestAndSendTraced(kind byte, body []byte, span *tracing.Acti
 
 // --- receive path ---
 
-func (r *Replica) handleEnvelope(env transport.Envelope) {
+// HandleEnvelope decodes and dispatches one message the loop received.
+func (r orderer) HandleEnvelope(env transport.Envelope) {
 	kind, body, ui, err := decodeEnvelope(env.Payload)
 	if err != nil {
 		return
@@ -605,7 +494,7 @@ func (r *Replica) storeMsg(from types.ProcessID, seq types.SeqNum, msg peerMsg) 
 // scheduleFetch arms a delayed gap-fill query for (peer, seq); if the gap
 // closes on its own (late direct delivery) the fire is a no-op.
 func (r *Replica) scheduleFetch(peer types.ProcessID, seq types.SeqNum) {
-	r.deadlines.After(r.reqTimeout/4, timerEvent{kind: 'f', peer: peer, seq: seq})
+	r.loop.After(r.reqTimeout/4, timerEvent{kind: 'f', peer: peer, seq: seq})
 }
 
 func (r *Replica) handleFetch(from types.ProcessID, body []byte) {
@@ -654,8 +543,8 @@ func (r *Replica) handleRequest(req smr.Request, tc tracing.Context) {
 		return
 	}
 	// Arm the liveness watchdog for this request.
-	r.deadlines.Watch(r.reqTimeout, timerEvent{kind: 't', pending: req.ID(), view: r.view})
-	r.mx.watchdogs.Set(int64(r.deadlines.Watched()))
+	r.loop.Watch(r.reqTimeout, timerEvent{kind: 't', pending: req.ID(), view: r.view})
+	r.mx.watchdogs.Set(int64(r.loop.Watched()))
 	r.eng.MaybePropose()
 }
 
@@ -670,14 +559,13 @@ func (r *Replica) watchdogLive(te timerEvent) bool {
 // behind it — tracks the oldest request still pending, and watchdog state is
 // O(len(pending)), not O(arrival rate × reqTimeout).
 func (r *Replica) pruneWatchdogs() {
-	r.deadlines.Prune(r.watchdogLive)
-	r.mx.watchdogs.Set(int64(r.deadlines.Watched()))
+	r.loop.Prune(r.watchdogLive)
+	r.mx.watchdogs.Set(int64(r.loop.Watched()))
 }
 
-func (r *Replica) handleTimer(te timerEvent) {
+// HandleTimer handles one of the core's timeouts the loop found due.
+func (r orderer) HandleTimer(te timerEvent) {
 	switch te.kind {
-	case 'e':
-		r.eng.TimerFired()
 	case 't':
 		if r.watchdogLive(te) && !r.inVC {
 			r.startViewChange(r.view + 1)
@@ -695,7 +583,7 @@ func (r *Replica) handleTimer(te timerEvent) {
 		_ = transport.Broadcast(r.tr, r.m.Others(r.Self()), encodeEnvelope(kindFetch, body, nil))
 		next := te
 		next.retries++
-		r.deadlines.After(r.reqTimeout/2, next)
+		r.loop.After(r.reqTimeout/2, next)
 	case 'l':
 		r.renewArmed = false
 		r.renewLease()
@@ -872,13 +760,13 @@ func (r *Replica) startViewChange(target types.View) {
 	// deferred we also refuse new grants (handleLeaseRequest), so the
 	// primary's lease runs out within one term and the 'g' timer resumes
 	// the view change.
-	if hold := time.Until(r.grantUntil); hold > 0 && r.leaseTerm > 0 {
+	if hold := r.grantUntil.Sub(r.loop.Now()); hold > 0 && r.leaseTerm > 0 {
 		if target > r.deferredVC {
 			r.deferredVC = target
 		}
 		if !r.grantTimerArmed {
 			r.grantTimerArmed = true
-			r.deadlines.After(hold, timerEvent{kind: 'g'})
+			r.loop.After(hold, timerEvent{kind: 'g'})
 		}
 		return
 	}
@@ -896,7 +784,7 @@ func (r *Replica) startViewChange(target types.View) {
 	}
 	r.recordVC(r.Self(), signedVC{Sender: r.Self(), Body: body, UI: ui})
 	// If the view change stalls (for example a faulty new primary), move on.
-	r.deadlines.After(4*r.reqTimeout, timerEvent{kind: 'v', view: target})
+	r.loop.After(4*r.reqTimeout, timerEvent{kind: 'v', view: target})
 }
 
 func (r *Replica) handleViewChange(from types.ProcessID, msg peerMsg) {
@@ -1082,11 +970,9 @@ func (r *Replica) installView(nv newView, raw []byte) {
 		}
 	}
 
-	// Enter the new view with a clean per-view slate. (r.view is guarded
-	// for the View() accessor; all other access is run-goroutine-local.)
-	r.mu.Lock()
+	// Enter the new view with a clean per-view slate.
 	r.view = nv.NewView
-	r.mu.Unlock()
+	r.viewMirror.Store(uint64(nv.NewView))
 	r.mx.view.Set(int64(nv.NewView))
 	r.mx.openSlots.Set(0)
 	r.mx.trace.Record("new-view", "installed view %d (%d union entries)", nv.NewView, len(union))
@@ -1125,7 +1011,7 @@ func (r *Replica) installView(nv newView, raw []byte) {
 	// watch each afresh, then drop the old view's watchdogs, which sit ahead
 	// of these on the lane and can no longer demand anything.
 	r.eng.RangePending(func(id smr.RequestID) {
-		r.deadlines.Watch(r.reqTimeout, timerEvent{kind: 't', pending: id, view: r.view})
+		r.loop.Watch(r.reqTimeout, timerEvent{kind: 't', pending: id, view: r.view})
 	})
 	r.pruneWatchdogs()
 }

@@ -30,15 +30,15 @@ type harness struct {
 	metrics  *obs.Registry // shared by every replica
 }
 
-func newHarness(t *testing.T, n, f, clients int, timeout time.Duration, opts ...minbft.Option) *harness {
+func newHarness(t *testing.T, n, f, clients int, timeout time.Duration, cfg ...smr.EngineConfig) *harness {
 	t.Helper()
-	return newHarnessOn(t, n, f, clients, timeout, nil, opts...)
+	return newHarnessOn(t, n, f, clients, timeout, nil, cfg...)
 }
 
 // newHarnessOn is newHarness with each replica's endpoint passed through
 // wrap first (nil: used as is), for tests that fake a transport capability.
 func newHarnessOn(t *testing.T, n, f, clients int, timeout time.Duration,
-	wrap func(i int, tr transport.Transport) transport.Transport, opts ...minbft.Option) *harness {
+	wrap func(i int, tr transport.Transport) transport.Transport, cfg ...smr.EngineConfig) *harness {
 	t.Helper()
 	m, err := types.NewMembership(n, f)
 	if err != nil {
@@ -69,13 +69,17 @@ func newHarnessOn(t *testing.T, n, f, clients int, timeout time.Duration,
 	for i := 0; i < n; i++ {
 		h.stores[i] = kvstore.New()
 		h.logs[i] = &smr.ExecutionLog{}
-		all := append([]minbft.Option{minbft.WithRequestTimeout(timeout),
-			minbft.WithExecutionLog(h.logs[i]), minbft.WithMetrics(h.metrics)}, opts...)
+		var c smr.EngineConfig
+		if len(cfg) > 0 {
+			c = cfg[0]
+		}
+		c.ExecutionLog, c.Metrics = h.logs[i], h.metrics
 		var tr transport.Transport = net.Endpoint(types.ProcessID(i))
 		if wrap != nil {
 			tr = wrap(i, tr)
 		}
-		rep, err := minbft.New(m, tr, tu.Devices[i], tu.Verifier, h.stores[i], all...)
+		rep, err := minbft.New(m, tr, tu.Devices[i], tu.Verifier, h.stores[i],
+			minbft.WithRequestTimeout(timeout), minbft.WithEngineConfig(c))
 		if err != nil {
 			t.Fatalf("minbft.New: %v", err)
 		}

@@ -50,7 +50,8 @@ func newByzPrimaryFixture(t *testing.T, opts ...Option) *byzPrimaryFixture {
 	fix := &byzPrimaryFixture{m: m, net: net, tu: tu}
 	for i := 1; i <= 2; i++ {
 		log := &smr.ExecutionLog{}
-		all := append([]Option{WithRequestTimeout(time.Second), WithExecutionLog(log)}, opts...)
+		all := append([]Option{WithRequestTimeout(time.Second)}, opts...)
+		all = append(all, func(c *config) { c.ExecutionLog = log })
 		rep, err := New(m, net.Endpoint(types.ProcessID(i)), tu.Devices[i], tu.Verifier,
 			kvstore.New(), all...)
 		if err != nil {

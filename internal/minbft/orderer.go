@@ -1,13 +1,10 @@
 package minbft
 
-import (
-	"time"
+import "unidir/internal/smr"
 
-	"unidir/internal/smr"
-)
-
-// orderer is the replica as its engine sees it (smr.Orderer). It is a
-// separate type so that the seam adds no method to Replica's public set.
+// orderer is the replica as its engine and its loop see it (smr.Orderer,
+// smr.LoopCore). It is a separate type so that the seams add no method to
+// Replica's public set.
 type orderer struct{ *Replica }
 
 // Leading: primary of the current view, and no view change in flight.
@@ -45,8 +42,4 @@ func (r orderer) Propose(batch []smr.Request) bool {
 // prefix.
 func (r orderer) ReadPoint() (proposed, executed, execSeq uint64) {
 	return r.orderBase + uint64(len(r.prepOrder)), r.orderBase + uint64(r.execIdx), r.execCount
-}
-
-func (r orderer) ArmTimer(d time.Duration) {
-	r.deadlines.After(d, timerEvent{kind: 'e'})
 }

@@ -34,9 +34,8 @@ func TestOverloadSoak(t *testing.T) {
 	)
 	// Endpoint n is the pipeline, n+1 the spammer, n+2 the tail client.
 	h := newHarness(t, n, f, 3, time.Second,
-		minbft.WithBatchSize(8),
-		minbft.WithBatchDeadline(100*time.Microsecond),
-		minbft.WithAdmission(smr.AdmissionConfig{MaxPending: maxPending}))
+		smr.EngineConfig{BatchSize: 8, BatchDeadline: 100 * time.Microsecond,
+			Admission: &smr.AdmissionConfig{MaxPending: maxPending}})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
@@ -166,7 +165,7 @@ func TestPacingIgnoresDeadPeer(t *testing.T) {
 	h := newHarnessOn(t, 3, 1, 1, 2*time.Second,
 		func(i int, tr transport.Transport) transport.Transport {
 			return &deadPeerTransport{Transport: tr, dead: 2}
-		}, minbft.WithProposalPacing(16))
+		}, smr.EngineConfig{PaceDepth: 16})
 	_ = h.replicas[2].Close()
 	h.replicas[2] = nil
 	kv := h.client(0)

@@ -11,6 +11,7 @@ import (
 	"unidir/internal/byz"
 	"unidir/internal/minbft"
 	"unidir/internal/obs"
+	"unidir/internal/smr"
 	"unidir/internal/types"
 	"unidir/internal/watch"
 )
@@ -60,7 +61,7 @@ func TestSoak(t *testing.T) {
 	)
 	// Endpoint n is the client, endpoint n+1 the spammer.
 	h := newHarness(t, n, f, 2, 500*time.Millisecond,
-		minbft.WithCheckpointInterval(interval), minbft.WithBatchSize(4))
+		smr.EngineConfig{CheckpointInterval: interval, BatchSize: 4})
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
 	defer cancel()
 

@@ -1,84 +1,44 @@
 package minbft
 
-import (
-	"time"
+import "unidir/internal/obs"
 
-	"unidir/internal/obs"
-)
-
-// statusTimeout bounds how long Status waits for the run goroutine. A
-// healthy replica answers in microseconds; a wedged one must not wedge its
-// monitors too, so past the deadline Status degrades to a stale snapshot.
-const statusTimeout = 2 * time.Second
-
-// Status implements obs.StatusProvider. The snapshot is assembled on the
-// run goroutine — a status request rides the ordinary event queue — so
-// every field belongs to one consistent cut of protocol state: the view,
-// checkpoint, and watermarks can never be torn across a concurrent view
-// change. When the replica is closed or does not answer within
-// statusTimeout, a degraded snapshot (Stale: true, counters zero) built
-// from the concurrency-safe mirrors is returned instead; the watch
-// auditor's monotonicity rules skip stale samples.
-func (r *Replica) Status() obs.Status {
-	ch := make(chan obs.Status, 1)
-	if r.events.Push(event{status: ch}) {
-		select {
-		case st := <-ch:
-			return st
-		case <-time.After(statusTimeout):
-		}
-	}
-	ready, reason := r.ReadyReason()
-	return obs.Status{
-		Protocol:    "minbft",
-		Replica:     int(r.Self()),
-		View:        uint64(r.View()),
-		Ready:       ready,
-		ReadyReason: reason,
-		Stale:       true,
-		TrustedCounters: map[string]uint64{
-			"usig": uint64(r.dev.LastAttested(usigCounter)),
-		},
-	}
-}
+// Status implements obs.StatusProvider: a consistent cut of protocol state
+// assembled on the run goroutine, or a Stale snapshot when the replica is
+// closed or wedged (smr.Loop.Status).
+func (r *Replica) Status() obs.Status { return r.loop.Status() }
 
 // Ready reports whether the replica is serving normally: view-active (no
 // view change in progress) and state-transfer idle. It is safe from any
 // goroutine and backs the /readyz endpoint.
-func (r *Replica) Ready() bool {
-	ready, _ := r.ReadyReason()
-	return ready
-}
+func (r *Replica) Ready() bool { return r.loop.Ready() }
 
 // ReadyReason is Ready with the name of the failing probe, for /readyz
-// bodies. Safe from any goroutine (atomic mirrors of inVC and of the
-// engine's state fetch).
-func (r *Replica) ReadyReason() (bool, string) {
-	switch {
-	case r.rdyVC.Load():
-		return false, "view change in progress"
-	case r.eng.Fetching():
-		return false, "state transfer in progress"
+// bodies. Safe from any goroutine.
+func (r *Replica) ReadyReason() (bool, string) { return r.loop.ReadyReason() }
+
+// Unready reads the atomic mirror of inVC.
+func (r orderer) Unready() string {
+	if r.rdyVC.Load() {
+		return "view change in progress"
 	}
-	return true, ""
+	return ""
 }
 
-// buildStatus runs on the run goroutine (the ev.status case in run).
-func (r *Replica) buildStatus() obs.Status {
-	st := obs.Status{
-		Protocol:  "minbft",
-		View:      uint64(r.view),
-		OpenSlots: len(r.prepOrder) - r.execIdx,
-		TrustedCounters: map[string]uint64{
-			"usig": uint64(r.dev.LastAttested(usigCounter)),
-		},
-	}
-	r.eng.FillStatus(&st)
+// FillStatus is the core's share of a status snapshot, on the run goroutine:
+// the stale fields plus the slot and watchdog gauges.
+func (r orderer) FillStatus(st *obs.Status) {
+	r.FillStaleStatus(st)
+	st.OpenSlots = len(r.prepOrder) - r.execIdx
 	r.pruneWatchdogs()
-	st.WatchdogEntries = r.deadlines.Watched()
-	if at, ok := r.deadlines.OldestWatch(); ok {
-		st.OldestPendingMs = (r.reqTimeout - time.Until(at)).Milliseconds()
+	st.WatchdogEntries = r.loop.Watched()
+	if at, ok := r.loop.OldestWatch(); ok {
+		st.OldestPendingMs = (r.reqTimeout - at.Sub(r.loop.Now())).Milliseconds()
 	}
-	st.Ready, st.ReadyReason = r.ReadyReason()
-	return st
+}
+
+// FillStaleStatus is what a stale snapshot can still say: the view and the
+// trusted counter, both safe to read off the run goroutine.
+func (r orderer) FillStaleStatus(st *obs.Status) {
+	st.View = uint64(r.View())
+	st.TrustedCounters = map[string]uint64{"usig": uint64(r.dev.LastAttested(usigCounter))}
 }

@@ -27,7 +27,7 @@ func TestWatchdogRestartsAtViewInstall(t *testing.T) {
 	// it) and the client, which sends to backup 2 only, so the view-1
 	// primary (backup 1) never learns of the requests and withholds them.
 	const timeout = 400 * time.Millisecond
-	fix := newByzPrimaryFixture(t, WithRequestTimeout(timeout), WithLeaseTerm(-1))
+	fix := newByzPrimaryFixture(t, WithRequestTimeout(timeout), WithEngineConfig(smr.EngineConfig{LeaseTerm: -1}))
 	b2 := fix.backups[1]
 	put := func(num uint64) []byte {
 		return EncodeRequestEnvelope(smr.Request{Client: 3, Num: num, Op: kvstore.EncodePut("k", []byte{byte(num)})})
@@ -135,7 +135,7 @@ func TestDeferredViewChangeStopsLeaderRenewal(t *testing.T) {
 		t.Fatal(err)
 	}
 	p0, err := New(m, net.Endpoint(0), tu.Devices[0], tu.Verifier, kvstore.New(),
-		WithRequestTimeout(timeout), WithLeaseTerm(term))
+		WithRequestTimeout(timeout), WithEngineConfig(smr.EngineConfig{LeaseTerm: term}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,8 +82,6 @@ func (r orderer) CheckpointStable(_, cert smr.CkptCert, installed bool) {
 		}
 	}
 	r.mx.openSlots.Set(int64(len(r.slots)))
-	r.lg.Info("checkpoint stable", "view", r.view, "seq", cert.Count, "votes", len(cert.Votes),
-		"installed", installed, "slots", len(r.slots))
 	r.updateFootprint()
 	if installed {
 		r.execNext = types.SeqNum(cert.Count) + 1

@@ -16,9 +16,9 @@ import (
 	"unidir/internal/types"
 )
 
-// newCkptHarness is newHarness with replica options (checkpoint interval,
+// newCkptHarness is newHarness with replica settings (checkpoint interval,
 // batch size) threaded through.
-func newCkptHarness(t *testing.T, n, f, clients int, opts ...pbft.Option) *harness {
+func newCkptHarness(t *testing.T, n, f, clients int, cfg smr.EngineConfig) *harness {
 	t.Helper()
 	m, err := types.NewMembership(n, f)
 	if err != nil {
@@ -41,8 +41,9 @@ func newCkptHarness(t *testing.T, n, f, clients int, opts ...pbft.Option) *harne
 		logs:     make([]*smr.ExecutionLog, n)}
 	for i := 0; i < n; i++ {
 		h.logs[i] = &smr.ExecutionLog{}
-		all := append([]pbft.Option{pbft.WithExecutionLog(h.logs[i])}, opts...)
-		rep, err := pbft.New(m, net.Endpoint(types.ProcessID(i)), rings[i], kvstore.New(), all...)
+		c := cfg
+		c.ExecutionLog = h.logs[i]
+		rep, err := pbft.New(m, net.Endpoint(types.ProcessID(i)), rings[i], kvstore.New(), pbft.WithEngineConfig(c))
 		if err != nil {
 			t.Fatalf("pbft.New: %v", err)
 		}
@@ -74,7 +75,7 @@ func waitPBFTFootprint(t *testing.T, h *harness, d time.Duration, pred func(pbft
 
 func TestCheckpointGCReleasesSlots(t *testing.T) {
 	const interval = 2
-	h := newCkptHarness(t, 4, 1, 1, pbft.WithCheckpointInterval(interval))
+	h := newCkptHarness(t, 4, 1, 1, smr.EngineConfig{CheckpointInterval: interval})
 	c := h.client(0)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -104,7 +105,7 @@ func TestCheckpointGCReleasesSlots(t *testing.T) {
 
 func TestStateTransferToLaggingReplica(t *testing.T) {
 	const interval = 2
-	h := newCkptHarness(t, 4, 1, 1, pbft.WithCheckpointInterval(interval))
+	h := newCkptHarness(t, 4, 1, 1, smr.EngineConfig{CheckpointInterval: interval})
 	c := h.client(0)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()

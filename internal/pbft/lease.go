@@ -20,11 +20,7 @@ package pbft
 // Reads arriving when no lease is held are answered as fallback votes and
 // the client gathers 2f+1 matching (executed seq, result) replies instead.
 
-import (
-	"time"
-
-	"unidir/internal/types"
-)
+import "unidir/internal/types"
 
 // renewLease starts a new lease round and arms the next renewal at half the
 // term. Bails — without re-arming — when this replica is not the primary or
@@ -33,13 +29,13 @@ func (r *Replica) renewLease() {
 	if r.leaseTerm <= 0 || r.m.Leader(r.view) != r.Self() {
 		return
 	}
-	now := time.Now()
+	now := r.loop.Now()
 	r.leaseRound++
 	r.broadcast(kindLeaseRequest, r.leaseRound, nil)
 	r.eng.LeaseRoundStart(now)
 	if !r.renewArmed {
 		r.renewArmed = true
-		r.deadlines.After(r.leaseTerm/2, timerEvent{kind: 'l'})
+		r.loop.After(r.leaseTerm/2, timerEvent{})
 	}
 }
 

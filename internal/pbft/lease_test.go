@@ -45,7 +45,7 @@ func sumCounters(reg *obs.Registry, prefix string) uint64 {
 
 func TestLeasedReadFastPath(t *testing.T) {
 	reg := obs.NewRegistry()
-	h := newHarness(t, 4, 1, 1, pbft.WithMetrics(reg))
+	h := newHarness(t, 4, 1, 1, smr.EngineConfig{Metrics: reg})
 	kv := h.pipe(0, 200*time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
@@ -72,7 +72,7 @@ func TestLeasedReadFastPath(t *testing.T) {
 // quorum read on 2f+1 matching (executed seq, result) votes instead.
 func TestQuorumReadFallback(t *testing.T) {
 	reg := obs.NewRegistry()
-	h := newHarness(t, 4, 1, 1, pbft.WithMetrics(reg), pbft.WithLeaseTerm(-1))
+	h := newHarness(t, 4, 1, 1, smr.EngineConfig{Metrics: reg, LeaseTerm: -1})
 	kv := h.pipe(0, 200*time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()

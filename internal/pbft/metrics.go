@@ -2,8 +2,8 @@ package pbft
 
 // Metrics: the ordering core's obs instrumentation; the series PBFT shares
 // with MinBFT are the engine's (smr/engine_obs.go). Optional — without
-// WithMetrics every handle stays nil and each recording site is a free
-// nil-check.
+// EngineConfig.Metrics every handle stays nil and each recording site is a
+// free nil-check.
 
 import (
 	"unidir/internal/obs"

@@ -2,13 +2,13 @@ package pbft
 
 import (
 	"crypto/sha256"
-	"time"
 
 	"unidir/internal/smr"
 )
 
-// orderer is the replica as its engine sees it (smr.Orderer). It is a
-// separate type so that the seam adds no method to Replica's public set.
+// orderer is the replica as its engine and its loop see it (smr.Orderer,
+// smr.LoopCore). It is a separate type so that the seams add no method to
+// Replica's public set.
 type orderer struct{ *Replica }
 
 // Leading: primary of the (fixed) view; there is no view change to be in.
@@ -45,8 +45,4 @@ func (r orderer) Propose(batch []smr.Request) bool {
 func (r orderer) ReadPoint() (proposed, executed, execSeq uint64) {
 	done := uint64(r.execNext - 1)
 	return uint64(r.nextSeq), done, done
-}
-
-func (r orderer) ArmTimer(d time.Duration) {
-	r.deadlines.After(d, timerEvent{kind: 'e'})
 }

@@ -6,10 +6,11 @@
 // hardware classification translates into at the application level.
 //
 // The primary batches like MinBFT's: all pending requests are packed into
-// one PRE-PREPARE (capped by WithBatchSize), so the three-phase exchange and
-// its two 2f+1 quorums are paid once per batch. A batch occupies one
-// sequence number; requests execute in in-batch order with per-client dedup,
-// so batching changes the amortization, not the properties (DESIGN.md §5).
+// one PRE-PREPARE (capped by smr.EngineConfig.BatchSize), so the three-phase
+// exchange and its two 2f+1 quorums are paid once per batch. A batch
+// occupies one sequence number; requests execute in in-batch order with
+// per-client dedup, so batching changes the amortization, not the
+// properties (DESIGN.md §5).
 //
 // Checkpointing (checkpoint.go, and the engine's checkpoint plane): every K
 // executed batches the replica snapshots its state and broadcasts a signed
@@ -22,26 +23,18 @@
 package pbft
 
 import (
-	"context"
 	"crypto/sha256"
-	"errors"
 	"fmt"
-	"log/slog"
 	"sync"
 	"time"
 
-	"unidir/internal/obs"
 	"unidir/internal/obs/tracing"
 	"unidir/internal/sig"
 	"unidir/internal/smr"
-	"unidir/internal/syncx"
 	"unidir/internal/transport"
 	"unidir/internal/types"
 	"unidir/internal/wire"
 )
-
-// ErrClosed reports use of a closed replica.
-var ErrClosed = errors.New("pbft: replica closed")
 
 const (
 	kindRequest byte = iota + 1
@@ -61,48 +54,34 @@ const sigDomain = "unidir/pbft/v1"
 // Replica is one PBFT replica: the ordering core of an smr.Engine. The
 // engine owns the request, read, reply and tracing planes; what is here is
 // what doing without trusted hardware costs — signed messages, 2f+1 quorums
-// over three phases — plus the lease protocol and checkpoint votes. Create
-// with New, stop with Close.
+// over three phases — plus the lease protocol and checkpoint votes. The
+// smr.Loop drives both. Create with New, stop with Close.
 type Replica struct {
 	m    types.Membership
 	tr   transport.Transport
 	ring *sig.Keyring
 	eng  *smr.Engine
-
-	events    *syncx.Queue[event]
-	wg        sync.WaitGroup
-	cancel    context.CancelFunc
-	closeOnce sync.Once
+	loop *smr.Loop[timerEvent]
 
 	// State below is owned by the run goroutine.
-	deadlines *smr.Deadlines[timerEvent] // the 'e' and 'l' timeouts, on one runtime timer
-	view      types.View
-	nextSeq   types.SeqNum // primary's last assignment
-	execNext  types.SeqNum // next sequence number to execute
-	slots     map[types.SeqNum]*slot
+	view     types.View
+	nextSeq  types.SeqNum // primary's last assignment
+	execNext types.SeqNum // next sequence number to execute
+	slots    map[types.SeqNum]*slot
 
 	// The lease protocol (lease.go); the engine keeps the tally.
 	leaseTerm  time.Duration // 0: leases disabled
 	leaseRound types.SeqNum  // round counter of our outstanding LEASE-REQUEST
-	renewArmed bool          // an 'l' renewal timer is outstanding
+	renewArmed bool          // a renewal timer is outstanding
 
 	statsMu sync.Mutex
 	fp      Footprint
 
-	mx metrics // all-nil (free no-ops) without WithMetrics
-	lg *slog.Logger
+	mx metrics // all-nil (free no-ops) without EngineConfig.Metrics
 }
 
-// event is one unit of work for the run goroutine.
-type event struct {
-	env    *transport.Envelope
-	tick   bool            // a queued deadline has passed: drain r.deadlines
-	status chan obs.Status // introspection request; answered on the run goroutine (status.go)
-}
-
-type timerEvent struct {
-	kind byte // 'e' engine timer, 'l' lease renewal
-}
+// timerEvent is PBFT's one timeout: the lease renewal.
+type timerEvent struct{}
 
 type slot struct {
 	smr.BatchTrace
@@ -115,86 +94,17 @@ type slot struct {
 	executed  bool
 }
 
-// config is what the options fill in: the settings shared with MinBFT
-// (smr.EngineConfig, which documents and defaults them) plus the logger.
-type config struct {
-	smr.EngineConfig
-	lg *slog.Logger
-}
-
 // Option configures a Replica.
-type Option func(*config)
+type Option func(*smr.EngineConfig)
 
-// WithEngineConfig sets every shared setting at once (internal/cluster
-// translates a Spec into one); the other options below set single fields.
+// WithEngineConfig sets the replica's settings, all of which PBFT shares
+// with MinBFT: batching, pacing, admission, leases, checkpoints, metrics,
+// tracing and the execution log (internal/cluster translates a Spec into
+// one). With n = 3f+1 and uniform admission bounds, at least f+1 correct
+// replicas shed together and the client observes a quorum-backed retryable
+// smr.ErrOverloaded.
 func WithEngineConfig(cfg smr.EngineConfig) Option {
-	return func(c *config) { c.EngineConfig = cfg }
-}
-
-// WithExecutionLog attaches a command log for consistency checks.
-func WithExecutionLog(l *smr.ExecutionLog) Option {
-	return func(c *config) { c.ExecutionLog = l }
-}
-
-// WithBatchSize caps how many pending requests the primary packs into one
-// PRE-PREPARE (smr.EngineConfig.BatchSize).
-func WithBatchSize(k int) Option {
-	return func(c *config) { c.BatchSize = k }
-}
-
-// WithBatchDeadline bounds how long a partial batch is held open
-// (smr.EngineConfig.BatchDeadline).
-func WithBatchDeadline(d time.Duration) Option {
-	return func(c *config) { c.BatchDeadline = d }
-}
-
-// WithAdmission sets the replica's admission bounds
-// (smr.EngineConfig.Admission). With n = 3f+1 and uniform bounds, at least
-// f+1 correct replicas shed together and the client observes a quorum-backed
-// retryable smr.ErrOverloaded.
-func WithAdmission(cfg smr.AdmissionConfig) Option {
-	return func(c *config) { c.Admission = &cfg }
-}
-
-// WithProposalPacing sets the peer send-queue depth past which the primary
-// defers proposing (smr.EngineConfig.PaceDepth); it paces on 2f peers, the
-// votes a batch needs.
-func WithProposalPacing(depth int) Option {
-	return func(c *config) { c.PaceDepth = depth }
-}
-
-// WithLeaseTerm sets the leader-lease term for the linearizable read fast
-// path (smr.EngineConfig.LeaseTerm; lease.go).
-func WithLeaseTerm(d time.Duration) Option {
-	return func(c *config) { c.LeaseTerm = d }
-}
-
-// WithCheckpointInterval sets how many executed batches separate
-// checkpoints (smr.EngineConfig.CheckpointInterval; checkpoint.go).
-func WithCheckpointInterval(k int) Option {
-	return func(c *config) { c.CheckpointInterval = k }
-}
-
-// WithMetrics publishes replica metrics into reg, labelled by replica ID
-// (metrics.go, and the shared series of smr.Engine).
-func WithMetrics(reg *obs.Registry) Option {
-	return func(c *config) { c.Metrics = reg }
-}
-
-// WithTracer attaches a distributed tracer: the replica's side of sampled
-// requests (smr/engine_trace.go). PBFT adds no span of its own — there is no
-// trusted-hardware call to attribute, which is exactly the contrast with
-// MinBFT's ui-attest the breakdown tables surface.
-func WithTracer(t *tracing.Tracer) Option {
-	return func(c *config) { c.Tracer = t }
-}
-
-// WithLogger attaches a structured logger; consensus progress (committed
-// batches, stable checkpoints, state transfers) is reported through it with
-// view/seq attrs, and lines on a sampled request's path carry the trace ID
-// under obs.TraceKey.
-func WithLogger(l *slog.Logger) Option {
-	return func(c *config) { c.lg = obs.OrNop(l) }
+	return func(c *smr.EngineConfig) { *c = cfg }
 }
 
 // New starts a replica (requires n >= 3f+1).
@@ -208,32 +118,26 @@ func New(m types.Membership, tr transport.Transport, ring *sig.Keyring, sm smr.S
 	if ring.Self() != tr.Self() {
 		return nil, fmt.Errorf("pbft: keyring %v != endpoint %v", ring.Self(), tr.Self())
 	}
-	cfg := config{lg: obs.NopLogger()}
+	var cfg smr.EngineConfig
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
 	r := &Replica{
 		m:        m,
 		tr:       tr,
 		ring:     ring,
-		events:   syncx.NewQueue[event](),
-		cancel:   cancel,
 		execNext: 1,
 		slots:    make(map[types.SeqNum]*slot),
-		lg:       cfg.lg,
 	}
 	// Pacing waits on 2f peers, the votes a batch needs. A lease takes 2f+1
 	// grants: that quorum already intersects every view-change quorum in a
 	// correct replica. 2f+1 signed checkpoint votes make a certificate.
 	r.eng = smr.NewEngine("pbft", orderer{r}, tr, sm, smr.SystemClock,
-		m.Others(tr.Self()), 2*m.F, m.Quorum(), m.Quorum(), "", cfg.EngineConfig)
+		m.Others(tr.Self()), 2*m.F, m.Quorum(), m.Quorum(), "", cfg)
+	r.loop = smr.NewLoop[timerEvent](r.eng, orderer{r}, nil)
 	r.leaseTerm = r.eng.LeaseTerm()
-	r.deadlines = smr.NewDeadlines[timerEvent](smr.SystemClock, func() { r.events.Push(event{tick: true}) })
 	r.initMetrics(cfg.Metrics)
-	r.wg.Add(2)
-	go r.recvLoop(ctx)
-	go r.run(ctx)
+	r.loop.Start()
 	return r, nil
 }
 
@@ -243,63 +147,19 @@ func (r *Replica) Self() types.ProcessID { return r.tr.Self() }
 // Close stops the replica's goroutines and then its timer plane, so nothing
 // fires once Close has returned.
 func (r *Replica) Close() error {
-	r.closeOnce.Do(func() {
-		r.cancel()
-		r.events.Close()
-		_ = r.tr.Close()
-		r.wg.Wait()
-		r.deadlines.Stop() // the run goroutine, its only other user, has exited
-	})
+	r.loop.Close()
 	return nil
 }
 
-func (r *Replica) recvLoop(ctx context.Context) {
-	defer r.wg.Done()
-	for {
-		env, err := r.tr.Recv(ctx)
-		if err != nil {
-			return
-		}
-		e := env
-		r.events.Push(event{env: &e})
-	}
-}
+// Start is the loop's first act on the run goroutine: the primary solicits
+// its first lease so the read fast path is live before the first read
+// arrives.
+func (r orderer) Start() { r.renewLease() }
 
-func (r *Replica) run(ctx context.Context) {
-	defer r.wg.Done()
-	// The primary solicits its first lease up front so the read fast path
-	// is live before the first read arrives.
+// HandleTimer renews the lease: the renewal timer fell due.
+func (r orderer) HandleTimer(timerEvent) {
+	r.renewArmed = false
 	r.renewLease()
-	for {
-		// Draining the whole backlog per wakeup lets read replies produced
-		// while processing one burst coalesce into one frame per client
-		// (FlushReads) instead of one frame per read.
-		evs, err := r.events.PopAll(ctx)
-		if err != nil {
-			return
-		}
-		for _, ev := range evs {
-			switch {
-			case ev.env != nil:
-				r.handle(*ev.env)
-			case ev.tick:
-				r.deadlines.Due(r.handleTimer)
-			case ev.status != nil:
-				ev.status <- r.buildStatus()
-			}
-		}
-		r.eng.FlushReads()
-	}
-}
-
-func (r *Replica) handleTimer(te timerEvent) {
-	switch te.kind {
-	case 'e':
-		r.eng.TimerFired()
-	case 'l':
-		r.renewArmed = false
-		r.renewLease()
-	}
 }
 
 // --- wire ---
@@ -390,7 +250,9 @@ func (r *Replica) sendSigned(to types.ProcessID, kind byte, n types.SeqNum, payl
 
 // --- handlers ---
 
-func (r *Replica) handle(env transport.Envelope) {
+// HandleEnvelope decodes, authenticates and dispatches one message the loop
+// received.
+func (r orderer) HandleEnvelope(env transport.Envelope) {
 	kind, v, n, payload, signature, err := decodeMsg(env.Payload)
 	if err != nil {
 		return
@@ -535,11 +397,6 @@ func (r *Replica) progress(n types.SeqNum, sl *slot) {
 	}
 	if !sl.committed && sl.prepared && len(sl.commits) >= r.m.Quorum() {
 		sl.committed = true
-		if btc := sl.Context(); btc.Sampled {
-			r.lg.Debug("batch committed", "view", r.view, "seq", n, "reqs", len(sl.reqs), obs.TraceKey, btc.Trace)
-		} else {
-			r.lg.Debug("batch committed", "view", r.view, "seq", n, "reqs", len(sl.reqs))
-		}
 	}
 	// Execute whole batches in contiguous sequence order.
 	executed := false

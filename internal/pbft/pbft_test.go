@@ -27,15 +27,15 @@ type harness struct {
 	logs     []*smr.ExecutionLog
 }
 
-func newHarness(t *testing.T, n, f, clients int, opts ...pbft.Option) *harness {
+func newHarness(t *testing.T, n, f, clients int, cfg ...smr.EngineConfig) *harness {
 	t.Helper()
-	return newHarnessOn(t, n, f, clients, nil, opts...)
+	return newHarnessOn(t, n, f, clients, nil, cfg...)
 }
 
 // newHarnessOn is newHarness with each replica's endpoint passed through
 // wrap first (nil: used as is), for tests that fake a transport capability.
 func newHarnessOn(t *testing.T, n, f, clients int,
-	wrap func(i int, tr transport.Transport) transport.Transport, opts ...pbft.Option) *harness {
+	wrap func(i int, tr transport.Transport) transport.Transport, cfg ...smr.EngineConfig) *harness {
 	t.Helper()
 	m, err := types.NewMembership(n, f)
 	if err != nil {
@@ -58,12 +58,16 @@ func newHarnessOn(t *testing.T, n, f, clients int,
 		logs:     make([]*smr.ExecutionLog, n)}
 	for i := 0; i < n; i++ {
 		h.logs[i] = &smr.ExecutionLog{}
-		all := append([]pbft.Option{pbft.WithExecutionLog(h.logs[i])}, opts...)
+		var c smr.EngineConfig
+		if len(cfg) > 0 {
+			c = cfg[0]
+		}
+		c.ExecutionLog = h.logs[i]
 		var tr transport.Transport = net.Endpoint(types.ProcessID(i))
 		if wrap != nil {
 			tr = wrap(i, tr)
 		}
-		rep, err := pbft.New(m, tr, rings[i], kvstore.New(), all...)
+		rep, err := pbft.New(m, tr, rings[i], kvstore.New(), pbft.WithEngineConfig(c))
 		if err != nil {
 			t.Fatalf("pbft.New: %v", err)
 		}
@@ -276,7 +280,7 @@ func TestPacingIgnoresDeadPeer(t *testing.T) {
 	h := newHarnessOn(t, 4, 1, 1,
 		func(i int, tr transport.Transport) transport.Transport {
 			return &deadPeerTransport{Transport: tr, dead: 3}
-		}, pbft.WithProposalPacing(16), pbft.WithMetrics(reg))
+		}, smr.EngineConfig{PaceDepth: 16, Metrics: reg})
 	_ = h.replicas[3].Close()
 	h.replicas[3] = nil
 	c := h.client(0)
@@ -306,7 +310,7 @@ func TestStateTransferAfterDroppedTraffic(t *testing.T) {
 	// self-certifying response whose 2f+1 vote signatures this core checks,
 	// and the install.
 	reg := obs.NewRegistry()
-	h := newHarness(t, 4, 1, 1, pbft.WithCheckpointInterval(2), pbft.WithMetrics(reg))
+	h := newHarness(t, 4, 1, 1, smr.EngineConfig{CheckpointInterval: 2, Metrics: reg})
 	c := h.client(0)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

@@ -2,13 +2,16 @@ package smr
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 )
 
 // fakeClock is a hand-advanced Clock. Advance runs expired timers on the
-// caller's goroutine, so a test is single-threaded and exact.
+// caller's goroutine, so a test is single-threaded and exact; the lock lets
+// a replica loop's goroutines read it too (loop_test.go).
 type fakeClock struct {
+	mu     sync.Mutex
 	now    time.Time
 	timers []*fakeTimer // every timer ever created
 }
@@ -22,37 +25,55 @@ type fakeTimer struct {
 
 func newFakeClock() *fakeClock { return &fakeClock{now: time.Unix(1000, 0)} }
 
-func (c *fakeClock) Now() time.Time { return c.now }
+func (c *fakeClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
 
 func (c *fakeClock) AfterFunc(d time.Duration, f func()) ClockTimer {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	t := &fakeTimer{c: c, at: c.now.Add(d), f: f, armed: true}
 	c.timers = append(c.timers, t)
 	return t
 }
 
 func (t *fakeTimer) Reset(d time.Duration) bool {
+	t.c.mu.Lock()
+	defer t.c.mu.Unlock()
 	was := t.armed
 	t.at, t.armed = t.c.now.Add(d), true
 	return was
 }
 
 func (t *fakeTimer) Stop() bool {
+	t.c.mu.Lock()
+	defer t.c.mu.Unlock()
 	was := t.armed
 	t.armed = false
 	return was
 }
 
 func (c *fakeClock) Advance(d time.Duration) {
+	c.mu.Lock()
 	c.now = c.now.Add(d)
+	var fire []func()
 	for _, t := range c.timers {
 		if t.armed && !t.at.After(c.now) {
 			t.armed = false
-			t.f()
+			fire = append(fire, t.f)
 		}
+	}
+	c.mu.Unlock()
+	for _, f := range fire {
+		f()
 	}
 }
 
 func (c *fakeClock) armedTimers() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	n := 0
 	for _, t := range c.timers {
 		if t.armed {

@@ -13,8 +13,9 @@ package smr
 // wire formats, message authentication, slots and quorum counting, view
 // change, the lease protocol, and how a checkpoint vote is authenticated.
 //
-// An Engine is owned by its replica's run goroutine; none of its methods is
-// safe for concurrent use. It never asks which protocol it serves: what
+// An Engine is owned by its replica's run goroutine (the Loop of loop.go);
+// none of its methods is safe for concurrent use. It never asks which
+// protocol it serves: what
 // differs arrives as a construction parameter or as an answer from the core
 // (DESIGN.md §5, "Replica engine and ordering cores").
 
@@ -50,8 +51,6 @@ type Orderer interface {
 	// failed on every revocation, so the scale may restart between views),
 	// and the execution watermark read replies carry as ExecSeq.
 	ReadPoint() (proposed, executed, execSeq uint64)
-	// ArmTimer makes the core call TimerFired once, d from now.
-	ArmTimer(d time.Duration)
 
 	// VoteCheckpoint authenticates and broadcasts this replica's checkpoint
 	// vote for the state digest at position count, and returns its proof.
@@ -87,9 +86,11 @@ const pipelineDepth = 2
 
 // Engine is one replica's protocol-independent half. Create with NewEngine.
 type Engine struct {
-	core  Orderer
-	tr    transport.Transport
-	clock Clock
+	name     string // the protocol: metric-name prefix and Status.Protocol
+	core     Orderer
+	tr       transport.Transport
+	clock    Clock
+	armTimer func(time.Duration) // the engine's timer on the replica loop (NewLoop sets it); calls timerFired
 
 	sm      StateMachine
 	snap    Snapshotter // nil: the state machine cannot snapshot
@@ -164,6 +165,7 @@ func NewEngine(name string, core Orderer, tr transport.Transport, sm StateMachin
 	peers []types.ProcessID, paceQuorum, grantQuorum, ckptQuorum int, dataDir string, cfg EngineConfig) *Engine {
 	cfg = cfg.Resolved()
 	e := &Engine{
+		name:          name,
 		core:          core,
 		tr:            tr,
 		clock:         clock,
@@ -392,13 +394,13 @@ func (e *Engine) paceRecheck() time.Duration {
 
 // armBatchTimer schedules one deadline/pacing recheck; at most one is
 // outstanding so deferred cuts cannot pile up timer events. When it fires
-// (TimerFired), whatever is pending is cut, however partial.
+// (timerFired), whatever is pending is cut, however partial.
 func (e *Engine) armBatchTimer(d time.Duration) {
 	if e.batchTimerArmed {
 		return
 	}
 	e.batchTimerArmed = true
-	e.core.ArmTimer(d)
+	e.armTimer(d)
 }
 
 // sortedBacklog yields the pending requests not yet inside an in-flight

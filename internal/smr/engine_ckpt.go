@@ -22,7 +22,7 @@ package smr
 //
 // State transfer: STATE-FETCH(count) is unauthenticated and answered only for
 // members; STATE-RESP(certificate, state) is self-certifying. A fetch is
-// retried every stateFetchRetry on the engine's timer (ArmTimer/TimerFired)
+// retried every stateFetchRetry on the engine's timer (armTimer/timerFired)
 // until execution reaches the target. Install is: verify the certificate
 // (size, distinct member voters, then the core's proofs), check the state
 // against its digest, Restore.
@@ -263,7 +263,7 @@ func (e *Engine) broadcastFetch() {
 	enc.Uint64(e.fetchTarget)
 	_ = transport.Broadcast(e.tr, e.peers, e.core.FrameState(false, enc.Bytes()))
 	e.fetchAt = e.clock.Now().Add(stateFetchRetry)
-	e.core.ArmTimer(stateFetchRetry)
+	e.armTimer(stateFetchRetry)
 }
 
 func (e *Engine) endFetch() {
@@ -326,10 +326,10 @@ func (e *Engine) adopt(cert CkptCert, state []byte) error {
 	return nil
 }
 
-// TimerFired is the core's answer to ArmTimer: whichever of the engine's
+// timerFired is the loop's answer to armTimer: whichever of the engine's
 // deadlines is due — a fetch retry, the batch deadline or pacing recheck —
 // runs.
-func (e *Engine) TimerFired() {
+func (e *Engine) timerFired() {
 	if e.fetchTarget != 0 && !e.clock.Now().Before(e.fetchAt) {
 		e.broadcastFetch()
 	}

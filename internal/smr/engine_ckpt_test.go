@@ -161,12 +161,12 @@ func TestEngineCkptFetchAndRetry(t *testing.T) {
 		t.Fatalf("armed %v, want one retry timer", r.core.armed)
 	}
 	r.clock.Advance(stateFetchRetry / 2)
-	r.TimerFired() // some other engine deadline
+	r.timerFired() // some other engine deadline
 	if got := r.net.take(); len(got) != 0 {
 		t.Fatalf("re-fetched early: %d frames", len(got))
 	}
 	r.clock.Advance(stateFetchRetry / 2)
-	r.TimerFired()
+	r.timerFired()
 	if got := fetches(t, r.net.take()); len(got) != 2 || got[2] != 4 {
 		t.Fatalf("retry: fetches %v", got)
 	}
@@ -176,7 +176,7 @@ func TestEngineCkptFetchAndRetry(t *testing.T) {
 	}
 	r.net.take()
 	r.clock.Advance(stateFetchRetry)
-	r.TimerFired()
+	r.timerFired()
 	if got := r.net.take(); len(got) != 0 || r.Fetching() {
 		t.Fatalf("fetching after catching up: %d frames", len(got))
 	}

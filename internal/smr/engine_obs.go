@@ -59,12 +59,13 @@ func (e *Engine) initMetrics(name string, reg *obs.Registry) {
 	}
 }
 
-// FillStatus fills in the engine's share of a status snapshot: the replica
-// ID, the execution position, the stable checkpoint, the process-lifetime
-// progress counters, the queue gauges, and the lease if this replica holds
-// one. The core sets View first (a lease's term is the view it belongs to)
-// and the protocol's own fields around it.
+// FillStatus fills in the engine's share of a status snapshot: the protocol,
+// the replica ID, the execution position, the stable checkpoint, the
+// process-lifetime progress counters, the queue gauges, and the lease if
+// this replica holds one. The core sets View first (a lease's term is the
+// view it belongs to) and the protocol's own fields around it.
 func (e *Engine) FillStatus(st *obs.Status) {
+	st.Protocol = e.name
 	st.Replica = int(e.tr.Self())
 	st.ExecCount = e.execPos
 	if e.stable.Count > 0 {

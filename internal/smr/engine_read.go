@@ -148,7 +148,7 @@ func (e *Engine) replyRead(req ReadRequest, code byte, execSeq uint64) {
 }
 
 // FlushReads sends the read replies buffered during the current event burst
-// (the core calls it once per burst): a lone reply goes out in its bare wire
+// (the loop calls it once per burst): a lone reply goes out in its bare wire
 // form, several to the same client coalesce into one batch frame.
 func (e *Engine) FlushReads() {
 	for c, reps := range e.readReplies {

@@ -14,9 +14,10 @@ import (
 
 // The engine against a scripted ordering core, a recording transport and the
 // hand-advanced clock of deadlines_test.go: no cluster, no goroutines, no
-// sleeps. The test plays the core's part — it calls MaybePropose after an
-// admission, TimerFired when it decides the armed timer is due, and
-// Execute/AfterExecute when it decides a batch has committed.
+// sleeps. The test plays the core's and the loop's part — it calls
+// MaybePropose after an admission, timerFired when it decides the armed
+// timer is due, and Execute/AfterExecute when it decides a batch has
+// committed.
 
 const us = time.Microsecond
 
@@ -27,7 +28,7 @@ type fakeCore struct {
 	refuse    bool            // Propose fails, as when the USIG refuses to attest
 	inFlight  int             // bumped by Propose, lowered by rig.commit
 	proposals [][]Request     // what Propose was handed
-	armed     []time.Duration // every ArmTimer call
+	armed     []time.Duration // every engine timer armed
 
 	proposed, executed, execSeq uint64 // ReadPoint's answer
 
@@ -87,8 +88,6 @@ func (c *fakeCore) Propose(batch []Request) bool {
 func (c *fakeCore) ReadPoint() (proposed, executed, execSeq uint64) {
 	return c.proposed, c.executed, c.execSeq
 }
-
-func (c *fakeCore) ArmTimer(d time.Duration) { c.armed = append(c.armed, d) }
 
 // fakeNet records what the engine sends. It is not a QueueDepther.
 type fakeNet struct {
@@ -170,6 +169,7 @@ func newRigOn(t *testing.T, tr transport.Transport, net *fakeNet, dir string, cf
 	cfg.Metrics = r.reg
 	r.Engine = NewEngine("x", r.core, tr, r.sm, r.clock, []types.ProcessID{1, 2}, 1, 3, 2, dir, cfg)
 	r.core.eng = r.Engine
+	r.armTimer = func(d time.Duration) { r.core.armed = append(r.core.armed, d) }
 	return r
 }
 
@@ -297,7 +297,7 @@ func TestEngineHoldsThenCutsAtDeadline(t *testing.T) {
 		t.Fatalf("deferred cuts piled up timers: %v", r.core.armed)
 	}
 	r.clock.Advance(30 * us)
-	r.TimerFired()
+	r.timerFired()
 	wantProposals(t, r.core, 3)
 	if got := r.reg.Snapshot().HistogramCount("x_batch_wait_seconds"); got != 1 {
 		t.Fatalf("batch_wait observations = %d, want 1", got)
@@ -343,7 +343,7 @@ func TestEnginePacingDefersAndRearms(t *testing.T) {
 	if len(r.core.armed) != 1 || r.core.armed[0] != 100*us {
 		t.Fatalf("armed %v, want one recheck at the batch deadline", r.core.armed)
 	}
-	r.TimerFired() // still deep: deferred again, re-armed
+	r.timerFired() // still deep: deferred again, re-armed
 	wantProposals(t, r.core)
 	if got, timers := r.counter("paced_proposals_total"), len(r.core.armed); got != 2 || timers != 2 {
 		t.Fatalf("after the recheck: paced %d times, %d timers; want 2 and 2", got, timers)
@@ -351,7 +351,7 @@ func TestEnginePacingDefersAndRearms(t *testing.T) {
 	// One peer drains. The other — a dead one, say — never does; the batch
 	// does not need it.
 	net.depth[2] = 3
-	r.TimerFired()
+	r.timerFired()
 	wantProposals(t, r.core, 1)
 
 	// PaceDepth < 0 turns the gate off.

@@ -131,17 +131,6 @@ func TestReplyCodeRoundTrip(t *testing.T) {
 	if got.Code != ReplyOverloaded || got.Client != 9 || got.Num != 4 {
 		t.Fatalf("round trip = %+v", got)
 	}
-	// Replies encoded before the code byte existed (result field last on the
-	// wire) must decode as ReplyOK.
-	legacy := rep.Encode()
-	legacy = legacy[:len(legacy)-1]
-	got, err = DecodeReply(legacy)
-	if err != nil {
-		t.Fatalf("DecodeReply(legacy): %v", err)
-	}
-	if got.Code != ReplyOK {
-		t.Fatalf("legacy code = %d, want ReplyOK", got.Code)
-	}
 }
 
 func TestErrOverloadedIsRetryable(t *testing.T) {

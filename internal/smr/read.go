@@ -95,8 +95,7 @@ type ReadReply struct {
 	ExecSeq uint64
 }
 
-// Encode returns the wire form. The trailing Code and ExecSeq ride after
-// Result, mirroring how Reply gained its code byte.
+// Encode returns the wire form: a Reply's fields, then ExecSeq.
 func (r ReadReply) Encode() []byte {
 	e := wire.NewEncoder(41 + len(r.Result))
 	e.Int(int(r.Replica))
@@ -108,9 +107,7 @@ func (r ReadReply) Encode() []byte {
 	return e.Bytes()
 }
 
-// DecodeReadReply parses a read reply. The trailing Code and ExecSeq are
-// optional on the wire (legacy-tolerant, like Reply's code byte): replies
-// without them decode as a fallback vote at watermark zero.
+// DecodeReadReply parses a read reply.
 func DecodeReadReply(b []byte) (ReadReply, error) {
 	d := wire.NewDecoder(b)
 	var r ReadReply
@@ -118,12 +115,8 @@ func DecodeReadReply(b []byte) (ReadReply, error) {
 	r.Client = d.Uint64()
 	r.Num = d.Uint64()
 	r.Result = append([]byte(nil), d.BytesField()...)
-	if d.Err() == nil && d.Remaining() > 0 {
-		r.Code = d.Byte()
-	}
-	if d.Err() == nil && d.Remaining() > 0 {
-		r.ExecSeq = d.Uint64()
-	}
+	r.Code = d.Byte()
+	r.ExecSeq = d.Uint64()
 	if err := d.Finish(); err != nil {
 		return ReadReply{}, fmt.Errorf("smr: decode read reply: %w", err)
 	}

@@ -34,42 +34,6 @@ func TestReadReplyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadReplyLegacyDecode pins the legacy tolerance: a reply encoded
-// without the trailing Code and ExecSeq fields (the pre-read-path Reply
-// layout) must decode as a fallback vote at watermark zero, not error.
-func TestReadReplyLegacyDecode(t *testing.T) {
-	e := wire.NewEncoder(64)
-	e.Int(3)
-	e.Uint64(9)
-	e.Uint64(77)
-	e.BytesField([]byte("value"))
-	got, err := DecodeReadReply(e.Bytes())
-	if err != nil {
-		t.Fatalf("legacy decode: %v", err)
-	}
-	if got.Code != ReadFallback || got.ExecSeq != 0 {
-		t.Fatalf("legacy decode defaults: got code=%d execSeq=%d", got.Code, got.ExecSeq)
-	}
-	if got.Replica != 3 || string(got.Result) != "value" {
-		t.Fatalf("legacy decode fields: %+v", got)
-	}
-
-	// Code without ExecSeq (the intermediate layout) also decodes.
-	e2 := wire.NewEncoder(64)
-	e2.Int(3)
-	e2.Uint64(9)
-	e2.Uint64(77)
-	e2.BytesField([]byte("value"))
-	e2.Byte(ReadLeased)
-	got2, err := DecodeReadReply(e2.Bytes())
-	if err != nil {
-		t.Fatalf("code-only decode: %v", err)
-	}
-	if got2.Code != ReadLeased || got2.ExecSeq != 0 {
-		t.Fatalf("code-only decode: got code=%d execSeq=%d", got2.Code, got2.ExecSeq)
-	}
-}
-
 // TestDecodeReplyRejectsReadReply guards the client recvLoop's reply-type
 // discrimination: a ReadReply payload must NOT decode as a write Reply (its
 // trailing ExecSeq makes the strict decode fail), or read replies would

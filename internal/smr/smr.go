@@ -136,8 +136,7 @@ func (r Reply) Encode() []byte {
 // measurably slows read-heavy workloads.
 var errReplyTrailing = errors.New("smr: decode reply: trailing bytes")
 
-// DecodeReply parses a reply. The trailing code byte is optional on the
-// wire: replies encoded before it existed decode as ReplyOK.
+// DecodeReply parses a reply.
 func DecodeReply(b []byte) (Reply, error) {
 	d := wire.NewDecoder(b)
 	var r Reply
@@ -145,9 +144,7 @@ func DecodeReply(b []byte) (Reply, error) {
 	r.Client = d.Uint64()
 	r.Num = d.Uint64()
 	res := d.BytesField()
-	if d.Err() == nil && d.Remaining() > 0 {
-		r.Code = d.Byte()
-	}
+	r.Code = d.Byte()
 	if d.Err() == nil && d.Remaining() > 0 {
 		return Reply{}, errReplyTrailing
 	}
