@@ -54,12 +54,13 @@ test:
 # races, queue semantics, registry snapshot consistency), the replica
 # engine's tests (single-goroutine by contract: a report there means the
 # engine grew a goroutine or a test shares a rig) and the replica loop's
-# (its receive and run goroutines, Close, the Status round trip) under the
-# race detector with caching disabled.
+# (its receive and run goroutines, Close, the Status round trip) and PBFT's
+# vote tally (held votes settled on the run goroutine while the receive
+# goroutine queues more) under the race detector with caching disabled.
 race:
 	$(GO) test -race -count=5 \
-		-run 'TestSelfSend|TestConcurrentSendClose|TestSendCloseRaceWindow|TestHelloWriteDeadline|TestQueue|TestSnapshotConsistentUnderConcurrentWriters|TestLabeledConcurrentScrape|TestEngine|TestLoop' \
-		./internal/tcpnet/ ./internal/syncx/ ./internal/obs/ ./internal/smr/
+		-run 'TestSelfSend|TestConcurrentSendClose|TestSendCloseRaceWindow|TestHelloWriteDeadline|TestQueue|TestSnapshotConsistentUnderConcurrentWriters|TestLabeledConcurrentScrape|TestEngine|TestLoop|TestVote|TestVerifiesOnlyWhatQuorumsNeed' \
+		./internal/tcpnet/ ./internal/syncx/ ./internal/obs/ ./internal/smr/ ./internal/pbft/
 
 # soak repeats the fault-injection soak (lossy links, rolling partitions,
 # a Byzantine spammer against batched checkpointing MinBFT, with the watch

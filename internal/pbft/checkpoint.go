@@ -49,16 +49,15 @@ func (r *Replica) handleCheckpoint(from types.ProcessID, n types.SeqNum, payload
 // signature.
 func (r orderer) VoteCheckpoint(count uint64, digest [sha256.Size]byte) ([]byte, bool) {
 	n := types.SeqNum(count)
-	sig := r.sign(signedBytes(kindCheckpoint, r.view, n, digest[:]))
+	sig := r.sign(kindCheckpoint, n, digest[:])
 	_ = transport.Broadcast(r.tr, r.m.Others(r.Self()), encodeMsg(kindCheckpoint, r.view, n, digest[:], sig))
 	return sig, true
 }
 
 // VerifyCheckpoint checks each vote's signature over CHECKPOINT(n, digest).
 func (r orderer) VerifyCheckpoint(cert smr.CkptCert) error {
-	signed := signedBytes(kindCheckpoint, r.view, types.SeqNum(cert.Count), cert.Digest[:])
 	for _, v := range cert.Votes {
-		if err := r.verify(v.Sender, signed, v.Proof); err != nil {
+		if err := r.verify(v.Sender, kindCheckpoint, types.SeqNum(cert.Count), cert.Digest[:], v.Proof); err != nil {
 			return err
 		}
 	}

@@ -32,11 +32,8 @@ func (r orderer) Propose(batch []smr.Request) bool {
 	btc := span.Context()
 	r.broadcastTraced(kindPrePrepare, n, payload, btc)
 	span.End()
-	// The primary's pre-prepare stands for its prepare.
 	sl := r.slot(n)
-	r.adopt(sl, batch, digest)
-	r.eng.BindBatch(&sl.BatchTrace, btc)
-	sl.prepares[r.Self()] = true
+	r.bind(sl, batch, digest, btc)
 	r.progress(n, sl)
 	return true
 }

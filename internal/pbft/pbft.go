@@ -12,6 +12,13 @@
 // per-client dedup, so batching changes the amortization, not the
 // properties (DESIGN.md §5).
 //
+// Signatures are checked as the quorums need them (vote.go, DESIGN.md §5): a
+// PRE-PREPARE is verified on arrival, once nothing cheaper has dropped it; a
+// PREPARE or COMMIT is held unverified under its sender, and the slot's
+// tally verifies held votes for the bound digest only until it has 2f+1.
+// Votes beyond the quorum are never verified: 16 verifications per batch at
+// n = 4 instead of one per message received (24).
+//
 // Checkpointing (checkpoint.go, and the engine's checkpoint plane): every K
 // executed batches the replica snapshots its state and broadcasts a signed
 // CHECKPOINT; 2f+1 matching votes make it stable, releasing all slots below
@@ -87,8 +94,7 @@ type slot struct {
 	smr.BatchTrace
 	reqs      []smr.Request // nil until the pre-prepare binds the batch
 	digest    [sha256.Size]byte
-	prepares  map[types.ProcessID]bool
-	commits   map[types.ProcessID]bool
+	votes     []vote // PREPAREs by sender, then COMMITs by sender; nil once committed
 	prepared  bool
 	committed bool
 	executed  bool
@@ -164,16 +170,15 @@ func (r orderer) HandleTimer(timerEvent) {
 
 // --- wire ---
 
-// signedBytes binds kind, view, seq, and digest for PREPARE/COMMIT, or the
-// full request bytes for PRE-PREPARE.
-func signedBytes(kind byte, v types.View, n types.SeqNum, payload []byte) []byte {
-	e := wire.NewEncoder(48 + len(payload))
+// appendSigned appends what a signature covers: kind, view, seq, and the
+// digest for PREPARE/COMMIT/CHECKPOINT, or the full request bytes for
+// PRE-PREPARE.
+func appendSigned(e *wire.Encoder, kind byte, v types.View, n types.SeqNum, payload []byte) {
 	e.String(sigDomain)
 	e.Byte(kind)
 	e.Uint64(uint64(v))
 	e.Uint64(uint64(n))
 	e.BytesField(payload)
-	return e.Bytes()
 }
 
 func encodeMsg(kind byte, v types.View, n types.SeqNum, payload, signature []byte) []byte {
@@ -217,16 +222,25 @@ func EncodeReadBatchEnvelope(reqs [][]byte) []byte {
 }
 
 // sign and verify are the replica's only keyring call sites, so the sig
-// layer's work is countable here (PBFT verifies every message directly;
-// there is no fastverify cache in front to publish the numbers).
-func (r *Replica) sign(msg []byte) []byte {
+// layer's work is countable here (there is no fastverify cache in front to
+// publish the numbers). The statement both cover, (kind, r.view, n,
+// payload), is transient, so it is built in a pooled encoder.
+func (r *Replica) sign(kind byte, n types.SeqNum, payload []byte) []byte {
+	e := wire.GetEncoder()
+	appendSigned(e, kind, r.view, n, payload)
 	r.mx.sigSigns.Inc()
-	return r.ring.Sign(msg)
+	signature := r.ring.Sign(e.Bytes())
+	wire.PutEncoder(e)
+	return signature
 }
 
-func (r *Replica) verify(from types.ProcessID, msg, signature []byte) error {
+func (r *Replica) verify(from types.ProcessID, kind byte, n types.SeqNum, payload, signature []byte) error {
+	e := wire.GetEncoder()
+	appendSigned(e, kind, r.view, n, payload)
 	r.mx.sigVerifies.Inc()
-	return r.ring.Verify(from, msg, signature)
+	err := r.ring.Verify(from, e.Bytes(), signature)
+	wire.PutEncoder(e)
+	return err
 }
 
 func (r *Replica) broadcast(kind byte, n types.SeqNum, payload []byte) {
@@ -236,22 +250,23 @@ func (r *Replica) broadcast(kind byte, n types.SeqNum, payload []byte) {
 // broadcastTraced is broadcast with a trace context on the frames; a zero
 // context degrades to frames byte-identical to the untraced path.
 func (r *Replica) broadcastTraced(kind byte, n types.SeqNum, payload []byte, tc tracing.Context) {
-	signature := r.sign(signedBytes(kind, r.view, n, payload))
-	msg := encodeMsg(kind, r.view, n, payload, signature)
+	msg := encodeMsg(kind, r.view, n, payload, r.sign(kind, n, payload))
 	_ = transport.BroadcastTraced(r.tr, r.m.Others(r.Self()), msg, tc)
 }
 
 // sendSigned signs and sends one message point-to-point (lease grants go
 // only to the primary; everything quorum-forming is broadcast).
 func (r *Replica) sendSigned(to types.ProcessID, kind byte, n types.SeqNum, payload []byte) {
-	signature := r.sign(signedBytes(kind, r.view, n, payload))
-	_ = r.tr.Send(to, encodeMsg(kind, r.view, n, payload, signature))
+	_ = r.tr.Send(to, encodeMsg(kind, r.view, n, payload, r.sign(kind, n, payload)))
 }
 
 // --- handlers ---
 
-// HandleEnvelope decodes, authenticates and dispatches one message the loop
-// received.
+// HandleEnvelope decodes and dispatches one message the loop received. A
+// replica message must be in the view and from a member; CHECKPOINT and the
+// lease messages are rare and verified here, on arrival, while the ordering
+// messages are verified where the slot needs them (handlePrePrepare,
+// handleVote).
 func (r orderer) HandleEnvelope(env transport.Envelope) {
 	kind, v, n, payload, signature, err := decodeMsg(env.Payload)
 	if err != nil {
@@ -276,14 +291,12 @@ func (r orderer) HandleEnvelope(env transport.Envelope) {
 	case kindStateResp:
 		r.eng.HandleStateResp(payload)
 		return
-	case kindPrePrepare, kindPrepare, kindCommit, kindCheckpoint, kindLeaseRequest, kindLeaseGrant:
-		if v != r.view {
+	case kindPrePrepare, kindPrepare, kindCommit:
+		if v != r.view || !r.m.Contains(env.From) {
 			return
 		}
-		if !r.m.Contains(env.From) {
-			return
-		}
-		if err := r.verify(env.From, signedBytes(kind, v, n, payload), signature); err != nil {
+	case kindCheckpoint, kindLeaseRequest, kindLeaseGrant:
+		if v != r.view || !r.m.Contains(env.From) || r.verify(env.From, kind, n, payload, signature) != nil {
 			return
 		}
 	default:
@@ -291,11 +304,9 @@ func (r orderer) HandleEnvelope(env transport.Envelope) {
 	}
 	switch kind {
 	case kindPrePrepare:
-		r.handlePrePrepare(env.From, n, payload, env.Trace)
-	case kindPrepare:
-		r.handlePrepare(env.From, n, payload)
-	case kindCommit:
-		r.handleCommit(env.From, n, payload)
+		r.handlePrePrepare(env.From, n, payload, signature, env.Trace)
+	case kindPrepare, kindCommit:
+		r.handleVote(kind, env.From, n, payload, signature)
 	case kindCheckpoint:
 		r.handleCheckpoint(env.From, n, payload, signature)
 	case kindLeaseRequest:
@@ -308,95 +319,60 @@ func (r orderer) HandleEnvelope(env transport.Envelope) {
 func (r *Replica) slot(n types.SeqNum) *slot {
 	sl := r.slots[n]
 	if sl == nil {
-		sl = &slot{
-			prepares: make(map[types.ProcessID]bool),
-			commits:  make(map[types.ProcessID]bool),
-		}
+		sl = &slot{votes: make([]vote, 2*r.m.N)}
 		r.slots[n] = sl
 	}
 	return sl
 }
 
-func (r *Replica) adopt(sl *slot, reqs []smr.Request, digest [sha256.Size]byte) {
-	if sl.reqs == nil {
-		sl.reqs = reqs
-		sl.digest = digest
-	}
+// bind gives a slot its batch. The primary's pre-prepare stands for its
+// PREPARE, so the primary's prepare vote counts from here on.
+func (r *Replica) bind(sl *slot, reqs []smr.Request, digest [sha256.Size]byte, tc tracing.Context) {
+	sl.reqs, sl.digest = reqs, digest
+	r.eng.BindBatch(&sl.BatchTrace, tc)
+	sl.count(kindPrepare, r.m.Leader(r.view))
 }
 
-func (r *Replica) handlePrePrepare(from types.ProcessID, n types.SeqNum, payload []byte, tc tracing.Context) {
+// handlePrePrepare binds a backup's slot to the primary's batch. Whatever
+// would drop the pre-prepare is checked before its signature: a bound slot
+// keeps its batch, so a repeat or a conflicting copy costs a lookup.
+func (r *Replica) handlePrePrepare(from types.ProcessID, n types.SeqNum, payload, signature []byte, tc tracing.Context) {
 	if r.m.Leader(r.view) != from || n == 0 || r.released(n) {
+		return
+	}
+	if sl := r.slots[n]; sl != nil && sl.reqs != nil {
+		return
+	}
+	if r.verify(from, kindPrePrepare, n, payload, signature) != nil {
 		return
 	}
 	reqs, err := smr.DecodeRequests(payload, smr.MaxBatchSize)
 	if err != nil {
 		return
 	}
-	digest := sha256.Sum256(payload)
 	sl := r.slot(n)
-	if sl.reqs != nil && sl.digest != digest {
-		return // conflicting pre-prepare for a bound slot: ignore
-	}
-	r.adopt(sl, reqs, digest)
-	r.eng.BindBatch(&sl.BatchTrace, tc)
-	sl.prepares[from] = true
-	if !sl.prepares[r.Self()] {
-		sl.prepares[r.Self()] = true
-		r.broadcast(kindPrepare, n, digest[:])
-	}
+	r.bind(sl, reqs, sha256.Sum256(payload), tc)
+	sl.count(kindPrepare, r.Self())
+	r.broadcast(kindPrepare, n, sl.digest[:])
 	r.progress(n, sl)
 }
 
 // released reports whether slot n is at or below the stable checkpoint.
 func (r *Replica) released(n types.SeqNum) bool { return uint64(n) <= r.eng.Stable().Count }
 
-func (r *Replica) handlePrepare(from types.ProcessID, n types.SeqNum, digest []byte) {
-	if len(digest) != sha256.Size || r.released(n) {
-		return // released slots take no further votes
-	}
-	sl := r.slot(n)
-	if sl.reqs != nil {
-		var d [sha256.Size]byte
-		copy(d[:], digest)
-		if d != sl.digest {
-			return
-		}
-	}
-	sl.prepares[from] = true
-	r.progress(n, sl)
-}
-
-func (r *Replica) handleCommit(from types.ProcessID, n types.SeqNum, digest []byte) {
-	if len(digest) != sha256.Size || r.released(n) {
-		return // released slots take no further votes
-	}
-	sl := r.slot(n)
-	if sl.reqs != nil {
-		var d [sha256.Size]byte
-		copy(d[:], digest)
-		if d != sl.digest {
-			return
-		}
-	}
-	sl.commits[from] = true
-	r.progress(n, sl)
-}
-
 // progress advances a slot through prepared -> committed -> executed, then
 // gives the primary a chance to propose the next accumulated batch.
 func (r *Replica) progress(n types.SeqNum, sl *slot) {
-	// Prepared: pre-prepare plus 2f matching prepares (the quorum of 2f+1
-	// counting the primary's pre-prepare; our bookkeeping folds both into
-	// the prepares set).
-	if !sl.prepared && sl.reqs != nil && len(sl.prepares) >= r.m.Quorum() {
+	// Prepared: 2f+1 PREPAREs for the bound digest, the primary's
+	// pre-prepare standing for its own.
+	if !sl.prepared && sl.reqs != nil && r.tally(kindPrepare, n, sl) {
 		sl.prepared = true
-		if !sl.commits[r.Self()] {
-			sl.commits[r.Self()] = true
-			r.broadcast(kindCommit, n, sl.digest[:])
-		}
+		sl.count(kindCommit, r.Self())
+		r.broadcast(kindCommit, n, sl.digest[:])
 	}
-	if !sl.committed && sl.prepared && len(sl.commits) >= r.m.Quorum() {
+	if !sl.committed && sl.prepared && r.tally(kindCommit, n, sl) {
 		sl.committed = true
+		sl.votes = nil // what is still held is never verified
 	}
 	// Execute whole batches in contiguous sequence order.
 	executed := false
