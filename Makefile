@@ -56,11 +56,14 @@ test:
 # engine grew a goroutine or a test shares a rig) and the replica loop's
 # (its receive and run goroutines, Close, the Status round trip) and PBFT's
 # vote tally (held votes settled on the run goroutine while the receive
-# goroutine queues more) under the race detector with caching disabled.
+# goroutine queues more), the SRB runner (concurrent broadcasts against its
+# receive goroutine, Close), the single-threaded SRB schedule explorer and
+# the trincsrb sequence-number regression under the race detector with
+# caching disabled.
 race:
 	$(GO) test -race -count=5 \
-		-run 'TestSelfSend|TestConcurrentSendClose|TestSendCloseRaceWindow|TestHelloWriteDeadline|TestQueue|TestSnapshotConsistentUnderConcurrentWriters|TestLabeledConcurrentScrape|TestEngine|TestLoop|TestVote|TestVerifiesOnlyWhatQuorumsNeed' \
-		./internal/tcpnet/ ./internal/syncx/ ./internal/obs/ ./internal/smr/ ./internal/pbft/
+		-run 'TestSelfSend|TestConcurrentSendClose|TestSendCloseRaceWindow|TestHelloWriteDeadline|TestQueue|TestSnapshotConsistentUnderConcurrentWriters|TestLabeledConcurrentScrape|TestEngine|TestLoop|TestVote|TestVerifiesOnlyWhatQuorumsNeed|TestRunner|TestSchedule|TestBroadcastSeqAfterFailedAttest' \
+		./internal/tcpnet/ ./internal/syncx/ ./internal/obs/ ./internal/smr/ ./internal/pbft/ ./internal/srb/ ./internal/srb/trincsrb/
 
 # soak repeats the fault-injection soak (lossy links, rolling partitions,
 # a Byzantine spammer against batched checkpointing MinBFT, with the watch

@@ -31,12 +31,10 @@ func BenchmarkSRB(b *testing.B) {
 		signed bool
 	}
 	builders := []builder{
-		{"trincsrb", harness.BuildTrincClusterScheme, func(n int) int { return (n - 1) / 2 }, true},
-		{"a2msrb", harness.BuildA2MClusterScheme, func(n int) int { return (n - 1) / 2 }, true},
-		{"uniround", harness.BuildUniroundClusterScheme, func(n int) int { return (n - 1) / 2 }, true},
-		{"bracha", func(m types.Membership, _ sig.Scheme) (*harness.SRBCluster, error) {
-			return harness.BuildBrachaCluster(m)
-		}, func(n int) int { return (n - 1) / 3 }, false},
+		{"trincsrb", harness.BuildTrincCluster, func(n int) int { return (n - 1) / 2 }, true},
+		{"a2msrb", harness.BuildA2MCluster, func(n int) int { return (n - 1) / 2 }, true},
+		{"uniround", harness.BuildUniroundCluster, func(n int) int { return (n - 1) / 2 }, true},
+		{"bracha", harness.BuildBrachaCluster, func(n int) int { return (n - 1) / 3 }, false},
 	}
 	for _, bl := range builders {
 		// bracha carries no signatures, so the scheme dimension is dropped.

@@ -101,8 +101,8 @@ func expF1() error {
 	return nil
 }
 
-func checkSRBDelivery(build func(types.Membership) (*harness.SRBCluster, error), m types.Membership) error {
-	c, err := build(m)
+func checkSRBDelivery(build func(types.Membership, sig.Scheme) (*harness.SRBCluster, error), m types.Membership) error {
+	c, err := build(m, sig.HMAC)
 	if err != nil {
 		return err
 	}
@@ -126,7 +126,7 @@ func checkSRBDelivery(build func(types.Membership) (*harness.SRBCluster, error),
 
 func checkTrincFromSRB() error {
 	m := harness.MustMembership(4, 1)
-	c, err := harness.BuildBrachaCluster(m) // TrInc from no hardware at all
+	c, err := harness.BuildBrachaCluster(m, sig.HMAC) // TrInc from no hardware at all
 	if err != nil {
 		return err
 	}
@@ -266,7 +266,7 @@ func expB1(msgs int, rep *report) error {
 	fmt.Printf("  %-10s %4s %4s  %12s %14s\n", "impl", "n", "f", "msgs/s", "mean latency")
 	type builder struct {
 		name  string
-		build func(types.Membership) (*harness.SRBCluster, error)
+		build func(types.Membership, sig.Scheme) (*harness.SRBCluster, error)
 		nf    func(n int) (int, int)
 	}
 	builders := []builder{
@@ -279,7 +279,7 @@ func expB1(msgs int, rep *report) error {
 		for _, n := range []int{4, 7, 10, 13} {
 			nn, f := b.nf(n)
 			m := harness.MustMembership(nn, f)
-			c, err := b.build(m)
+			c, err := b.build(m, sig.HMAC)
 			if err != nil {
 				return err
 			}

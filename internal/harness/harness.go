@@ -38,16 +38,10 @@ type SRBCluster struct {
 	Stop  func()
 }
 
-// BuildUniroundCluster builds a uniround SRB node set with the default
-// HMAC scheme. See BuildUniroundClusterScheme to choose the scheme.
-func BuildUniroundCluster(m types.Membership) (*SRBCluster, error) {
-	return BuildUniroundClusterScheme(m, sig.HMAC)
-}
-
-// BuildUniroundClusterScheme builds a uniround SRB node set over SWMR
-// stores, signing with the given scheme (Ed25519 for realistic crypto
-// cost, HMAC for a cheap simulation).
-func BuildUniroundClusterScheme(m types.Membership, scheme sig.Scheme) (*SRBCluster, error) {
+// BuildUniroundCluster builds a uniround SRB node set over SWMR stores,
+// signing with the given scheme (Ed25519 for realistic crypto cost, HMAC
+// for a cheap simulation).
+func BuildUniroundCluster(m types.Membership, scheme sig.Scheme) (*SRBCluster, error) {
 	rings, err := sig.NewKeyrings(m, scheme, rand.New(rand.NewSource(1)))
 	if err != nil {
 		return nil, err
@@ -75,59 +69,63 @@ func BuildUniroundClusterScheme(m types.Membership, scheme sig.Scheme) (*SRBClus
 	}}, nil
 }
 
-// BuildTrincCluster builds a TrInc SRB node set with the default HMAC
-// scheme. See BuildTrincClusterScheme to choose the scheme.
-func BuildTrincCluster(m types.Membership) (*SRBCluster, error) {
-	return BuildTrincClusterScheme(m, sig.HMAC)
-}
-
-// BuildTrincClusterScheme builds a TrInc SRB node set over a simulated
-// network, with trinkets signing under the given scheme.
-func BuildTrincClusterScheme(m types.Membership, scheme sig.Scheme) (*SRBCluster, error) {
-	net, err := simnet.New(m)
-	if err != nil {
-		return nil, err
-	}
+// BuildTrincCluster builds a TrInc SRB node set over a simulated network,
+// with trinkets signing under the given scheme.
+func BuildTrincCluster(m types.Membership, scheme sig.Scheme) (*SRBCluster, error) {
 	tu, err := trinc.NewUniverse(m, scheme, rand.New(rand.NewSource(2)))
 	if err != nil {
-		net.Close()
 		return nil, err
 	}
-	nodes := make([]srb.Node, m.N)
-	for i := 0; i < m.N; i++ {
-		nodes[i], err = trincsrb.New(m, net.Endpoint(types.ProcessID(i)), tu.Devices[i], tu.Verifier)
-		if err != nil {
-			net.Close()
-			return nil, err
-		}
-	}
-	return &SRBCluster{Nodes: nodes, Stop: func() {
-		for _, n := range nodes {
-			_ = n.Close()
-		}
-		net.Close()
-	}}, nil
+	return buildOverSimnet(m, func(tr transport.Transport) (srb.Node, error) {
+		return trincsrb.New(m, tr, tu.Devices[tr.Self()], tu.Verifier)
+	})
 }
 
-func BuildBrachaCluster(m types.Membership) (*SRBCluster, error) {
+// BuildA2MCluster builds an SRB node set over A2M logs (native devices,
+// agreed log ID 1) on a simulated network, with devices signing under the
+// given scheme.
+func BuildA2MCluster(m types.Membership, scheme sig.Scheme) (*SRBCluster, error) {
+	au, err := a2m.NewUniverse(m, scheme, rand.New(rand.NewSource(5)), nil)
+	if err != nil {
+		return nil, err
+	}
+	return buildOverSimnet(m, func(tr transport.Transport) (srb.Node, error) {
+		return a2msrb.New(m, tr, au.Devices[tr.Self()].NewLog(), au.Verifier)
+	})
+}
+
+// BuildBrachaCluster builds a Bracha SRB node set over a simulated network.
+// Bracha signs nothing, so the scheme is ignored; it is taken so that every
+// SRB builder has one signature.
+func BuildBrachaCluster(m types.Membership, _ sig.Scheme) (*SRBCluster, error) {
+	return buildOverSimnet(m, func(tr transport.Transport) (srb.Node, error) {
+		return bracha.New(m, tr)
+	})
+}
+
+// buildOverSimnet builds one node per member on a fresh simulated network;
+// Stop closes the nodes, then the network.
+func buildOverSimnet(m types.Membership, node func(transport.Transport) (srb.Node, error)) (*SRBCluster, error) {
 	net, err := simnet.New(m)
 	if err != nil {
 		return nil, err
 	}
-	nodes := make([]srb.Node, m.N)
-	for i := 0; i < m.N; i++ {
-		nodes[i], err = bracha.New(m, net.Endpoint(types.ProcessID(i)))
-		if err != nil {
-			net.Close()
-			return nil, err
-		}
-	}
-	return &SRBCluster{Nodes: nodes, Stop: func() {
+	var nodes []srb.Node
+	stop := func() {
 		for _, n := range nodes {
 			_ = n.Close()
 		}
 		net.Close()
-	}}, nil
+	}
+	for _, id := range m.All() {
+		n, err := node(net.Endpoint(id))
+		if err != nil {
+			stop()
+			return nil, err
+		}
+		nodes = append(nodes, n)
+	}
+	return &SRBCluster{Nodes: nodes, Stop: stop}, nil
 }
 
 // SMRCluster is a running SMR deployment with two connected clients: KV is
@@ -232,18 +230,6 @@ func (c *SMRCluster) Breakdowns() []tracing.RequestBreakdown {
 	return tracing.Breakdown(c.CollectSpans())
 }
 
-// BuildMinBFT builds a MinBFT deployment with the default HMAC scheme.
-// See BuildMinBFTScheme to choose the scheme.
-func BuildMinBFT(f int) (*SMRCluster, error) {
-	return BuildMinBFTScheme(f, sig.HMAC)
-}
-
-// BuildMinBFTScheme builds a MinBFT deployment over a simulated network
-// with USIG trinkets signing under the given scheme.
-func BuildMinBFTScheme(f int, scheme sig.Scheme) (*SMRCluster, error) {
-	return BuildMinBFTCfg(SMRConfig{F: f, Scheme: scheme})
-}
-
 // BuildMinBFTCfg builds a MinBFT deployment from an SMRConfig.
 func BuildMinBFTCfg(cfg SMRConfig) (*SMRCluster, error) {
 	return buildSMR(cluster.MinBFT, cfg)
@@ -313,18 +299,6 @@ func buildSMR(p cluster.Protocol, cfg SMRConfig) (*SMRCluster, error) {
 		closeClients()
 		stopReplicas()
 	}}, nil
-}
-
-// BuildPBFT builds a PBFT deployment with the default HMAC scheme. See
-// BuildPBFTScheme to choose the scheme.
-func BuildPBFT(f int) (*SMRCluster, error) {
-	return BuildPBFTScheme(f, sig.HMAC)
-}
-
-// BuildPBFTScheme builds a PBFT deployment over a simulated network with
-// replicas signing under the given scheme.
-func BuildPBFTScheme(f int, scheme sig.Scheme) (*SMRCluster, error) {
-	return BuildPBFTCfg(SMRConfig{F: f, Scheme: scheme})
 }
 
 // BuildPBFTCfg builds a PBFT deployment from an SMRConfig.
@@ -409,39 +383,4 @@ func MustMembership(n, f int) types.Membership {
 		panic(fmt.Sprintf("membership(%d,%d): %v", n, f, err))
 	}
 	return m
-}
-
-// BuildA2MCluster builds an SRB node set over A2M logs with the default
-// HMAC scheme. See BuildA2MClusterScheme to choose the scheme.
-func BuildA2MCluster(m types.Membership) (*SRBCluster, error) {
-	return BuildA2MClusterScheme(m, sig.HMAC)
-}
-
-// BuildA2MClusterScheme builds an SRB node set over A2M logs (native
-// devices, agreed log ID 1) on a simulated network, with devices signing
-// under the given scheme.
-func BuildA2MClusterScheme(m types.Membership, scheme sig.Scheme) (*SRBCluster, error) {
-	net, err := simnet.New(m)
-	if err != nil {
-		return nil, err
-	}
-	au, err := a2m.NewUniverse(m, scheme, rand.New(rand.NewSource(5)), nil)
-	if err != nil {
-		net.Close()
-		return nil, err
-	}
-	nodes := make([]srb.Node, m.N)
-	for i := 0; i < m.N; i++ {
-		nodes[i], err = a2msrb.New(m, net.Endpoint(types.ProcessID(i)), au.Devices[i].NewLog(), au.Verifier)
-		if err != nil {
-			net.Close()
-			return nil, err
-		}
-	}
-	return &SRBCluster{Nodes: nodes, Stop: func() {
-		for _, n := range nodes {
-			_ = n.Close()
-		}
-		net.Close()
-	}}, nil
 }

@@ -300,7 +300,7 @@ func runScenario(m types.Membership, which int, timeout time.Duration, drive fun
 	}
 
 	type peer struct {
-		node *trincsrb.Node
+		node srb.Node
 		rs   *srbRounds
 	}
 	peers := make(map[types.ProcessID]*peer)

@@ -1,77 +1,30 @@
 // Package a2msrb implements sequenced reliable broadcast from Attested
 // Append-only Memory — the A2M route to SRB (Chun et al.'s original use),
-// complementing the TrInc route in srb/trincsrb and closing the trusted-log
-// side of the paper's classification: *both* log primitives sit at SRB.
-//
-// The sender appends each message to its A2M log and sends the Lookup
-// proof to all. A proof certifies "entry k of my log is m" — and because
-// past entries are immutable, position k can never certify a different
-// value, so equivocation is impossible and the log index is the SRB
-// sequence number directly (A2M appends are dense, unlike raw TrInc
-// counters). Receivers verify the proof, relay first-seen entries to all
-// (strong termination), and deliver in index order. Tolerates any number
-// of Byzantine processes (n > f).
+// beside srb/trincsrb's TrInc route: both trusted logs sit at SRB. Its core
+// is srb.Sequencer over Attester: a Lookup proof certifies "entry k of my
+// log is m", so the log index is the key and index-1 the predecessor.
 package a2msrb
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"log/slog"
-	"sync"
-
-	"unidir/internal/obs"
 
 	"unidir/internal/srb"
-	"unidir/internal/syncx"
 	"unidir/internal/transport"
 	"unidir/internal/trusted/a2m"
 	"unidir/internal/types"
 )
-
-// ErrClosed reports use of a closed node.
-var ErrClosed = errors.New("a2msrb: node closed")
 
 // broadcastNonce is the fixed Lookup nonce: broadcast proofs are
 // statements about immutable log positions, so freshness is irrelevant
 // (any valid proof for position k is eternally true).
 var broadcastNonce = []byte("a2msrb/broadcast")
 
-// Node implements srb.Node from an A2M log and a transport endpoint.
-type Node struct {
-	self types.ProcessID
-	m    types.Membership
-	tr   transport.Transport
-	log  a2m.Log
-	ver  *a2m.Verifier
-
-	mu     sync.Mutex
-	states []*senderState
-	closed bool
-
-	deliveries *syncx.Queue[srb.Delivery]
-	cancel     context.CancelFunc
-	done       chan struct{}
-
-	lg *slog.Logger
-}
-
-// Option configures New.
-type Option func(*Node)
-
-// WithLogger attaches a structured logger; rejected proofs and delivery
-// progress are reported through it with sender/seq attrs.
-func WithLogger(l *slog.Logger) Option {
-	return func(n *Node) { n.lg = obs.OrNop(l) }
-}
-
-var _ srb.Node = (*Node)(nil)
-
-// senderState tracks one sender's log as seen by this process.
-type senderState struct {
-	next    types.SeqNum
-	pending map[types.SeqNum][]byte
-	seen    map[types.SeqNum]bool // indices already relayed
+// Attester is srb.Sequencer's view of an A2M log: Log holds this process's
+// messages, Ver checks the whole membership's proofs. Log's ID is the agreed
+// protocol log ID.
+type Attester struct {
+	Log a2m.Log
+	Ver *a2m.Verifier
 }
 
 // New creates a node. log must be a log on this process's A2M device (or a
@@ -82,171 +35,41 @@ type senderState struct {
 // the same at every process — a protocol configuration constant, as in
 // A2M-PBFT). Without the agreed ID, a Byzantine sender running two logs
 // could show different receivers different streams.
-func New(m types.Membership, tr transport.Transport, log a2m.Log, ver *a2m.Verifier, opts ...Option) (*Node, error) {
+func New(m types.Membership, tr transport.Transport, log a2m.Log, ver *a2m.Verifier) (*srb.Runner, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	if log.Owner() != tr.Self() {
 		return nil, fmt.Errorf("a2msrb: log owner %v != endpoint %v", log.Owner(), tr.Self())
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	n := &Node{
-		self:       tr.Self(),
-		m:          m,
-		tr:         tr,
-		log:        log,
-		ver:        ver,
-		states:     make([]*senderState, m.N),
-		deliveries: syncx.NewQueue[srb.Delivery](),
-		cancel:     cancel,
-		done:       make(chan struct{}),
-		lg:         obs.NopLogger(),
-	}
-	for _, opt := range opts {
-		opt(n)
-	}
-	for i := range n.states {
-		n.states[i] = &senderState{
-			next:    1,
-			pending: make(map[types.SeqNum][]byte),
-			seen:    make(map[types.SeqNum]bool),
-		}
-	}
-	go n.recvLoop(ctx)
-	return n, nil
+	return srb.NewRunner(m, tr, srb.NewSequencer[a2m.Proof](m, log.Owner(), Attester{Log: log, Ver: ver})), nil
 }
 
-// Self returns this process's ID.
-func (n *Node) Self() types.ProcessID { return n.self }
-
-// Broadcast appends data to this process's attested log and sends the
-// Lookup proof to all.
-func (n *Node) Broadcast(data []byte) (types.SeqNum, error) {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return 0, ErrClosed
-	}
-	n.mu.Unlock()
-	seq, err := n.log.Append(data)
+// Attest appends data to the log and returns its Lookup proof.
+func (a Attester) Attest(data []byte) (srb.Link, []byte, error) {
+	seq, err := a.Log.Append(data)
 	if err != nil {
-		return 0, fmt.Errorf("a2msrb: append: %w", err)
+		return srb.Link{}, nil, fmt.Errorf("a2msrb: append: %w", err)
 	}
-	proof, err := n.log.Lookup(seq, broadcastNonce)
+	proof, err := a.Log.Lookup(seq, broadcastNonce)
 	if err != nil {
-		return 0, fmt.Errorf("a2msrb: lookup: %w", err)
+		return srb.Link{}, nil, fmt.Errorf("a2msrb: lookup: %w", err)
 	}
-	payload := proof.Encode()
-	if err := transport.Broadcast(n.tr, n.m.Others(n.self), payload); err != nil {
-		return 0, fmt.Errorf("a2msrb: broadcast: %w", err)
-	}
-	n.accept(proof, payload)
-	return seq, nil
+	l, _ := a.Link(proof)
+	return l, proof.Encode(), nil
 }
 
-// Deliver returns the next delivery from any sender.
-func (n *Node) Deliver(ctx context.Context) (srb.Delivery, error) {
-	d, err := n.deliveries.Pop(ctx)
-	if errors.Is(err, syncx.ErrQueueClosed) {
-		return srb.Delivery{}, ErrClosed
-	}
-	return d, err
+// Decode parses a proof's wire form.
+func (Attester) Decode(payload []byte) (a2m.Proof, error) { return a2m.DecodeProof(payload) }
+
+// Link keys a proof by log index. Only Lookup proofs on the agreed log
+// belong to this instance: a Byzantine sender running several logs cannot
+// split the stream across receivers.
+func (a Attester) Link(p a2m.Proof) (srb.Link, bool) {
+	s := p.Stmt
+	return srb.Link{Sender: s.Device, Key: s.Seq, Prev: s.Seq - 1, Data: s.Value},
+		s.Kind == a2m.KindLookup && s.Log == a.Log.ID()
 }
 
-// Close stops the node.
-func (n *Node) Close() error {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return nil
-	}
-	n.closed = true
-	n.mu.Unlock()
-	n.cancel()
-	_ = n.tr.Close()
-	<-n.done
-	n.deliveries.Close()
-	return nil
-}
-
-func (n *Node) recvLoop(ctx context.Context) {
-	defer close(n.done)
-	for {
-		env, err := n.tr.Recv(ctx)
-		if err != nil {
-			return
-		}
-		proof, err := a2m.DecodeProof(env.Payload)
-		if err != nil {
-			n.lg.Warn("dropping undecodable proof", "from", env.From, "err", err)
-			continue // Byzantine garbage
-		}
-		n.accept(proof, env.Payload)
-	}
-}
-
-// accept validates one attested log entry and advances the sender's
-// delivery cursor. The proof authenticates the original sender (its
-// device), so relays by third parties are sound. payload is the proof's
-// wire encoding, reused verbatim for the relay.
-func (n *Node) accept(proof a2m.Proof, payload []byte) {
-	sender := proof.Stmt.Device
-	if !n.m.Contains(sender) || proof.Stmt.Kind != a2m.KindLookup {
-		n.lg.Debug("rejecting proof", "sender", sender, "seq", proof.Stmt.Seq, "reason", "non-member or non-lookup")
-		return
-	}
-	// Only the agreed protocol log counts: a Byzantine sender running
-	// several logs cannot split the stream across receivers.
-	if proof.Stmt.Log != n.log.ID() {
-		n.lg.Debug("rejecting proof", "sender", sender, "seq", proof.Stmt.Seq, "reason", "wrong log id", "log", proof.Stmt.Log, "want", n.log.ID())
-		return
-	}
-	// Fast duplicate drop before the signature check: every process relays
-	// every first-seen entry, so each proof arrives up to n-1 times. seen
-	// is only ever set after a successful check (and re-checked under the
-	// lock below), so the early exit never trusts an unverified proof.
-	n.mu.Lock()
-	if n.closed || n.states[sender].seen[proof.Stmt.Seq] {
-		n.mu.Unlock()
-		return
-	}
-	n.mu.Unlock()
-	if err := n.ver.Check(proof); err != nil {
-		// A proof that decodes but fails verification is hard evidence of a
-		// faulty sender or relay, worth surfacing above debug level.
-		n.lg.Warn("rejecting proof", "sender", sender, "seq", proof.Stmt.Seq, "reason", "bad proof", "err", err)
-		return
-	}
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return
-	}
-	st := n.states[sender]
-	if st.seen[proof.Stmt.Seq] {
-		n.mu.Unlock()
-		return
-	}
-	st.seen[proof.Stmt.Seq] = true
-	st.pending[proof.Stmt.Seq] = proof.Stmt.Value
-	var ready []srb.Delivery
-	for {
-		data, ok := st.pending[st.next]
-		if !ok {
-			break
-		}
-		delete(st.pending, st.next)
-		ready = append(ready, srb.Delivery{Sender: sender, Seq: st.next, Data: data})
-		st.next++
-	}
-	n.mu.Unlock()
-
-	// Relay once for strong termination.
-	if sender != n.self {
-		_ = transport.Broadcast(n.tr, n.m.Others(n.self), payload)
-	}
-	for _, d := range ready {
-		n.lg.Debug("delivering", "sender", d.Sender, "seq", d.Seq, "bytes", len(d.Data))
-		n.deliveries.Push(d)
-	}
-}
+// Check verifies the proof.
+func (a Attester) Check(p a2m.Proof) error { return a.Ver.Check(p) }

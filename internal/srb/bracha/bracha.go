@@ -13,21 +13,14 @@
 package bracha
 
 import (
-	"context"
 	"crypto/sha256"
-	"errors"
 	"fmt"
-	"sync"
 
 	"unidir/internal/srb"
-	"unidir/internal/syncx"
 	"unidir/internal/transport"
 	"unidir/internal/types"
 	"unidir/internal/wire"
 )
-
-// ErrClosed reports use of a closed node.
-var ErrClosed = errors.New("bracha: node closed")
 
 const (
 	kindSend byte = iota + 1
@@ -35,23 +28,13 @@ const (
 	kindReady
 )
 
-// Node implements srb.Node via Bracha reliable broadcast.
-type Node struct {
-	self types.ProcessID
-	m    types.Membership
-	tr   transport.Transport
-
-	mu      sync.Mutex
+// Core is one process's Bracha broadcast as an srb.Core.
+type Core struct {
+	self    types.ProcessID
+	m       types.Membership
 	nextSeq types.SeqNum
 	states  []*senderState
-	closed  bool
-
-	deliveries *syncx.Queue[srb.Delivery]
-	cancel     context.CancelFunc
-	done       chan struct{}
 }
-
-var _ srb.Node = (*Node)(nil)
 
 // senderState tracks all in-flight sequence numbers of one sender.
 type senderState struct {
@@ -62,172 +45,89 @@ type senderState struct {
 
 // slot is the per-(sender, seq) Bracha instance state.
 type slot struct {
-	data      map[[sha256.Size]byte][]byte // value hash -> payload
-	echoed    bool                         // this process sent its ECHO
-	readied   bool                         // this process sent its READY
+	data      map[hash][]byte          // value hash -> payload
+	votes     [2]map[hash]int          // ECHO and READY votes counted per value
+	voted     map[types.ProcessID]byte // per voter, one bit per kind of vote counted
 	delivered bool
-	echoes    map[[sha256.Size]byte]map[types.ProcessID]bool
-	readies   map[[sha256.Size]byte]map[types.ProcessID]bool
-	voted     map[types.ProcessID]byte // kind of vote already counted per peer
 }
 
-// New creates a node for membership m (requires n >= 3f+1).
-func New(m types.Membership, tr transport.Transport) (*Node, error) {
+type hash = [sha256.Size]byte
+
+// NewCore returns process self's core for membership m (requires n >= 3f+1).
+func NewCore(m types.Membership, self types.ProcessID) (*Core, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	if m.N < 3*m.F+1 {
 		return nil, fmt.Errorf("bracha: requires n >= 3f+1, got n=%d f=%d", m.N, m.F)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	n := &Node{
-		self:       tr.Self(),
-		m:          m,
-		tr:         tr,
-		states:     make([]*senderState, m.N),
-		deliveries: syncx.NewQueue[srb.Delivery](),
-		cancel:     cancel,
-		done:       make(chan struct{}),
-	}
-	for i := range n.states {
-		n.states[i] = &senderState{
+	c := &Core{self: self, m: m, states: make([]*senderState, m.N)}
+	for i := range c.states {
+		c.states[i] = &senderState{
 			next:  1,
 			slots: make(map[types.SeqNum]*slot),
 			ready: make(map[types.SeqNum][]byte),
 		}
 	}
-	go n.recvLoop(ctx)
-	return n, nil
+	return c, nil
 }
 
-// Self returns this process's ID.
-func (n *Node) Self() types.ProcessID { return n.self }
+// New creates a node for membership m (requires n >= 3f+1).
+func New(m types.Membership, tr transport.Transport) (*srb.Runner, error) {
+	c, err := NewCore(m, tr.Self())
+	if err != nil {
+		return nil, err
+	}
+	return srb.NewRunner(m, tr, c), nil
+}
 
 // Broadcast starts the Bracha instance for this process's next sequence
-// number.
-func (n *Node) Broadcast(data []byte) (types.SeqNum, error) {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return 0, ErrClosed
-	}
-	n.nextSeq++
-	seq := n.nextSeq
-	n.mu.Unlock()
-
-	payload := encode(kindSend, n.self, seq, data)
-	if err := transport.Broadcast(n.tr, n.m.Others(n.self), payload); err != nil {
-		return 0, fmt.Errorf("bracha: broadcast: %w", err)
-	}
-	// Process own SEND locally (the sender echoes its own message too).
-	n.handle(n.self, kindSend, n.self, seq, data)
-	return seq, nil
+// number: SEND to all, and this process's own SEND handled locally (the
+// sender echoes its own message too).
+func (c *Core) Broadcast(data []byte) (types.SeqNum, srb.Step, error) {
+	c.nextSeq++
+	send := encode(kindSend, c.self, c.nextSeq, data)
+	step := c.Handle(c.self, send)
+	step.Send = append([][]byte{send}, step.Send...)
+	return c.nextSeq, step, nil
 }
 
-// Deliver returns the next delivery from any sender.
-func (n *Node) Deliver(ctx context.Context) (srb.Delivery, error) {
-	d, err := n.deliveries.Pop(ctx)
-	if errors.Is(err, syncx.ErrQueueClosed) {
-		return srb.Delivery{}, ErrClosed
+// Handle processes one protocol message from's authenticated channel.
+func (c *Core) Handle(from types.ProcessID, payload []byte) srb.Step {
+	kind, sender, seq, data, err := decode(payload)
+	if err != nil || !c.m.Contains(sender) || seq == 0 || kind < kindSend || kind > kindReady {
+		return srb.Step{}
 	}
-	return d, err
-}
-
-// Close stops the node.
-func (n *Node) Close() error {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return nil
-	}
-	n.closed = true
-	n.mu.Unlock()
-	n.cancel()
-	_ = n.tr.Close()
-	<-n.done
-	n.deliveries.Close()
-	return nil
-}
-
-func (n *Node) recvLoop(ctx context.Context) {
-	defer close(n.done)
-	for {
-		env, err := n.tr.Recv(ctx)
-		if err != nil {
-			return
-		}
-		kind, sender, seq, data, err := decode(env.Payload)
-		if err != nil {
-			continue
-		}
-		n.handle(env.From, kind, sender, seq, data)
-	}
-}
-
-// handle processes one protocol message. from is the authenticated channel
-// identity of the peer that sent it.
-func (n *Node) handle(from types.ProcessID, kind byte, sender types.ProcessID, seq types.SeqNum, data []byte) {
-	if !n.m.Contains(sender) || seq == 0 {
-		return
-	}
-	h := sha256.Sum256(data)
-
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return
-	}
-	st := n.states[sender]
+	st := c.states[sender]
 	sl := st.slots[seq]
 	if sl == nil {
 		sl = &slot{
-			data:    make(map[[sha256.Size]byte][]byte),
-			echoes:  make(map[[sha256.Size]byte]map[types.ProcessID]bool),
-			readies: make(map[[sha256.Size]byte]map[types.ProcessID]bool),
-			voted:   make(map[types.ProcessID]byte),
+			data:  make(map[hash][]byte),
+			votes: [2]map[hash]int{make(map[hash]int), make(map[hash]int)},
+			voted: make(map[types.ProcessID]byte),
 		}
 		st.slots[seq] = sl
 	}
-
-	var out [][]byte // messages to send after unlocking
-	switch kind {
-	case kindSend:
-		// Only the sender's own channel may initiate its broadcast.
-		if from != sender {
-			break
+	h := sha256.Sum256(data)
+	var step srb.Step
+	if kind == kindSend {
+		// Only the sender's own channel may initiate its broadcast, and
+		// this process echoes only the first SEND.
+		if from != sender || !sl.vote(kindEcho, c.self, h, data) {
+			return step
 		}
-		sl.data[h] = data
-		if !sl.echoed {
-			sl.echoed = true
-			out = append(out, encode(kindEcho, sender, seq, data))
-			n.countVote(sl, kindEcho, n.self, h)
-		}
-	case kindEcho, kindReady:
-		// One counted vote of each kind per peer per slot: a Byzantine peer
-		// must not vote twice (for the same or different values).
-		if sl.voted[from]&voteBit(kind) != 0 {
-			break
-		}
-		sl.voted[from] |= voteBit(kind)
-		sl.data[h] = data
-		n.countVote(sl, kind, from, h)
-	default:
-		n.mu.Unlock()
-		return
+		step.Send = append(step.Send, encode(kindEcho, sender, seq, data))
+	} else if !sl.vote(kind, from, h, data) {
+		return step
 	}
 
-	// Threshold transitions for every value with recorded votes.
-	echoThreshold := n.m.Quorum() // ceil((n+f+1)/2)
-	readyAmplify := n.m.F + 1
-	deliverAt := 2*n.m.F + 1
-	var delivered []srb.Delivery
+	// Threshold transitions for every value with recorded votes: READY on
+	// ceil((n+f+1)/2) ECHOs or f+1 READYs, delivery on 2f+1 READYs.
 	for vh, payload := range sl.data {
-		if !sl.readied && (len(sl.echoes[vh]) >= echoThreshold || len(sl.readies[vh]) >= readyAmplify) {
-			sl.readied = true
-			out = append(out, encode(kindReady, sender, seq, payload))
-			n.countVote(sl, kindReady, n.self, vh)
+		if (sl.votes[0][vh] >= c.m.Quorum() || sl.votes[1][vh] >= c.m.F+1) && sl.vote(kindReady, c.self, vh, payload) {
+			step.Send = append(step.Send, encode(kindReady, sender, seq, payload))
 		}
-		if !sl.delivered && len(sl.readies[vh]) >= deliverAt {
+		if !sl.delivered && sl.votes[1][vh] >= 2*c.m.F+1 {
 			sl.delivered = true
 			st.ready[seq] = payload
 			for {
@@ -236,42 +136,26 @@ func (n *Node) handle(from types.ProcessID, kind byte, sender types.ProcessID, s
 					break
 				}
 				delete(st.ready, st.next)
-				delivered = append(delivered, srb.Delivery{Sender: sender, Seq: st.next, Data: p})
+				step.Deliver = append(step.Deliver, srb.Delivery{Sender: sender, Seq: st.next, Data: p})
 				st.next++
 			}
 		}
 	}
-	n.mu.Unlock()
-
-	for _, payload := range out {
-		_ = transport.Broadcast(n.tr, n.m.Others(n.self), payload)
-	}
-	for _, d := range delivered {
-		n.deliveries.Push(d)
-	}
+	return step
 }
 
-// countVote records a vote under the lock held by handle.
-func (n *Node) countVote(sl *slot, kind byte, from types.ProcessID, h [sha256.Size]byte) {
-	var byValue map[[sha256.Size]byte]map[types.ProcessID]bool
-	if kind == kindEcho {
-		byValue = sl.echoes
-	} else {
-		byValue = sl.readies
+// vote counts from's vote of kind (ECHO or READY) for the value hashed h.
+// It reports false, counting nothing, if from already cast that kind of vote
+// here: a Byzantine peer must not vote twice, for the same or another value.
+func (sl *slot) vote(kind byte, from types.ProcessID, h hash, data []byte) bool {
+	bit := byte(1) << (kind - kindEcho)
+	if sl.voted[from]&bit != 0 {
+		return false
 	}
-	voters := byValue[h]
-	if voters == nil {
-		voters = make(map[types.ProcessID]bool)
-		byValue[h] = voters
-	}
-	voters[from] = true
-}
-
-func voteBit(kind byte) byte {
-	if kind == kindEcho {
-		return 1
-	}
-	return 2
+	sl.voted[from] |= bit
+	sl.data[h] = data
+	sl.votes[kind-kindEcho][h]++
+	return true
 }
 
 func encode(kind byte, sender types.ProcessID, seq types.SeqNum, data []byte) []byte {

@@ -15,12 +15,13 @@
 //  4. Integrity: if a correct process delivers m from p, then p broadcast m
 //     earlier.
 //
-// Three implementations are provided in subpackages:
+// Four implementations are provided in subpackages:
 //
 //   - uniround: from unidirectional rounds with n >= 2t+1 (Algorithm 1 —
 //     the paper's main construction, §4.2);
-//   - trincsrb: from TrInc trusted counters (the trusted-log route that
-//     motivates "trusted logs are no stronger than SRB");
+//   - trincsrb and a2msrb: from a trusted log, TrInc counters or A2M logs.
+//     Both are adapters over one Sequencer (SRB from an attested sequencer),
+//     which is the classification's claim in code: a trusted log buys SRB;
 //   - bracha: from nothing but authenticated channels with n >= 3f+1
 //     (Bracha reliable broadcast with sequence numbers — the classic
 //     baseline showing what non-equivocation buys).
@@ -28,6 +29,11 @@
 // Each implementation exposes a Node: one process's participation in the
 // full set of SRB instances, one instance per sender in the membership (the
 // shape both the TrInc-from-SRB theorem and the SMR applications need).
+//
+// trincsrb, a2msrb and bracha are each a Core, a step function without I/O
+// or goroutines: Runner drives one from a transport, and a test scheduler can
+// step it directly. uniround is not a Core: its input is rounds.System
+// steps, not envelopes, so its seam belongs with rounds.SWMR's polling loop.
 package srb
 
 import (
@@ -93,13 +99,6 @@ func (r *Recorder) Deliver(p types.ProcessID, d Delivery) {
 	r.deliveries[p] = append(r.deliveries[p], d)
 }
 
-// DeliveredBy returns p's deliveries in order.
-func (r *Recorder) DeliveredBy(p types.ProcessID) []Delivery {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Delivery(nil), r.deliveries[p]...)
-}
-
 // CheckSequencing verifies property 3 for every process in correct: each
 // process's deliveries from each sender carry sequence numbers 1, 2, 3, ...
 // in delivery order.
@@ -125,21 +124,13 @@ func (r *Recorder) CheckSequencing(correct []types.ProcessID) error {
 func (r *Recorder) CheckAgreement(correct []types.ProcessID) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	type key struct {
-		sender types.ProcessID
-		seq    types.SeqNum
-	}
 	seen := make(map[key][]byte)
 	for _, p := range correct {
 		for _, d := range r.deliveries[p] {
-			k := key{d.Sender, d.Seq}
-			if prev, ok := seen[k]; ok {
-				if !bytes.Equal(prev, d.Data) {
-					return fmt.Errorf("srb: conflicting deliveries for (%v, %d): %q vs %q", d.Sender, d.Seq, prev, d.Data)
-				}
-				continue
+			if prev, ok := seen[d.key()]; ok && !bytes.Equal(prev, d.Data) {
+				return fmt.Errorf("srb: conflicting deliveries for (%v, %d): %q vs %q", d.Sender, d.Seq, prev, d.Data)
 			}
-			seen[k] = d.Data
+			seen[d.key()] = d.Data
 		}
 	}
 	return nil
@@ -151,23 +142,10 @@ func (r *Recorder) CheckAgreement(correct []types.ProcessID) error {
 func (r *Recorder) CheckIntegrity(correct []types.ProcessID) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	isCorrect := make(map[types.ProcessID]bool, len(correct))
-	for _, p := range correct {
-		isCorrect[p] = true
-	}
+	isCorrect := members(correct)
 	for _, p := range correct {
 		for _, d := range r.deliveries[p] {
-			if !isCorrect[d.Sender] {
-				continue
-			}
-			found := false
-			for _, b := range r.broadcasts[d.Sender] {
-				if b.Seq == d.Seq && bytes.Equal(b.Data, d.Data) {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if isCorrect[d.Sender] && !r.broadcast(d) {
 				return fmt.Errorf("srb: %v delivered (%d, %q) from %v, which was never broadcast", p, d.Seq, d.Data, d.Sender)
 			}
 		}
@@ -175,53 +153,45 @@ func (r *Recorder) CheckIntegrity(correct []types.ProcessID) error {
 	return nil
 }
 
+// broadcast reports whether d's sender broadcast d.Data at d.Seq.
+func (r *Recorder) broadcast(d Delivery) bool {
+	for _, b := range r.broadcasts[d.Sender] {
+		if b.Seq == d.Seq && bytes.Equal(b.Data, d.Data) {
+			return true
+		}
+	}
+	return false
+}
+
 // CheckTermination verifies properties 1 and 2 at quiescence: every correct
-// process delivered exactly the same (sender, seq) set, and that set
-// includes every broadcast of every correct sender.
+// process delivered the same (sender, seq) set, and that set includes every
+// broadcast of every correct sender. Equivalently, each correct process
+// delivered everything any correct process delivered or broadcast.
 func (r *Recorder) CheckTermination(correct []types.ProcessID) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	type key struct {
-		sender types.ProcessID
-		seq    types.SeqNum
-	}
-	sets := make(map[types.ProcessID]map[key]bool, len(correct))
-	for _, p := range correct {
-		set := make(map[key]bool)
-		for _, d := range r.deliveries[p] {
-			set[key{d.Sender, d.Seq}] = true
-		}
-		sets[p] = set
-	}
-	// Weak termination: correct senders' broadcasts are delivered by all.
-	isCorrect := make(map[types.ProcessID]bool, len(correct))
-	for _, p := range correct {
-		isCorrect[p] = true
-	}
+	isCorrect := members(correct)
+	want := make(map[key]bool)
 	for sender, bs := range r.broadcasts {
-		if !isCorrect[sender] {
-			continue
-		}
 		for _, b := range bs {
-			for _, p := range correct {
-				if !sets[p][key{sender, b.Seq}] {
-					return fmt.Errorf("srb: correct %v never delivered (%v, %d)", p, sender, b.Seq)
-				}
+			if isCorrect[sender] {
+				want[b.key()] = true
 			}
 		}
 	}
-	// Totality: all correct processes delivered the same set.
-	if len(correct) == 0 {
-		return nil
-	}
-	ref := sets[correct[0]]
-	for _, p := range correct[1:] {
-		if len(sets[p]) != len(ref) {
-			return fmt.Errorf("srb: %v delivered %d messages, %v delivered %d", p, len(sets[p]), correct[0], len(ref))
+	for _, p := range correct {
+		for _, d := range r.deliveries[p] {
+			want[d.key()] = true
 		}
-		for k := range ref {
-			if !sets[p][k] {
-				return fmt.Errorf("srb: %v missing delivery (%v, %d)", p, k.sender, k.seq)
+	}
+	for _, p := range correct {
+		got := make(map[key]bool, len(want))
+		for _, d := range r.deliveries[p] {
+			got[d.key()] = true
+		}
+		for k := range want {
+			if !got[k] {
+				return fmt.Errorf("srb: correct %v never delivered (%v, %d)", p, k.sender, k.seq)
 			}
 		}
 	}
@@ -232,14 +202,26 @@ func (r *Recorder) CheckTermination(correct []types.ProcessID) error {
 func (r *Recorder) CheckAll(correct []types.ProcessID) error {
 	sorted := append([]types.ProcessID(nil), correct...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	if err := r.CheckSequencing(sorted); err != nil {
-		return err
+	for _, check := range []func([]types.ProcessID) error{r.CheckSequencing, r.CheckAgreement, r.CheckIntegrity, r.CheckTermination} {
+		if err := check(sorted); err != nil {
+			return err
+		}
 	}
-	if err := r.CheckAgreement(sorted); err != nil {
-		return err
+	return nil
+}
+
+// key names one broadcast: its sender and sequence number.
+type key struct {
+	sender types.ProcessID
+	seq    types.SeqNum
+}
+
+func (d Delivery) key() key { return key{d.Sender, d.Seq} }
+
+func members(ps []types.ProcessID) map[types.ProcessID]bool {
+	set := make(map[types.ProcessID]bool, len(ps))
+	for _, p := range ps {
+		set[p] = true
 	}
-	if err := r.CheckIntegrity(sorted); err != nil {
-		return err
-	}
-	return r.CheckTermination(sorted)
+	return set
 }

@@ -1,256 +1,88 @@
 // Package trincsrb implements sequenced reliable broadcast from TrInc
-// trusted counters over asynchronous authenticated channels — the
-// trusted-log route to SRB that motivates the paper's classification of
-// A2M/TrInc-style hardware as "no stronger than SRB".
-//
-// The sender attests each message on a dedicated trinket counter with
-// consecutive counter values. Because a trinket never signs two
-// attestations with the same counter value, and each attestation names its
-// predecessor (Prev), the sender's attested messages form one unique chain:
-// equivocation is impossible, and the chain position *is* the SRB sequence
-// number. Receivers deliver along the chain in order and relay every
-// first-seen attested message to all peers, which yields strong termination
-// (if any correct process has the message, all eventually do) over reliable
-// channels. Tolerates any number of Byzantine processes (n > f): safety
-// comes entirely from the hardware.
+// trusted counters — the trusted-log route to SRB behind the paper's
+// classification of TrInc/A2M-style hardware as "no stronger than SRB". Its
+// core is srb.Sequencer over Attester: the counter value is the key and the
+// attestation's Prev the predecessor, so counter gaps chain through.
 package trincsrb
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"sync"
 
 	"unidir/internal/srb"
-	"unidir/internal/syncx"
 	"unidir/internal/transport"
 	"unidir/internal/trusted/trinc"
 	"unidir/internal/types"
 	"unidir/internal/wire"
 )
 
-// ErrClosed reports use of a closed node.
-var ErrClosed = errors.New("trincsrb: node closed")
-
 // srbCounter is the trinket counter reserved for this protocol. Callers
 // sharing a trinket with other protocols must not use the same counter.
 const srbCounter uint64 = 0
 
-// Node implements srb.Node from a trinket and a transport endpoint.
-type Node struct {
-	self types.ProcessID
-	m    types.Membership
-	tr   transport.Transport
-	dev  *trinc.Device
-	ver  *trinc.Verifier
-
-	mu      sync.Mutex
-	nextSeq types.SeqNum
-	states  []*senderState
-	closed  bool
-
-	deliveries *syncx.Queue[srb.Delivery]
-	cancel     context.CancelFunc
-	done       chan struct{}
+// Message is an attested broadcast message.
+type Message struct {
+	Att  trinc.Attestation
+	Data []byte
 }
 
-var _ srb.Node = (*Node)(nil)
-
-// senderState tracks one sender's chain as seen by this process.
-type senderState struct {
-	lastCtr types.SeqNum // counter value of the last delivered link
-	pos     types.SeqNum // SRB sequence number of the last delivered link
-	pending map[types.SeqNum]pendEntry
-	seen    map[types.SeqNum]bool // counter values already relayed
-}
-
-type pendEntry struct {
-	att  trinc.Attestation
-	data []byte
+// Attester is srb.Sequencer's view of a trinket: Dev attests this process's
+// messages, Ver checks the whole membership's.
+type Attester struct {
+	Dev *trinc.Device
+	Ver *trinc.Verifier
 }
 
 // New creates a node. dev must be the trinket owned by tr's process; ver
 // must verify the whole membership's trinkets.
-func New(m types.Membership, tr transport.Transport, dev *trinc.Device, ver *trinc.Verifier) (*Node, error) {
+func New(m types.Membership, tr transport.Transport, dev *trinc.Device, ver *trinc.Verifier) (*srb.Runner, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	if dev.Owner() != tr.Self() {
 		return nil, fmt.Errorf("trincsrb: trinket owner %v != endpoint %v", dev.Owner(), tr.Self())
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	n := &Node{
-		self:       tr.Self(),
-		m:          m,
-		tr:         tr,
-		dev:        dev,
-		ver:        ver,
-		states:     make([]*senderState, m.N),
-		deliveries: syncx.NewQueue[srb.Delivery](),
-		cancel:     cancel,
-		done:       make(chan struct{}),
-	}
-	for i := range n.states {
-		n.states[i] = &senderState{
-			pending: make(map[types.SeqNum]pendEntry),
-			seen:    make(map[types.SeqNum]bool),
-		}
-	}
-	go n.recvLoop(ctx)
-	return n, nil
+	return srb.NewRunner(m, tr, srb.NewSequencer[Message](m, dev.Owner(), Attester{Dev: dev, Ver: ver})), nil
 }
 
-// Self returns this process's ID.
-func (n *Node) Self() types.ProcessID { return n.self }
-
-// Broadcast attests data at the next counter value and sends it to all.
-func (n *Node) Broadcast(data []byte) (types.SeqNum, error) {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return 0, ErrClosed
-	}
-	n.nextSeq++
-	ctr := n.nextSeq
-	n.mu.Unlock()
-
-	att, err := n.dev.Attest(srbCounter, ctr, data)
+// Attest attests data at the counter value after the last one attested, so
+// a failed attest leaves no gap.
+func (a Attester) Attest(data []byte) (srb.Link, []byte, error) {
+	att, err := a.Dev.Attest(srbCounter, a.Dev.LastAttested(srbCounter)+1, data)
 	if err != nil {
-		return 0, fmt.Errorf("trincsrb: attest: %w", err)
+		return srb.Link{}, nil, fmt.Errorf("trincsrb: attest: %w", err)
 	}
-	payload := encodeMsg(att, data)
-	if err := transport.Broadcast(n.tr, n.m.Others(n.self), payload); err != nil {
-		return 0, fmt.Errorf("trincsrb: broadcast: %w", err)
-	}
-	// Deliver locally through the same chain logic (self-channel).
-	n.accept(att, data, payload)
-	return ctr, nil
+	l, _ := a.Link(Message{Att: att, Data: data})
+	return l, EncodeMessage(att, data), nil
 }
 
-// Deliver returns the next delivery from any sender.
-func (n *Node) Deliver(ctx context.Context) (srb.Delivery, error) {
-	d, err := n.deliveries.Pop(ctx)
-	if errors.Is(err, syncx.ErrQueueClosed) {
-		return srb.Delivery{}, ErrClosed
+// Decode parses the wire form EncodeMessage produces.
+func (Attester) Decode(payload []byte) (Message, error) {
+	d := wire.NewDecoder(payload)
+	attBytes := d.BytesField()
+	data := append([]byte(nil), d.BytesField()...)
+	if err := d.Finish(); err != nil {
+		return Message{}, fmt.Errorf("trincsrb: decode: %w", err)
 	}
-	return d, err
+	att, err := trinc.DecodeAttestation(attBytes)
+	return Message{Att: att, Data: data}, err
 }
 
-// Close stops the node.
-func (n *Node) Close() error {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return nil
-	}
-	n.closed = true
-	n.mu.Unlock()
-	n.cancel()
-	_ = n.tr.Close()
-	<-n.done
-	n.deliveries.Close()
-	return nil
+// Link keys msg by counter value and chains it through Prev; only the
+// protocol's counter belongs to this instance.
+func (Attester) Link(msg Message) (srb.Link, bool) {
+	a := msg.Att
+	return srb.Link{Sender: a.Trinket, Key: a.Seq, Prev: a.Prev, Data: msg.Data}, a.Counter == srbCounter
 }
 
-func (n *Node) recvLoop(ctx context.Context) {
-	defer close(n.done)
-	for {
-		env, err := n.tr.Recv(ctx)
-		if err != nil {
-			return
-		}
-		att, data, err := decodeMsg(env.Payload)
-		if err != nil {
-			continue // Byzantine garbage
-		}
-		n.accept(att, data, env.Payload)
-	}
-}
-
-// accept validates one attested message and advances the sender's chain.
-// Note the channel identity (env.From) is irrelevant: the attestation
-// itself names and authenticates the original sender, which is what makes
-// relaying by third parties sound. payload is the message's wire encoding,
-// reused verbatim for the relay (the encoding is canonical, so a payload
-// that decoded cleanly is byte-identical to a re-encoding).
-func (n *Node) accept(att trinc.Attestation, data, payload []byte) {
-	if !n.m.Contains(att.Trinket) || att.Counter != srbCounter {
-		return
-	}
-	// Fast duplicate drop before the signature check: every process relays
-	// every first-seen message, so each attestation arrives up to n-1
-	// times; an already-seen counter value needs no re-verification. The
-	// seen flag is only ever set after a successful check, so skipping here
-	// never trusts an unverified message, and the post-check re-check below
-	// keeps the mark-once invariant when two copies race.
-	n.mu.Lock()
-	if n.closed || n.states[att.Trinket].seen[att.Seq] {
-		n.mu.Unlock()
-		return
-	}
-	n.mu.Unlock()
-	if err := n.ver.CheckMessage(att, data); err != nil {
-		return
-	}
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return
-	}
-	st := n.states[att.Trinket]
-	if st.seen[att.Seq] {
-		n.mu.Unlock()
-		return
-	}
-	st.seen[att.Seq] = true
-	st.pending[att.Prev] = pendEntry{att: att, data: data}
-	var ready []srb.Delivery
-	for {
-		e, ok := st.pending[st.lastCtr]
-		if !ok {
-			break
-		}
-		delete(st.pending, st.lastCtr)
-		st.lastCtr = e.att.Seq
-		st.pos++
-		ready = append(ready, srb.Delivery{Sender: att.Trinket, Seq: st.pos, Data: e.data})
-	}
-	n.mu.Unlock()
-
-	// Relay once for strong termination (outside the lock: Send never
-	// blocks on peers but may take the network's locks).
-	if att.Trinket != n.self {
-		_ = transport.Broadcast(n.tr, n.m.Others(n.self), payload)
-	}
-	for _, d := range ready {
-		n.deliveries.Push(d)
-	}
-}
+// Check verifies the attestation and that it binds msg's data.
+func (a Attester) Check(msg Message) error { return a.Ver.CheckMessage(msg.Att, msg.Data) }
 
 // EncodeMessage produces the wire form of an attested broadcast message.
 // It is exported for Byzantine test harnesses that drive trinkets directly.
 func EncodeMessage(att trinc.Attestation, data []byte) []byte {
-	return encodeMsg(att, data)
-}
-
-func encodeMsg(att trinc.Attestation, data []byte) []byte {
 	attBytes := att.Encode()
 	e := wire.NewEncoder(16 + len(attBytes) + len(data))
 	e.BytesField(attBytes)
 	e.BytesField(data)
 	return e.Bytes()
-}
-
-func decodeMsg(payload []byte) (trinc.Attestation, []byte, error) {
-	d := wire.NewDecoder(payload)
-	attBytes := d.BytesField()
-	data := append([]byte(nil), d.BytesField()...)
-	if err := d.Finish(); err != nil {
-		return trinc.Attestation{}, nil, fmt.Errorf("trincsrb: decode: %w", err)
-	}
-	att, err := trinc.DecodeAttestation(attBytes)
-	if err != nil {
-		return trinc.Attestation{}, nil, err
-	}
-	return att, data, nil
 }
