@@ -58,12 +58,14 @@ test:
 # vote tally (held votes settled on the run goroutine while the receive
 # goroutine queues more), the SRB runner (concurrent broadcasts against its
 # receive goroutine, Close), the single-threaded SRB schedule explorer and
-# the trincsrb sequence-number regression under the race detector with
-# caching disabled.
+# the trincsrb sequence-number regression, and the TrInc verifier's cache
+# counts (its fast path fans batches out over goroutines) under the race
+# detector, five times each (so never from the test cache). TestEngine
+# includes the valve's TestEngineBatchesWhilePipelineBusy.
 race:
 	$(GO) test -race -count=5 \
-		-run 'TestSelfSend|TestConcurrentSendClose|TestSendCloseRaceWindow|TestHelloWriteDeadline|TestQueue|TestSnapshotConsistentUnderConcurrentWriters|TestLabeledConcurrentScrape|TestEngine|TestLoop|TestVote|TestVerifiesOnlyWhatQuorumsNeed|TestRunner|TestSchedule|TestBroadcastSeqAfterFailedAttest' \
-		./internal/tcpnet/ ./internal/syncx/ ./internal/obs/ ./internal/smr/ ./internal/pbft/ ./internal/srb/ ./internal/srb/trincsrb/
+		-run 'TestSelfSend|TestConcurrentSendClose|TestSendCloseRaceWindow|TestHelloWriteDeadline|TestQueue|TestSnapshotConsistentUnderConcurrentWriters|TestLabeledConcurrentScrape|TestEngine|TestLoop|TestVote|TestVerifiesOnlyWhatQuorumsNeed|TestRunner|TestSchedule|TestBroadcastSeqAfterFailedAttest|TestVerifierCachesOnlyFailures' \
+		./internal/tcpnet/ ./internal/syncx/ ./internal/obs/ ./internal/smr/ ./internal/pbft/ ./internal/srb/ ./internal/srb/trincsrb/ ./internal/trusted/trinc/
 
 # soak repeats the fault-injection soak (lossy links, rolling partitions,
 # a Byzantine spammer against batched checkpointing MinBFT, with the watch

@@ -29,7 +29,6 @@ const (
 	b10Batch      = 64
 	b10Window     = 256
 	b10ReadWindow = 256
-	b10Deadline   = 100 * time.Microsecond
 	b10Keys       = 64
 	// b10Clients pipelined clients drive the workload concurrently: a single
 	// client's receive loop tops out near the replicas' reply rate, which
@@ -78,10 +77,9 @@ func expB10(ops int, readRatio float64, rep *report) error {
 				pointOps := b10PointOps(ops)
 				c, err := p.build(harness.SMRConfig{
 					F: 1, Scheme: sig.HMAC, Batch: b10Batch, Window: b10Window,
-					BatchDeadline: b10Deadline,
-					LeaseTerm:     m.lease,
-					ReadWindow:    b10ReadWindow,
-					PipeClients:   b10Clients,
+					LeaseTerm:   m.lease,
+					ReadWindow:  b10ReadWindow,
+					PipeClients: b10Clients,
 				})
 				if err != nil {
 					return err

@@ -38,12 +38,6 @@ const (
 	// the execution ceiling, so added groups add real capacity.
 	b11WriteWindow = 64
 	b11LinkDelay   = 2 * time.Millisecond
-	// The batch deadline matches the link delay: a deadline far below the
-	// RTT cuts each window refill burst into slivers (the 100µs value B9/B10
-	// use is tuned for their zero-delay fabric), and with the primary's
-	// bounded proposal pipeline, sliver batches cap throughput well under
-	// window/RTT.
-	b11Deadline = b11LinkDelay
 	// The read point mirrors B10's lease configuration so the rows compare:
 	// 4 pipelined clients in total (B10: 4 on one group; here: one per
 	// group on 4 groups — same client-side receive capacity).
@@ -68,7 +62,6 @@ func expB11(ops int, rep *report) error {
 			SMR: harness.SMRConfig{
 				F: 1, Scheme: sig.HMAC,
 				Batch: b11Batch, Window: b11WriteWindow,
-				BatchDeadline: b11Deadline,
 			},
 		})
 		if err != nil {
@@ -110,8 +103,7 @@ func expB11(ops int, rep *report) error {
 		SMR: harness.SMRConfig{
 			F: 1, Scheme: sig.HMAC,
 			Batch: b11Batch, Window: b11ReadWindow,
-			BatchDeadline: b11Deadline,
-			ReadWindow:    b11ReadWindow,
+			ReadWindow: b11ReadWindow,
 		},
 	})
 	if err != nil {

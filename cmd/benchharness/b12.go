@@ -2,7 +2,7 @@ package main
 
 // B12: introspection-plane overhead. The question: what does the watch
 // auditor cost the data path? Each point is B11's 2-shard write workload
-// (same link delay, windows, and batch deadline, so the no-doctor row is
+// (same link delay and windows, so the no-doctor row is
 // directly comparable to BENCH_9.json's shards=2 write row); the doctor
 // row adds a Watcher polling every replica's Status at a 1s interval —
 // the cadence unidir-doctor -watch 1s uses — for the whole run, auditing
@@ -47,8 +47,7 @@ func expB12(ops int, rep *report) error {
 			SMR: harness.SMRConfig{
 				F: 1, Scheme: sig.HMAC,
 				Batch: b11Batch, Window: b11WriteWindow,
-				BatchDeadline: b11Deadline,
-				Metrics:       reg,
+				Metrics: reg,
 			},
 		})
 		if err != nil {

@@ -28,9 +28,8 @@ import (
 var b9Rates = []int{2_000, 8_000, 32_000, 64_000, 128_000}
 
 const (
-	b9Batch    = 64
-	b9Window   = 256
-	b9Deadline = 100 * time.Microsecond
+	b9Batch  = 64
+	b9Window = 256
 	// b9AdmitPending sits below the client window so that past saturation the
 	// replicas' pending queues actually hit the bound and shed, rather than
 	// the window absorbing the whole backlog.
@@ -59,7 +58,6 @@ func expB9(ops int, rep *report) error {
 	const mode = "adaptive"
 	cfg := harness.SMRConfig{
 		F: 1, Scheme: sig.HMAC, Batch: b9Batch, Window: b9Window,
-		BatchDeadline:  b9Deadline,
 		Admission:      &smr.AdmissionConfig{MaxPending: b9AdmitPending},
 		SubmitTimeout:  b9SubmitTimeout,
 		AdaptiveWindow: b9WindowMin,

@@ -72,28 +72,6 @@ func TestEnvWarnsOnMalformed(t *testing.T) {
 	}
 }
 
-func TestEnvBatchDeadline(t *testing.T) {
-	const def = smr.DefaultBatchDeadline
-	for _, c := range []struct {
-		env  string
-		want time.Duration
-	}{
-		{"", def}, {"on", def}, {"off", -1}, {"0", -1}, {"0s", -1}, {"250us", 250 * time.Microsecond},
-		{"1ms", time.Millisecond}, {"garbage", def}, {"-5ms", def},
-	} {
-		t.Setenv("UNIDIR_BATCH_DEADLINE", c.env)
-		if got := specFromEnv(t, flagDefaults).BatchDeadline; got != c.want {
-			t.Errorf("UNIDIR_BATCH_DEADLINE=%q -> %v, want %v", c.env, got, c.want)
-		}
-	}
-	// The flag, when given, is not second-guessed.
-	ro := flagDefaults
-	ro.batchDeadline = 3 * time.Millisecond
-	if got := specFromEnv(t, ro).BatchDeadline; got != 3*time.Millisecond {
-		t.Errorf("-batch-deadline 3ms under UNIDIR_BATCH_DEADLINE=-5ms: %v", got)
-	}
-}
-
 func TestEnvAdmission(t *testing.T) {
 	t.Setenv("UNIDIR_ADMIT_PENDING", "")
 	t.Setenv("UNIDIR_ADMIT_RATE", "")

@@ -67,18 +67,17 @@ import (
 // replicaOpts carries the replica-only tunables from flag parsing to
 // runReplica.
 type replicaOpts struct {
-	timeout       time.Duration
-	dataDir       string
-	checkpoint    int
-	dialTimeout   time.Duration
-	writeTimeout  time.Duration
-	debugAddr     string
-	batchDeadline time.Duration
-	admitPending  int
-	admitRate     float64
-	admitBurst    int
-	paceDepth     int
-	leaseTerm     time.Duration
+	timeout      time.Duration
+	dataDir      string
+	checkpoint   int
+	dialTimeout  time.Duration
+	writeTimeout time.Duration
+	debugAddr    string
+	admitPending int
+	admitRate    float64
+	admitBurst   int
+	paceDepth    int
+	leaseTerm    time.Duration
 }
 
 func main() {
@@ -95,7 +94,6 @@ func main() {
 	dialTimeout := flag.Duration("dial-timeout", 0, "TCP dial timeout per connection attempt (0 = 2s default)")
 	writeTimeout := flag.Duration("write-timeout", 0, "TCP write deadline per coalesced batch (0 = 15s default)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/vars, /debug/trace, /debug/spans, /debug/status, /healthz, /readyz, and pprof on this host:port (replicas; empty disables)")
-	batchDeadline := flag.Duration("batch-deadline", 0, "adaptive batch deadline (0 = UNIDIR_BATCH_DEADLINE default of 100µs, negative disables)")
 	admitPending := flag.Int("admit-pending", -1, "shed requests past this pending-queue depth (-1 = UNIDIR_ADMIT_PENDING default of 4096, 0 unbounded)")
 	admitRate := flag.Float64("admit-rate", -1, "per-client admission rate in req/s (-1 = UNIDIR_ADMIT_RATE default, 0 unlimited)")
 	admitBurst := flag.Int("admit-burst", -1, "per-client admission burst (-1 = UNIDIR_ADMIT_BURST default of rate/10)")
@@ -104,18 +102,17 @@ func main() {
 	flag.Parse()
 
 	ro := replicaOpts{
-		timeout:       *timeout,
-		dataDir:       *dataDir,
-		checkpoint:    *checkpoint,
-		dialTimeout:   *dialTimeout,
-		writeTimeout:  *writeTimeout,
-		debugAddr:     *debugAddr,
-		batchDeadline: *batchDeadline,
-		admitPending:  *admitPending,
-		admitRate:     *admitRate,
-		admitBurst:    *admitBurst,
-		paceDepth:     *paceDepth,
-		leaseTerm:     *leaseTerm,
+		timeout:      *timeout,
+		dataDir:      *dataDir,
+		checkpoint:   *checkpoint,
+		dialTimeout:  *dialTimeout,
+		writeTimeout: *writeTimeout,
+		debugAddr:    *debugAddr,
+		admitPending: *admitPending,
+		admitRate:    *admitRate,
+		admitBurst:   *admitBurst,
+		paceDepth:    *paceDepth,
+		leaseTerm:    *leaseTerm,
 	}
 	if err := run(*role, *id, *n, *f, *shards, *config, *seed, ro, flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "minbft-kv:", err)
@@ -192,18 +189,14 @@ func replicaSpec(m types.Membership, seed int64, ro replicaOpts) cluster.Spec {
 		// UNIDIR_BATCH has no flag; "off" is one request per slot.
 		Batch: knob.Int("UNIDIR_BATCH", smr.DefaultBatchSize, 1,
 			map[string]int{"on": smr.DefaultBatchSize, "off": 1, "0": 1}),
-		Ckpt:          ro.checkpoint,
-		BatchDeadline: ro.batchDeadline,
-		PaceDepth:     ro.paceDepth,
-		LeaseTerm:     ro.leaseTerm,
-		DataDir:       ro.dataDir,
-		Seed:          seed,
+		Ckpt:      ro.checkpoint,
+		PaceDepth: ro.paceDepth,
+		LeaseTerm: ro.leaseTerm,
+		DataDir:   ro.dataDir,
+		Seed:      seed,
 	}
 	if spec.Ckpt == 0 {
 		spec.Ckpt = envInt("UNIDIR_CKPT", smr.DefaultCheckpointInterval)
-	}
-	if spec.BatchDeadline == 0 {
-		spec.BatchDeadline = envDuration("UNIDIR_BATCH_DEADLINE", smr.DefaultBatchDeadline)
 	}
 	if spec.PaceDepth == 0 {
 		spec.PaceDepth = envInt("UNIDIR_PACE_DEPTH", smr.DefaultPaceDepth)

@@ -85,8 +85,9 @@ type Spec struct {
 	Batch int
 	// Ckpt is the checkpoint interval in executed batches (default 128).
 	Ckpt int
-	// BatchDeadline bounds the adaptive size-or-deadline batch trigger
-	// (default 100µs).
+	// BatchDeadline is not read: the leader cuts a partial batch only into
+	// an idle pipeline, so there is no deadline to set. The field stays
+	// until the benchmark, which still sets it, stops naming it.
 	BatchDeadline time.Duration
 	// Admission is the replicas' admission bounds; nil keeps the default
 	// (4096 pending, no per-client rate limit).
@@ -246,7 +247,6 @@ func StatusProvider(r Replica) obs.StatusProvider { return r }
 func (s Spec) engineConfig(tracer *tracing.Tracer) smr.EngineConfig {
 	return smr.EngineConfig{
 		BatchSize:          s.Batch,
-		BatchDeadline:      s.BatchDeadline,
 		PaceDepth:          s.PaceDepth,
 		Admission:          s.Admission,
 		LeaseTerm:          s.LeaseTerm,

@@ -24,20 +24,20 @@ func TestSpecEngineConfig(t *testing.T) {
 			name: "the benchmark's pins arrive verbatim",
 			spec: Spec{Batch: 64, Ckpt: 128, BatchDeadline: 100 * time.Microsecond,
 				Admission: pinned, PaceDepth: 4096, LeaseTerm: 250 * time.Millisecond},
-			want: smr.EngineConfig{BatchSize: 64, CheckpointInterval: 128, BatchDeadline: 100 * time.Microsecond,
+			want: smr.EngineConfig{BatchSize: 64, CheckpointInterval: 128,
 				Admission: pinned, PaceDepth: 4096, LeaseTerm: 250 * time.Millisecond},
 		},
 		{
 			name: "zero means the documented default",
 			spec: Spec{},
 			want: smr.EngineConfig{BatchSize: smr.DefaultBatchSize, CheckpointInterval: smr.DefaultCheckpointInterval,
-				BatchDeadline: smr.DefaultBatchDeadline, PaceDepth: smr.DefaultPaceDepth, LeaseTerm: smr.DefaultLeaseTerm},
+				PaceDepth: smr.DefaultPaceDepth, LeaseTerm: smr.DefaultLeaseTerm},
 		},
 		{
 			name: "PaceDepth -1 disables pacing and nothing else",
 			spec: Spec{Batch: 64, Ckpt: 128, BatchDeadline: 100 * time.Microsecond,
 				Admission: pinned, PaceDepth: -1, LeaseTerm: 250 * time.Millisecond},
-			want: smr.EngineConfig{BatchSize: 64, CheckpointInterval: 128, BatchDeadline: 100 * time.Microsecond,
+			want: smr.EngineConfig{BatchSize: 64, CheckpointInterval: 128,
 				Admission: pinned, PaceDepth: 0, LeaseTerm: 250 * time.Millisecond},
 		},
 		{
@@ -48,7 +48,7 @@ func TestSpecEngineConfig(t *testing.T) {
 		{
 			name: "explicit values other than the defaults",
 			spec: Spec{Batch: 8, Ckpt: 2, BatchDeadline: time.Millisecond, PaceDepth: 16, LeaseTerm: time.Second},
-			want: smr.EngineConfig{BatchSize: 8, CheckpointInterval: 2, BatchDeadline: time.Millisecond,
+			want: smr.EngineConfig{BatchSize: 8, CheckpointInterval: 2,
 				PaceDepth: 16, LeaseTerm: time.Second},
 		},
 	}

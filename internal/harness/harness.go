@@ -155,10 +155,6 @@ type SMRConfig struct {
 
 	// Flow control (the B9 latency/throughput frontier knobs).
 
-	// BatchDeadline is the adaptive size-or-deadline batch trigger: 0 keeps
-	// the replica default (100µs), < 0 disables deadline batching (legacy
-	// cut-immediately), > 0 sets it explicitly.
-	BatchDeadline time.Duration
 	// Admission overrides the replicas' admission bounds; nil keeps the
 	// replica default (4096 pending, no rate limit).
 	Admission *smr.AdmissionConfig
@@ -239,16 +235,15 @@ func BuildMinBFTCfg(cfg SMRConfig) (*SMRCluster, error) {
 // cluster.Spec shared with cmd/minbft-kv and sharded deployments.
 func smrSpec(p cluster.Protocol, cfg SMRConfig) cluster.Spec {
 	spec := cluster.Spec{
-		Protocol:      p,
-		F:             cfg.F,
-		Scheme:        cfg.Scheme,
-		Batch:         cfg.Batch,
-		Ckpt:          cfg.Ckpt,
-		BatchDeadline: cfg.BatchDeadline,
-		Admission:     cfg.Admission,
-		PaceDepth:     cfg.PaceDepth,
-		LeaseTerm:     cfg.LeaseTerm,
-		Metrics:       cfg.Metrics,
+		Protocol:  p,
+		F:         cfg.F,
+		Scheme:    cfg.Scheme,
+		Batch:     cfg.Batch,
+		Ckpt:      cfg.Ckpt,
+		Admission: cfg.Admission,
+		PaceDepth: cfg.PaceDepth,
+		LeaseTerm: cfg.LeaseTerm,
+		Metrics:   cfg.Metrics,
 	}
 	if p == cluster.MinBFT {
 		// The harness has always run MinBFT with a long view-change fuse so

@@ -124,13 +124,16 @@ func TestLeaseRevocationNoStaleRead(t *testing.T) {
 		}
 	}
 
-	for i := 0; i < 50; i++ {
+	// At least 50 reads, and more until the writer has an acked write: the
+	// kill must land between writes, and 50 leased reads can finish before
+	// the first write commits.
+	for i, deadline := 0, time.Now().Add(10*time.Second); i < 50 || acked.Load() == 0; i++ {
+		if time.Now().After(deadline) {
+			t.Fatal("writer made no progress before the kill")
+		}
 		readOnce()
 	}
 	ackedAtKill := acked.Load()
-	if ackedAtKill == 0 {
-		t.Fatal("writer made no progress before the kill")
-	}
 	// Depose the lease holder mid-stream.
 	_ = h.replicas[0].Close()
 	h.replicas[0] = nil

@@ -249,11 +249,7 @@ func New(m types.Membership, tr transport.Transport, dev *trinc.Device, ver *tri
 	// (DESIGN.md §8). f+1 attested checkpoint votes make a certificate.
 	r.eng = smr.NewEngine("minbft", orderer{r}, tr, sm, smr.SystemClock,
 		m.Others(tr.Self()), m.F, m.N, m.FPlusOne(), cfg.dataDir, cfg.EngineConfig)
-	var prewarm func([]byte)
-	if ver.Concurrent() {
-		prewarm = r.prewarm
-	}
-	r.loop = smr.NewLoop[timerEvent](r.eng, orderer{r}, prewarm)
+	r.loop = smr.NewLoop[timerEvent](r.eng, orderer{r})
 	r.leaseTerm = r.eng.LeaseTerm()
 	loaded, err := r.eng.LoadCheckpoint()
 	if err != nil {
@@ -298,19 +294,6 @@ func (r orderer) Start() {
 		r.sendRestart()
 	}
 	r.renewLease()
-}
-
-// prewarm verifies a replica message's UI on the loop's receive goroutine,
-// before the run goroutine sees it, overlapping crypto with protocol
-// processing when a spare core exists. Purely an optimization: the result is
-// ignored (failures are negative-cached, also cheap to re-hit) and the
-// authoritative check in ingestReplicaMsg re-verifies through the cache.
-func (r *Replica) prewarm(payload []byte) {
-	kind, body, ui, err := decodeEnvelope(payload)
-	if err != nil || ui == nil || kind == kindRequest || kind == kindFetch || kind == kindFetchResp {
-		return
-	}
-	_ = r.checkUI(*ui, kind, body)
 }
 
 // checkUI verifies a UI over (kind, body) through the trinket fast path,

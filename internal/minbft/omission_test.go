@@ -222,13 +222,8 @@ func TestReplayedMessageCostsNoVerification(t *testing.T) {
 		fix.net.Inject(0, 1, payload)
 	}
 	// The run goroutine looks up (and here verifies) the three distinct
-	// messages only. With a spare core the receive goroutine additionally
-	// pre-verifies every frame as it arrives (prewarm): it cannot see the
-	// run goroutine's cursors, so it pays one lookup per frame regardless.
-	want := uint64(3)
-	if fix.tu.Verifier.Concurrent() {
-		want += 8
-	}
+	// messages only.
+	const want = 3
 	deadline := time.Now().Add(10 * time.Second)
 	for lookups() < want && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)

@@ -34,7 +34,7 @@ func TestOverloadSoak(t *testing.T) {
 	)
 	// Endpoint n is the pipeline, n+1 the spammer, n+2 the tail client.
 	h := newHarness(t, n, f, 3, time.Second,
-		smr.EngineConfig{BatchSize: 8, BatchDeadline: 100 * time.Microsecond,
+		smr.EngineConfig{BatchSize: 8,
 			Admission: &smr.AdmissionConfig{MaxPending: maxPending}})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()

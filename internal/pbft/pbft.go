@@ -140,7 +140,7 @@ func New(m types.Membership, tr transport.Transport, ring *sig.Keyring, sm smr.S
 	// correct replica. 2f+1 signed checkpoint votes make a certificate.
 	r.eng = smr.NewEngine("pbft", orderer{r}, tr, sm, smr.SystemClock,
 		m.Others(tr.Self()), 2*m.F, m.Quorum(), m.Quorum(), "", cfg)
-	r.loop = smr.NewLoop[timerEvent](r.eng, orderer{r}, nil)
+	r.loop = smr.NewLoop[timerEvent](r.eng, orderer{r})
 	r.leaseTerm = r.eng.LeaseTerm()
 	r.initMetrics(cfg.Metrics)
 	r.loop.Start()

@@ -3,13 +3,14 @@
 // plus a concurrent batch verifier, layered over any sig.Verifier.
 //
 // Motivation: in hybrid-trust BFT systems signature verification dominates
-// the critical path, and the library's protocols re-verify the *same*
-// signature many times — an echo signature is verified once when the echo
-// arrives, again inside every L1 proof that carries it, and again inside
-// every L1 of every L2 proof; a TrInc attestation is verified once per
-// relay that delivers it. The cache collapses all of these to one real
-// verification per process; the batch verifier fans independent
-// verifications of a proof's signature set across GOMAXPROCS workers.
+// the critical path, and uniround re-verifies the *same* signature many
+// times — an echo signature is verified once when the echo arrives, again
+// inside every L1 proof that carries it, and again inside every L1 of every
+// L2 proof. The cache collapses all of these to one real verification per
+// process; the batch verifier fans independent verifications of a proof's
+// signature set across GOMAXPROCS workers. The TrInc and A2M verifiers turn
+// the positive cache off (WithCacheSize(0)): their protocols drop a
+// re-presented attestation before checking it, so it would only hold memory.
 //
 // Safety argument (see DESIGN.md §5):
 //

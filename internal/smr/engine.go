@@ -5,7 +5,7 @@ package smr
 // request or read arrives" to "a batch is handed to the ordering core", and
 // from "the core says this batch is next in the total order" to "replies
 // leave": the client table, the pending set, admission, the batching valve
-// with its deadline and pacing gates, execution and replies, request tracing
+// with its pipeline and pacing gates, execution and replies, request tracing
 // (engine_trace.go), the read server with the lease tally (engine_read.go),
 // the checkpoint plane (engine_ckpt.go), the shared metric series and status
 // fields (engine_obs.go) and the shared settings (engine_config.go).
@@ -78,10 +78,13 @@ type RequestID struct {
 func (r Request) ID() RequestID { return RequestID{r.Client, r.Num} }
 
 // pipelineDepth bounds the leader's proposed-but-unexecuted batches when
-// batching is on: one batch committing while the next accumulates. Depth 1
-// would stall arrivals during the commit round; a deeper pipeline measurably
-// hurts on a fast fabric — free proposal slots drain arrivals into tiny
-// batches, and per-batch authentication overhead then dominates.
+// batching is on. Only the first slot takes a partial batch: while a batch is
+// in flight, arrivals accumulate and go out together when it executes, so a
+// batch fills to what arrives during one commit round instead of what
+// arrives within a fixed wait. The second slot takes only a full batch,
+// which a burst larger than the cap cannot otherwise drain; a partial second
+// batch would split the accumulating one in two and pay the per-batch
+// authentication twice.
 const pipelineDepth = 2
 
 // Engine is one replica's protocol-independent half. Create with NewEngine.
@@ -107,16 +110,14 @@ type Engine struct {
 	admission *Admission
 
 	// The batching valve.
-	maxBatch        int
-	batchDeadline   time.Duration // 0: cut as soon as a slot is free
-	trigger         *BatchTrigger
-	batchStart      time.Time // arrival of the oldest unproposed pending request
-	batchTimerArmed bool      // a batch deadline / pacing recheck is outstanding
-	proposing       bool      // re-entrancy guard for MaybePropose
-	paceDepth       int       // 0: pacing off
-	paceQuorum      int       // peers with a short send queue a proposal needs
-	peers           []types.ProcessID
-	qd              transport.QueueDepther // nil unless the transport exposes depths
+	maxBatch   int
+	batchStart time.Time // arrival of the oldest unproposed pending request
+	proposing  bool      // re-entrancy guard for MaybePropose
+	paceDepth  int       // 0: pacing off
+	paceQuorum int       // peers with a short send queue a proposal needs
+	paceArmed  bool      // a pacing recheck is outstanding
+	peers      []types.ProcessID
+	qd         transport.QueueDepther // nil unless the transport exposes depths
 
 	// Read plane (engine_read.go).
 	leaseTerm   time.Duration // 0: leases (and leased reads) disabled
@@ -165,29 +166,27 @@ func NewEngine(name string, core Orderer, tr transport.Transport, sm StateMachin
 	peers []types.ProcessID, paceQuorum, grantQuorum, ckptQuorum int, dataDir string, cfg EngineConfig) *Engine {
 	cfg = cfg.Resolved()
 	e := &Engine{
-		name:          name,
-		core:          core,
-		tr:            tr,
-		clock:         clock,
-		sm:            sm,
-		execLog:       cfg.ExecutionLog,
-		table:         NewClientTable(),
-		pending:       make(map[RequestID]Request),
-		proposed:      make(map[RequestID]bool),
-		admission:     NewAdmission(*cfg.Admission),
-		maxBatch:      cfg.BatchSize,
-		batchDeadline: cfg.BatchDeadline,
-		trigger:       NewBatchTrigger(cfg.BatchSize, cfg.BatchDeadline),
-		paceDepth:     cfg.PaceDepth,
-		paceQuorum:    paceQuorum,
-		peers:         peers,
-		grantQuorum:   grantQuorum,
-		ckptQuorum:    ckptQuorum,
-		dataDir:       dataDir,
-		ckptTally:     make(map[uint64]map[types.ProcessID]ckptBallot),
-		ckptOwn:       make(map[uint64]ownCkpt),
-		tracer:        cfg.Tracer,
-		reqTrace:      make(map[RequestID]reqTraceInfo),
+		name:        name,
+		core:        core,
+		tr:          tr,
+		clock:       clock,
+		sm:          sm,
+		execLog:     cfg.ExecutionLog,
+		table:       NewClientTable(),
+		pending:     make(map[RequestID]Request),
+		proposed:    make(map[RequestID]bool),
+		admission:   NewAdmission(*cfg.Admission),
+		maxBatch:    cfg.BatchSize,
+		paceDepth:   cfg.PaceDepth,
+		paceQuorum:  paceQuorum,
+		peers:       peers,
+		grantQuorum: grantQuorum,
+		ckptQuorum:  ckptQuorum,
+		dataDir:     dataDir,
+		ckptTally:   make(map[uint64]map[types.ProcessID]ckptBallot),
+		ckptOwn:     make(map[uint64]ownCkpt),
+		tracer:      cfg.Tracer,
+		reqTrace:    make(map[RequestID]reqTraceInfo),
 	}
 	e.qd, _ = tr.(transport.QueueDepther)
 	if snap, ok := sm.(Snapshotter); ok {
@@ -260,9 +259,6 @@ func (e *Engine) HandleRequest(req Request, tc tracing.Context) bool {
 	}
 	e.pending[id] = req
 	e.mx.pendingDepth.Set(int64(len(e.pending)))
-	// Every replica feeds the trigger, so a new leader starts with a warm
-	// arrival-rate estimate.
-	e.trigger.Arrive(now)
 	if e.batchStart.IsZero() {
 		e.batchStart = now
 	}
@@ -290,14 +286,13 @@ func (e *Engine) RangePending(fn func(RequestID)) {
 
 // MaybePropose is the leader's batching valve: it packs pending requests not
 // yet inside an in-flight batch into proposals of up to BatchSize requests.
-// With batching on, at most pipelineDepth batches are outstanding —
-// committing while the next accumulates arrivals — which is what amortizes
-// the authentication and the O(n) broadcast. With a batch deadline the cut
-// is size-or-deadline: a partial batch goes out at once at light load (the
-// trigger says waiting cannot amortize anything) and is otherwise held —
-// never past the deadline — to fill toward the cap. With BatchSize 1 there
-// is no cap on batches in flight and every request goes out in its own
-// proposal immediately.
+// With batching on, an idle pipeline takes whatever is pending at once, and
+// while a batch is in flight arrivals are held until it executes
+// (AfterExecute calls back here) unless they fill a whole batch, which may
+// take the second of the pipelineDepth slots. That is what amortizes the
+// authentication and the O(n) broadcast, and a held arrival costs O(1). With
+// BatchSize 1 there is no cap on batches in flight and every request goes out
+// in its own proposal immediately.
 //
 // It is a no-op when called from inside itself: Propose may commit and
 // execute the batch on the spot (a group of one), and execution ends in
@@ -309,19 +304,27 @@ func (e *Engine) MaybePropose() {
 	e.proposing = true
 	defer func() { e.proposing = false }()
 	for {
-		inflight := e.core.InFlight()
-		if e.maxBatch > 1 && inflight >= pipelineDepth {
-			return
+		if e.maxBatch > 1 {
+			// e.proposed only ever holds pending requests, so the difference
+			// counts the backlog without building it.
+			inflight := e.core.InFlight()
+			if inflight >= pipelineDepth || inflight > 0 && len(e.pending)-len(e.proposed) < e.maxBatch {
+				return
+			}
 		}
 		// Backpressure: a batch needs votes from paceQuorum peers, and while
 		// fewer than that many send queues are short, pushing more batches
 		// only grows them. Defer and recheck on a timer. Counting short
 		// queues (not looking for a long one) is what keeps a crashed peer,
-		// whose queue never drains, from wedging the leader.
+		// whose queue never drains, from wedging the leader. At most one
+		// recheck is outstanding, so deferrals cannot pile up timer events.
 		if e.paceDepth > 0 && e.qd != nil &&
 			transport.QueuesBelow(e.qd, e.peers, e.paceDepth) < e.paceQuorum {
 			e.mx.pacedProposals.Inc()
-			e.armBatchTimer(e.paceRecheck())
+			if !e.paceArmed {
+				e.paceArmed = true
+				e.armTimer(paceRecheck)
+			}
 			return
 		}
 		batch := make([]Request, 0, e.maxBatch)
@@ -341,15 +344,8 @@ func (e *Engine) MaybePropose() {
 			e.batchStart = time.Time{}
 			return
 		}
-		now := e.clock.Now()
-		if e.maxBatch > 1 && len(batch) < e.maxBatch {
-			if wait := e.trigger.Wait(len(batch), inflight, e.batchStart, now); wait > 0 {
-				e.armBatchTimer(wait)
-				return
-			}
-		}
 		if !e.batchStart.IsZero() {
-			e.mx.batchWait.Observe(now.Sub(e.batchStart).Seconds())
+			e.mx.batchWait.Observe(e.clock.Now().Sub(e.batchStart).Seconds())
 		}
 		if !e.core.Propose(batch) {
 			return // nothing was sent; the core's watchdogs drive recovery
@@ -385,23 +381,7 @@ func (e *Engine) ResetProposed() {
 
 // paceRecheck is how long a paced leader waits before re-inspecting peer
 // queue depths.
-func (e *Engine) paceRecheck() time.Duration {
-	if e.batchDeadline > 0 {
-		return e.batchDeadline
-	}
-	return 100 * time.Microsecond
-}
-
-// armBatchTimer schedules one deadline/pacing recheck; at most one is
-// outstanding so deferred cuts cannot pile up timer events. When it fires
-// (timerFired), whatever is pending is cut, however partial.
-func (e *Engine) armBatchTimer(d time.Duration) {
-	if e.batchTimerArmed {
-		return
-	}
-	e.batchTimerArmed = true
-	e.armTimer(d)
-}
+const paceRecheck = 100 * time.Microsecond
 
 // sortedBacklog yields the pending requests not yet inside an in-flight
 // batch, in a deterministic order. (Filtering before the sort keeps its cost

@@ -327,14 +327,13 @@ func (e *Engine) adopt(cert CkptCert, state []byte) error {
 }
 
 // timerFired is the loop's answer to armTimer: whichever of the engine's
-// deadlines is due — a fetch retry, the batch deadline or pacing recheck —
-// runs.
+// deadlines is due — a fetch retry or the pacing recheck — runs.
 func (e *Engine) timerFired() {
 	if e.fetchTarget != 0 && !e.clock.Now().Before(e.fetchAt) {
 		e.broadcastFetch()
 	}
-	if e.batchTimerArmed {
-		e.batchTimerArmed = false
+	if e.paceArmed {
+		e.paceArmed = false
 		e.MaybePropose()
 	}
 }

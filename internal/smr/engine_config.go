@@ -12,7 +12,6 @@ import (
 // them (cmd/minbft-kv's replicaSpec is the UNIDIR_* loader).
 const (
 	DefaultBatchSize          = 64
-	DefaultBatchDeadline      = 100 * time.Microsecond
 	DefaultPaceDepth          = 4096
 	DefaultMaxPending         = 4096
 	DefaultLeaseTerm          = 250 * time.Millisecond
@@ -33,10 +32,6 @@ type EngineConfig struct {
 	// (default 64, at most MaxBatchSize). 1, or a negative value, disables
 	// batching: every request is proposed at once in its own slot.
 	BatchSize int
-	// BatchDeadline is the longest a partial batch is held open (default
-	// 100µs). The hold adapts below it: see BatchTrigger. Negative cuts
-	// every batch as soon as a proposal slot is free.
-	BatchDeadline time.Duration
 	// PaceDepth defers proposals while too few peers — fewer than the votes
 	// a batch needs — have a transport send queue shorter than this many
 	// frames (default 4096; negative disables). It only takes effect on
@@ -73,7 +68,6 @@ type EngineConfig struct {
 // spelled 0 (1 for BatchSize), BatchSize clamped to MaxBatchSize.
 func (c EngineConfig) Resolved() EngineConfig {
 	c.BatchSize = min(orDefault(c.BatchSize, DefaultBatchSize, 1), MaxBatchSize)
-	c.BatchDeadline = orDefault(c.BatchDeadline, DefaultBatchDeadline, 0)
 	c.PaceDepth = orDefault(c.PaceDepth, DefaultPaceDepth, 0)
 	c.LeaseTerm = orDefault(c.LeaseTerm, DefaultLeaseTerm, 0)
 	c.CheckpointInterval = orDefault(c.CheckpointInterval, DefaultCheckpointInterval, 0)

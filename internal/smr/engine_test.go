@@ -251,23 +251,6 @@ func TestEngineCutsOnIdlePipeline(t *testing.T) {
 	}
 }
 
-// warm admits n requests 10µs apart behind a full pipeline, so that none is
-// proposed and the trigger has a rate estimate; it leaves one batch in
-// flight. The oldest arrived (n-1)×10µs ago.
-func (r *rig) warm(n int) {
-	r.core.inFlight = pipelineDepth
-	for i := 1; i <= n; i++ {
-		if i > 1 {
-			r.clock.Advance(10 * us)
-		}
-		if !r.arrive(put(7, uint64(i))) {
-			r.t.Fatalf("request %d not admitted", i)
-		}
-	}
-	wantProposals(r.t, r.core)
-	r.core.inFlight = 1
-}
-
 func TestEnginePipelineDepthGate(t *testing.T) {
 	r := newRig(t, EngineConfig{BatchSize: 8})
 	r.core.inFlight = pipelineDepth
@@ -281,51 +264,65 @@ func TestEnginePipelineDepthGate(t *testing.T) {
 	wantProposals(t, r.core, 8)
 }
 
-func TestEngineHoldsThenCutsAtDeadline(t *testing.T) {
-	r := newRig(t, EngineConfig{BatchSize: 8, BatchDeadline: 100 * us})
-	r.warm(3)
-	r.MaybePropose()
-	// Busy pipeline, 10µs between arrivals: filling the other 5 slots
-	// plausibly takes 50µs, of which the oldest has waited 20µs.
-	wantProposals(t, r.core)
-	if len(r.core.armed) != 1 || r.core.armed[0] != 30*us {
-		t.Fatalf("armed %v, want one 30µs timer", r.core.armed)
+// While a batch is in flight, arrivals accumulate and go out together when it
+// executes; only a full batch takes the second slot.
+func TestEngineBatchesWhilePipelineBusy(t *testing.T) {
+	r := newRig(t, EngineConfig{BatchSize: 8})
+	r.arrive(put(7, 1))
+	wantProposals(t, r.core, 1)
+	for num := uint64(2); num <= 6; num++ {
+		r.arrive(put(7, num))
 	}
-	// A second look while the timer is outstanding arms nothing more.
-	r.MaybePropose()
-	if len(r.core.armed) != 1 {
-		t.Fatalf("deferred cuts piled up timers: %v", r.core.armed)
+	wantProposals(t, r.core, 1)
+	if len(r.core.armed) != 0 {
+		t.Fatalf("held arrivals armed timers: %v", r.core.armed)
 	}
-	r.clock.Advance(30 * us)
-	r.timerFired()
-	wantProposals(t, r.core, 3)
-	if got := r.reg.Snapshot().HistogramCount("x_batch_wait_seconds"); got != 1 {
-		t.Fatalf("batch_wait observations = %d, want 1", got)
+	r.clock.Advance(300 * us)
+	r.commit(0)
+	wantProposals(t, r.core, 1, 5)
+	if got := r.reg.Snapshot().HistogramCount("x_batch_wait_seconds"); got != 2 {
+		t.Fatalf("batch_wait observations = %d, want one per proposal", got)
 	}
+
+	// A burst behind the busy pipeline, from two clients: seven are held,
+	// the eighth fills a batch, which takes the second slot.
+	for num := uint64(1); num <= 4; num++ {
+		r.arrive(put(9, num))
+		r.arrive(put(8, num))
+	}
+	wantProposals(t, r.core, 1, 5, 8)
+	for i, req := range r.core.proposals[2] {
+		if want := (RequestID{8 + uint64(i/4), uint64(i%4 + 1)}); req.ID() != want {
+			t.Fatalf("batch order: %+v", r.core.proposals[2])
+		}
+	}
+	// Another full batch waits: both slots are taken.
+	for num := uint64(7); num <= 14; num++ {
+		r.arrive(put(7, num))
+	}
+	wantProposals(t, r.core, 1, 5, 8)
+	if r.core.inFlight != pipelineDepth || len(r.core.armed) != 0 {
+		t.Fatalf("%d in flight, timers %v", r.core.inFlight, r.core.armed)
+	}
+	r.commit(1)
+	wantProposals(t, r.core, 1, 5, 8, 8)
 }
 
 func TestEngineCutsAtCap(t *testing.T) {
-	r := newRig(t, EngineConfig{BatchSize: 4, BatchDeadline: 100 * us})
-	// Warm the rate estimate, and drain what that took into a first batch.
-	r.warm(3)
-	r.core.inFlight = 0
-	r.MaybePropose()
-	wantProposals(t, r.core, 3)
+	r := newRig(t, EngineConfig{BatchSize: 4})
+	r.arrive(put(7, 1))
+	wantProposals(t, r.core, 1)
 	// A burst behind the busy pipeline: three of four are held...
-	r.clock.Advance(10 * us)
-	for num := uint64(4); num <= 6; num++ {
+	for num := uint64(2); num <= 4; num++ {
 		r.arrive(put(7, num))
 	}
-	wantProposals(t, r.core, 3)
-	if len(r.core.armed) != 1 {
-		t.Fatalf("armed %v, want one timer for the held batch", r.core.armed)
-	}
-	// ...and the fourth cuts the batch without waiting for the timer.
-	r.arrive(put(7, 7))
-	wantProposals(t, r.core, 3, 4)
+	wantProposals(t, r.core, 1)
+	// ...and the fourth cuts the batch without waiting for the execution.
+	r.arrive(put(7, 5))
+	wantProposals(t, r.core, 1, 4)
 	// Requests go out in (client, num) order.
 	for i, req := range r.core.proposals[1] {
-		if req.Num != uint64(i+4) {
+		if req.Num != uint64(i+2) {
 			t.Fatalf("batch order: %+v", r.core.proposals[1])
 		}
 	}
@@ -333,15 +330,15 @@ func TestEngineCutsAtCap(t *testing.T) {
 
 func TestEnginePacingDefersAndRearms(t *testing.T) {
 	net := &deepNet{depth: map[types.ProcessID]int{1: 100, 2: 100}}
-	r := newDeepRig(t, net, EngineConfig{BatchSize: 8, BatchDeadline: 100 * us, PaceDepth: 16})
+	r := newDeepRig(t, net, EngineConfig{BatchSize: 8, PaceDepth: 16})
 	r.arrive(put(7, 1))
 	// No peer has a short queue, and the batch needs one: deferred.
 	wantProposals(t, r.core)
 	if got := r.counter("paced_proposals_total"); got != 1 {
 		t.Fatalf("paced_proposals_total = %d, want 1", got)
 	}
-	if len(r.core.armed) != 1 || r.core.armed[0] != 100*us {
-		t.Fatalf("armed %v, want one recheck at the batch deadline", r.core.armed)
+	if len(r.core.armed) != 1 || r.core.armed[0] != paceRecheck {
+		t.Fatalf("armed %v, want one recheck after %v", r.core.armed, paceRecheck)
 	}
 	r.timerFired() // still deep: deferred again, re-armed
 	wantProposals(t, r.core)
@@ -550,18 +547,18 @@ func TestEnginePlainStateMachine(t *testing.T) {
 
 func TestEngineConfigResolved(t *testing.T) {
 	def := EngineConfig{}.Resolved()
-	if def.BatchSize != 64 || def.BatchDeadline != 100*us || def.PaceDepth != 4096 ||
+	if def.BatchSize != 64 || def.PaceDepth != 4096 ||
 		def.LeaseTerm != 250*ms || def.CheckpointInterval != 128 ||
 		*def.Admission != (AdmissionConfig{MaxPending: 4096}) {
 		t.Fatalf("defaults: %+v (admission %+v)", def, *def.Admission)
 	}
-	off := EngineConfig{BatchSize: -1, BatchDeadline: -1, PaceDepth: -1, LeaseTerm: -1, CheckpointInterval: -1}.Resolved()
-	if off.BatchSize != 1 || off.BatchDeadline != 0 || off.PaceDepth != 0 || off.LeaseTerm != 0 || off.CheckpointInterval != 0 {
+	off := EngineConfig{BatchSize: -1, PaceDepth: -1, LeaseTerm: -1, CheckpointInterval: -1}.Resolved()
+	if off.BatchSize != 1 || off.PaceDepth != 0 || off.LeaseTerm != 0 || off.CheckpointInterval != 0 {
 		t.Fatalf("off: %+v", off)
 	}
 	admit := &AdmissionConfig{}
-	set := EngineConfig{BatchSize: 1 << 20, BatchDeadline: ms, PaceDepth: 7, LeaseTerm: time.Second, CheckpointInterval: 3, Admission: admit}.Resolved()
-	if set.BatchSize != MaxBatchSize || set.BatchDeadline != ms || set.PaceDepth != 7 || set.LeaseTerm != time.Second ||
+	set := EngineConfig{BatchSize: 1 << 20, PaceDepth: 7, LeaseTerm: time.Second, CheckpointInterval: 3, Admission: admit}.Resolved()
+	if set.BatchSize != MaxBatchSize || set.PaceDepth != 7 || set.LeaseTerm != time.Second ||
 		set.CheckpointInterval != 3 || set.Admission != admit {
 		t.Fatalf("explicit: %+v", set)
 	}
@@ -847,10 +844,10 @@ func TestEngineWritePathAllocs(t *testing.T) {
 		r.Execute(batch, &bt)
 		r.AfterExecute()
 	})
-	// One fewer than the parent's 9: the valve's second pass, after the
-	// proposal, finds every pending request in flight and no longer
-	// allocates a slice to sort them in (sortedBacklog).
-	const parent, want = 9, 8
+	// Two fewer than the parent's 8: the valve's second pass, after the
+	// proposal, finds a batch in flight and no full batch behind it, and
+	// returns before it builds a batch or a backlog to sort.
+	const parent, want = 8, 6
 	if got != want {
 		t.Fatalf("request → propose → execute → reply: %v allocations, want %d (the parent's code path made %d)", got, want, parent)
 	}

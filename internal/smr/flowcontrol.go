@@ -27,6 +27,10 @@ const (
 // immediately. This is what kills batch-wait at light load.
 const minBatchGain = 2.0
 
+// BatchTrigger is not used by the replica engine, whose valve cuts a partial
+// batch only into an idle pipeline and so never waits on a deadline; it stays
+// only while the benchmark's microbenchmark still times it.
+//
 // BatchTrigger decides when a proposer should cut a batch: at the size cap,
 // or after a deadline that adapts to offered load. It keeps an EWMA of the
 // request inter-arrival gap; when the expected number of arrivals within the
@@ -47,7 +51,7 @@ type BatchTrigger struct {
 
 // NewBatchTrigger returns a trigger for batches up to cap requests with the
 // given maximum deadline. maxWait <= 0 disables waiting entirely (every
-// Wait call returns 0).
+// Wait call returns 0). The replica engine does not call it.
 func NewBatchTrigger(cap int, maxWait time.Duration) *BatchTrigger {
 	if cap < 1 {
 		cap = 1

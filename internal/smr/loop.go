@@ -5,7 +5,7 @@ package smr
 // the transport delivers; one run goroutine pops the whole queue per wakeup,
 // handles envelopes, due timeouts and status requests in queue order, and
 // flushes the read replies of the burst. Every timeout — the core's, and the
-// engine's batch deadline, pacing recheck and state-fetch retry — is an entry
+// engine's pacing recheck and state-fetch retry — is an entry
 // on one Deadlines, so a replica owns exactly one runtime timer. The loop
 // reads time only from the engine's Clock.
 
@@ -47,9 +47,8 @@ const statusTimeout = 2 * time.Second
 // Loop is one replica's event loop and timer plane. Create with NewLoop,
 // start with Start, stop with Close.
 type Loop[T any] struct {
-	eng     *Engine
-	core    LoopCore[T]
-	prewarm func(payload []byte) // per-envelope hook on the receive goroutine; nil: none
+	eng  *Engine
+	core LoopCore[T]
 
 	events *syncx.Queue[loopEvent]
 	timers *Deadlines[loopTimer[T]]
@@ -73,10 +72,9 @@ type loopTimer[T any] struct {
 }
 
 // NewLoop builds the loop that drives eng and core; it becomes eng's timer.
-// prewarm, when set, sees each payload on the receive goroutine before it is
-// queued (MinBFT verifies UIs ahead there). Nothing runs until Start.
-func NewLoop[T any](eng *Engine, core LoopCore[T], prewarm func(payload []byte)) *Loop[T] {
-	l := &Loop[T]{eng: eng, core: core, prewarm: prewarm, events: syncx.NewQueue[loopEvent]()}
+// Nothing runs until Start.
+func NewLoop[T any](eng *Engine, core LoopCore[T]) *Loop[T] {
+	l := &Loop[T]{eng: eng, core: core, events: syncx.NewQueue[loopEvent]()}
 	l.timers = NewDeadlines[loopTimer[T]](eng.clock, func() { l.events.Push(loopEvent{tick: true}) })
 	l.due = l.fire
 	eng.armTimer = func(d time.Duration) { l.timers.After(d, loopTimer[T]{eng: true}) }
@@ -111,9 +109,6 @@ func (l *Loop[T]) receive(ctx context.Context) {
 		env, err := l.eng.tr.Recv(ctx)
 		if err != nil {
 			return
-		}
-		if l.prewarm != nil {
-			l.prewarm(env.Payload)
 		}
 		l.events.Push(loopEvent{env: env})
 	}

@@ -162,11 +162,11 @@ type loopRig struct {
 	clock *fakeClock
 }
 
-func newLoopRig(t *testing.T, prewarm func([]byte)) *loopRig {
+func newLoopRig(t *testing.T) *loopRig {
 	r := &loopRig{core: &loopCore{gids: make(map[uint64]bool)}, net: newChanNet(), clock: newFakeClock()}
 	eng := NewEngine("x", &fakeCore{}, r.net, &fakeSM{}, r.clock, []types.ProcessID{1, 2}, 1, 3, 2, "",
 		EngineConfig{CheckpointInterval: 2})
-	r.Loop = NewLoop[string](eng, r.core, prewarm)
+	r.Loop = NewLoop[string](eng, r.core)
 	t.Cleanup(r.Close)
 	return r
 }
@@ -181,8 +181,7 @@ func (r *loopRig) sync(t *testing.T) {
 }
 
 func TestLoopHandlesEventsInQueueOrder(t *testing.T) {
-	var prewarmed atomic.Int32
-	r := newLoopRig(t, func([]byte) { prewarmed.Add(1) })
+	r := newLoopRig(t)
 	gate := make(chan struct{})
 	r.core.onStart = func() {
 		r.After(time.Millisecond, "t1")
@@ -213,13 +212,10 @@ func TestLoopHandlesEventsInQueueOrder(t *testing.T) {
 	if len(r.core.gids) != 1 {
 		t.Fatalf("callbacks ran on %d goroutines, want 1", len(r.core.gids))
 	}
-	if prewarmed.Load() != 1 {
-		t.Fatalf("prewarm saw %d envelopes, want the 1 received", prewarmed.Load())
-	}
 }
 
 func TestLoopOneRuntimeTimer(t *testing.T) {
-	r := newLoopRig(t, nil)
+	r := newLoopRig(t)
 	armedAtMostOne := func(when string) {
 		t.Helper()
 		if n := r.clock.armedTimers(); n > 1 {
@@ -267,8 +263,8 @@ func TestLoopOneRuntimeTimer(t *testing.T) {
 }
 
 func TestLoopNothingRunsAfterClose(t *testing.T) {
-	var prewarms, ticks atomic.Int32
-	r := newLoopRig(t, func([]byte) { prewarms.Add(1) })
+	var ticks atomic.Int32
+	r := newLoopRig(t)
 	// A core that keeps the loop busy: every timer re-arms, and envelopes
 	// and clock ticks keep arriving until the test stops them. One envelope
 	// handler, on request, holds the run goroutine until released.
@@ -340,16 +336,12 @@ func TestLoopNothingRunsAfterClose(t *testing.T) {
 			t.Fatal("Close did not return once the handler did")
 		}
 	}
-	prewarmsAtClose := prewarms.Load()
 	time.Sleep(20 * time.Millisecond) // the feeders keep pushing at a closed loop
 	close(stop)
 	feeders.Wait()
 
 	if n := r.core.late.Load(); n != 0 {
 		t.Fatalf("%d callbacks ran after Close returned", n)
-	}
-	if prewarms.Load() != prewarmsAtClose {
-		t.Fatal("prewarm ran after Close returned")
 	}
 	if r.Armed() || r.clock.armedTimers() != 0 {
 		t.Fatal("a runtime timer is armed after Close")
@@ -359,11 +351,14 @@ func TestLoopNothingRunsAfterClose(t *testing.T) {
 func TestLoopStatusStale(t *testing.T) {
 	// Wedged: the run goroutine is stuck in a handler, so Status waits out
 	// statusTimeout on the loop's clock and falls back.
-	r := newLoopRig(t, nil)
-	gate := make(chan struct{})
-	r.core.onEnv = func(transport.Envelope) { <-gate }
+	r := newLoopRig(t)
+	gate, wedged := make(chan struct{}), make(chan struct{})
+	r.core.onEnv = func(transport.Envelope) { close(wedged); <-gate }
 	r.Start()
 	r.net.in <- transport.Envelope{Payload: []byte("wedge")}
+	// The receive goroutine queues the envelope after taking it off the
+	// channel; a status request queued first would be answered at once.
+	<-wedged
 	stale := make(chan obs.Status, 1)
 	go func() { stale <- r.Status() }()
 	waitFor(t, "Status to arm its timeout", func() bool { return r.clock.armedTimers() > 0 })
@@ -397,7 +392,7 @@ func TestLoopStatusStale(t *testing.T) {
 // costs at most the queue's slice for its burst. (The per-protocol loops
 // this replaced also heap-copied every envelope: two allocations.)
 func TestLoopEnvelopeAllocs(t *testing.T) {
-	r := newLoopRig(t, nil)
+	r := newLoopRig(t)
 	handled := make(chan struct{})
 	r.core.onEnv = func(transport.Envelope) { handled <- struct{}{} }
 	r.Start()

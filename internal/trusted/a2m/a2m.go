@@ -456,12 +456,12 @@ func (l *TrIncLog) respond(kind Kind, s types.SeqNum, nonce []byte) (Proof, erro
 // --- verification ---
 
 // Verifier checks proofs from both native devices and TrInc-backed logs.
-// Native device signatures are checked through a fastverify cache, so a
-// proof relayed by many peers costs one real verification per process; the
-// TrInc path inherits the same fast path from trinc.Verifier.
+// Native device signatures are checked through fastverify with its positive
+// cache off, as trinc.Verifier checks TrInc attestations: only the negative
+// cache of failed checks is kept.
 type Verifier struct {
 	native *sig.Keyring         // verifies native device signatures; nil if unused
-	fv     *fastverify.Verifier // cached view of native; nil falls back to native
+	fv     *fastverify.Verifier // negative-cached view of native; nil falls back to native
 	trinc  *trinc.Verifier      // verifies trinc attestations; nil if unused
 }
 
@@ -557,7 +557,7 @@ func NewUniverse(m types.Membership, scheme sig.Scheme, rng *rand.Rand, tu *trin
 	}
 	u := &Universe{
 		Devices:  make([]*Device, m.N),
-		Verifier: &Verifier{native: rings[0], fv: fastverify.New(rings[0])},
+		Verifier: &Verifier{native: rings[0], fv: fastverify.New(rings[0], fastverify.WithCacheSize(0))},
 	}
 	if tu != nil {
 		u.Verifier.trinc = tu.Verifier

@@ -203,33 +203,28 @@ func (d *Device) LastAttested(counter uint64) types.SeqNum {
 // Verifier checks attestations from every trinket in a membership. It holds
 // only public verification material and is safe for concurrent use.
 //
-// Every signature check goes through a fastverify fast path (verified-sig
-// cache + batch fan-out), so an attestation relayed by many peers — the
-// normal case in trincsrb, a2msrb, and minbft's fetch protocol — costs one
-// real verification per process.
+// Every signature check goes through a fastverify fast path with its
+// positive cache off. The protocols drop a replayed attestation by its
+// counter value or key before checking it, so a verified-signature cache hit
+// almost never (0 % on the benchmark's workloads) while it held most of a
+// replica's live heap. The negative cache stays, so a replayed forgery costs
+// one real verification, and CheckMessages still fans out across workers.
 type Verifier struct {
 	ring *sig.Keyring         // any device keyring verifies all device signatures
-	fv   *fastverify.Verifier // cached/batched view of ring; nil falls back to ring
+	fv   *fastverify.Verifier // batched view of ring; nil falls back to ring
 }
 
-// NewVerifier wraps a device keyring in a cached verifier. Exposed for
-// tests and harnesses that provision keyrings directly; NewUniverse calls
-// it for the standard deployment.
+// NewVerifier wraps a device keyring in a verifier. Exposed for tests and
+// harnesses that provision keyrings directly; NewUniverse calls it for the
+// standard deployment.
 func NewVerifier(ring *sig.Keyring) *Verifier {
-	return &Verifier{ring: ring, fv: fastverify.New(ring)}
+	return &Verifier{ring: ring, fv: fastverify.New(ring, fastverify.WithCacheSize(0))}
 }
 
 // FastPath exposes the underlying fastverify.Verifier (nil when the
 // verifier was built without one), so harnesses can read cache stats or
 // attach metrics.
 func (v *Verifier) FastPath() *fastverify.Verifier { return v.fv }
-
-// Concurrent reports whether batched attestation checks can actually run
-// in parallel (false on a single-core process or when the fast path is
-// disabled). Verify-ahead pipelines consult this before spawning workers.
-func (v *Verifier) Concurrent() bool {
-	return v.fv != nil && v.fv.Concurrent()
-}
 
 // verifySig checks one trinket signature through the fast path.
 func (v *Verifier) verifySig(from types.ProcessID, msg, sig []byte) error {

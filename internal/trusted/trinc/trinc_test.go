@@ -127,6 +127,37 @@ func TestForgedAttestationRejected(t *testing.T) {
 	tamper("counter change", func(f *Attestation) { f.Counter = 9 })
 }
 
+// The verifier keeps no verified-signature cache: every check of a genuine
+// attestation is a real verification. A failed check is still remembered, so
+// a replayed forgery costs one.
+func TestVerifierCachesOnlyFailures(t *testing.T) {
+	t.Setenv("UNIDIR_FASTVERIFY", "on")
+	u := newTestUniverse(t, 3)
+	a, err := u.Devices[0].Attest(0, 1, []byte("m"))
+	if err != nil {
+		t.Fatalf("Attest: %v", err)
+	}
+	for range 2 {
+		if err := u.Verifier.CheckMessage(a, []byte("m")); err != nil {
+			t.Fatalf("CheckMessage: %v", err)
+		}
+	}
+	if st := u.Verifier.FastPath().Stats(); st.Misses != 2 || st.Hits != 0 {
+		t.Fatalf("two checks of one attestation: %+v, want 2 misses and no hits", st)
+	}
+	forged := a
+	forged.Sig = append([]byte(nil), a.Sig...)
+	forged.Sig[0] ^= 1
+	for range 2 {
+		if err := u.Verifier.Check(forged); err == nil {
+			t.Fatal("forged attestation accepted")
+		}
+	}
+	if st := u.Verifier.FastPath().Stats(); st.Misses != 3 || st.NegHits != 1 {
+		t.Fatalf("two checks of one forgery: %+v, want 1 more miss and 1 negative hit", st)
+	}
+}
+
 func TestCheckRejectsMalformedSeqPrev(t *testing.T) {
 	u := newTestUniverse(t, 3)
 	bad := Attestation{Trinket: 0, Prev: 3, Seq: 3}
