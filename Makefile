@@ -1,10 +1,5 @@
 GO ?= go
 
-# Where bench-json writes the machine-readable B1/B2 rows.
-BENCH_JSON ?= bench.json
-BENCH_OPS ?= 300
-BENCH_MSGS ?= 100
-
 # flake: how often the two known-flaky tests are repeated.
 FLAKE_COUNT ?= 50
 
@@ -13,7 +8,7 @@ REF ?= HEAD
 W ?= w-sat
 N ?= 10
 
-.PHONY: check vet staticcheck logcheck build test race soak doctor flake loc bench-smoke bench-json bench-regress bench-pair trace-check
+.PHONY: check vet staticcheck logcheck build test race soak doctor flake loc bench-smoke bench-pair trace-check
 
 # check is the full local gate: static checks, build, the race-enabled
 # test suite, and a one-iteration smoke run of the signature fast-path
@@ -84,11 +79,11 @@ doctor:
 	$(GO) run ./cmd/unidir-doctor -cluster minbft -shards 2
 
 # flake is the pre-merge flake hunt (ROADMAP "Fix first"): the tests that
-# used to fail some fraction of the time, repeated; the protocol packages
-# under the race detector, repeated; and the failover scenario — kill the
-# primary, view change, restart from the data dir — ten times. Any failure
-# stops it. Slow (several minutes): run before declaring a PR done, not on
-# every edit.
+# used to fail some fraction of the time, repeated; TestFigure1 (the
+# paper's figure, live) ten times; the protocol packages under the race
+# detector, repeated; and the failover scenario — kill the primary, view
+# change, restart from the data dir — ten times. Any failure stops it. Slow
+# (several minutes): run before declaring a PR done, not on every edit.
 flake:
 	$(GO) test -count=$(FLAKE_COUNT) -run 'TestScenario1' ./internal/separation/
 	$(GO) test -count=$(FLAKE_COUNT) -run 'TestMetricsCountTraffic' ./internal/tcpnet/
@@ -96,6 +91,7 @@ flake:
 	$(GO) test -count=$(FLAKE_COUNT) -run 'TestLiveClusterForgedDigestCaught' ./internal/watch/
 	$(GO) test -count=10 -run 'TestMetricsEndToEnd' ./internal/integration/
 	$(GO) test -count=10 -run 'TestDoctorForgedDigestExitsNonzero' ./cmd/unidir-doctor/
+	$(GO) test -count=10 -run 'TestFigure1' .
 	$(GO) test -race -count=5 -run 'TestSoak' ./internal/minbft/
 	$(GO) test -race -count=3 ./internal/smr/ ./internal/minbft/ ./internal/pbft/
 	@for i in 1 2 3 4 5 6 7 8 9 10; do \
@@ -127,23 +123,11 @@ trace-check:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSigVerify' -benchtime 1x .
 
-# bench-json reruns the B1/B2/B9/B10/B11/B12 experiment tables and writes every row as
-# JSON to $(BENCH_JSON) for dashboards/regression tracking.
-bench-json:
-	$(GO) run ./cmd/benchharness -exp b1,b2,b9,b10,b11,b12 -msgs $(BENCH_MSGS) -ops $(BENCH_OPS) -json $(BENCH_JSON)
-
-# bench-regress reruns bench-json into a scratch file and compares every
-# row's ops_per_sec against the newest checked-in BENCH_*.json; a drop of
-# more than 20% on any matching row fails. With no baseline checked in the
-# comparison is skipped (exits zero).
-bench-regress:
-	$(GO) run ./cmd/benchharness -exp b1,b2,b9,b10,b11,b12 -msgs $(BENCH_MSGS) -ops $(BENCH_OPS) -json /tmp/bench-regress.json
-	$(GO) run ./cmd/benchregress -current /tmp/bench-regress.json
-
-# bench-pair is the evidence for a performance claim (choosing-metrics §8):
-# ./bench built at $(REF) and from the working tree, $(N) pairs of workload
-# $(W) alternating which side runs first, at BENCHMARK.json's run length;
-# prints each side's median and quartiles, the pair wins and the claim rule
-# per end-to-end metric. `make bench-pair REF=HEAD~1 W=w-sat N=10`.
+# bench-pair is, with BENCHMARK.json's bounds on `go run ./bench`, the
+# performance gate and the evidence for a performance claim
+# (choosing-metrics §8): ./bench built at $(REF) and from the working tree,
+# $(N) pairs of workload $(W) alternating which side runs first, at
+# BENCHMARK.json's run length; prints each side's median and quartiles, the
+# pair wins and the claim rule per end-to-end metric. `make bench-pair REF=HEAD~1 W=w-sat N=10`.
 bench-pair:
 	$(GO) run ./cmd/benchpair -ref $(REF) -workload $(W) -n $(N)

@@ -1,6 +1,6 @@
 // Go-native benchmarks, one family per experiment in DESIGN.md's index
-// (B1-B4). The printing harness with the same workloads lives in
-// cmd/benchharness; these versions integrate with `go test -bench`.
+// (B1-B5), run with `go test -bench`. The gated end-to-end benchmark is
+// ./bench (BENCHMARK.json); these are in-process micro-benchmarks.
 package unidir_test
 
 import (

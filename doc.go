@@ -41,5 +41,5 @@
 //	go run ./examples/quickstart
 //	go run ./examples/separation
 //	go run ./examples/minbft-kv
-//	go run ./cmd/benchharness -exp all
+//	go test -run TestFigure1 -v .   # every arrow of Figure 1, checked live
 package unidir

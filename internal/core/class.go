@@ -3,8 +3,8 @@
 // unidirectional, bidirectional — §"Old stuff" definitions retained in the
 // appendix of the paper), the machine-checkable unidirectionality predicate
 // over recorded executions (UniChecker), and the implication matrix of
-// Figure 1 mapping every classification arrow to the construction and test
-// that witnesses it.
+// Figure 1 mapping every classification arrow to the construction that
+// witnesses it (TestFigure1 in the repository root runs each one).
 package core
 
 import "fmt"

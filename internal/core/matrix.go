@@ -5,9 +5,9 @@ import "fmt"
 // This file encodes Figure 1 of the paper — the implication diagram between
 // hardware and communication classes — as queryable library metadata. Each
 // edge names the construction (or impossibility) witnessing it and the
-// package and test that make it executable. The live end-to-end checks run
-// in cmd/benchharness -exp f1; `go test ./internal/core -run
-// TestImplicationMatrix -v` prints this table and verifies its consistency.
+// package that makes it executable. TestFigure1 in the repository root
+// attaches one live check to every edge and fails on an edge without one;
+// `go test -run TestFigure1 -v .` prints the table with each check's result.
 
 // NodeKind distinguishes hardware classes from communication primitives in
 // the diagram.
@@ -42,7 +42,6 @@ type DiagramEdge struct {
 	Resilience string // the (n, f) regime of the witness
 	Witness    string // the construction or argument
 	Package    string // where the executable witness lives
-	Test       string // the test (or experiment) that checks it
 }
 
 // Diagram node names (exported for tooling that renders the matrix).
@@ -79,56 +78,48 @@ func Edges() []DiagramEdge {
 			Resilience: "any n, f",
 			Witness:    "write-then-scan rounds (Claim 3.2; Aguilera et al.)",
 			Package:    "internal/rounds (SWMR)",
-			Test:       "rounds.TestSWMRUnidirectionalRandomSchedules, separation.TestSWMRControlArmHasNoViolations",
 		},
 		{
 			From: NodeUnidirectional, To: NodeSRB, Kind: Implements,
 			Resilience: "n >= 2t+1",
 			Witness:    "Algorithm 1: echo round + L1/L2 proofs",
 			Package:    "internal/srb/uniround",
-			Test:       "srb.TestAllImplsSatisfySRBProperties/uniround",
 		},
 		{
 			From: NodeTrustedLogs, To: NodeSRB, Kind: Implements,
 			Resilience: "n > f",
 			Witness:    "attested contiguous counter chain + relay",
 			Package:    "internal/srb/trincsrb",
-			Test:       "srb.TestAllImplsSatisfySRBProperties/trincsrb",
 		},
 		{
 			From: NodeSRB, To: NodeTrInc, Kind: Implements,
 			Resilience: "any n, f",
 			Witness:    "Theorem 1: broadcast (c, m); checkers filter by delivery order",
 			Package:    "internal/trusted/trincfromsrb",
-			Test:       "trincfromsrb conformance suite",
 		},
 		{
 			From: NodeSRB, To: NodeUnidirectional, Kind: Cannot,
 			Resilience: "n > 2f, f > 1",
 			Witness:    "three-scenario indistinguishability (§4.1)",
 			Package:    "internal/separation",
-			Test:       "separation.TestScenario3ProducesViolation",
 		},
 		{
 			From: NodeRB, To: NodeUnidirectional, Kind: Implements,
 			Resilience: "n >= 3, f = 1",
 			Witness:    "two-phase sign-and-forward (Appendix corner case)",
 			Package:    "internal/rounds (RBF1)",
-			Test:       "rounds.TestRBF1UnidirectionalRandomSchedules",
 		},
 		{
 			From: NodeBidirectional, To: NodeUnidirectional, Kind: Implements,
 			Resilience: "any n, f",
 			Witness:    "by definition (Class.Subsumes)",
 			Package:    "internal/core, internal/rounds (Lockstep)",
-			Test:       "rounds.TestLockstepIsBidirectional",
 		},
 		{
 			From: NodeUnidirectional, To: NodeZero, Kind: Implements,
 			Resilience: "any n, f",
 			Witness:    "by definition (Class.Subsumes)",
 			Package:    "internal/core",
-			Test:       "core.TestClassSubsumption",
 		},
 	}
 }
@@ -156,7 +147,7 @@ func ValidateDiagram() error {
 		if _, err := NodeByName(e.To); err != nil {
 			return err
 		}
-		if e.Witness == "" || e.Package == "" || e.Test == "" {
+		if e.Witness == "" || e.Package == "" {
 			return fmt.Errorf("core: edge %q -> %q missing witness metadata", e.From, e.To)
 		}
 	}

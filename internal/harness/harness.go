@@ -1,11 +1,8 @@
-// Package harness provides ready-made cluster builders for benchmarks,
-// experiments, and the cmd/ tools: full SRB node sets over each substrate,
-// and SMR deployments (MinBFT, PBFT) over the simulated network with a
-// connected client.
+// Package harness provides ready-made cluster builders for the root
+// benchmarks, TestFigure1 and cmd/unidir-doctor: full SRB node sets over each
+// substrate, and SMR deployments (MinBFT, PBFT) over the simulated network
+// with connected clients.
 package harness
-
-// Cluster builders shared by the experiments: SRB node sets over each
-// substrate, and SMR clusters (MinBFT, PBFT) over simnet.
 
 import (
 	"fmt"
@@ -134,9 +131,8 @@ func buildOverSimnet(m types.Membership, node func(transport.Transport) (srb.Nod
 // batching primary something to batch).
 type SMRCluster struct {
 	KV      *kvstore.Client
-	Pipe    *kvstore.PipeClient   // Pipes[0]
-	Pipes   []*kvstore.PipeClient // all pipelined clients (SMRConfig.PipeClients)
-	Metrics *obs.Registry         // non-nil iff SMRConfig.Metrics was set
+	Pipe    *kvstore.PipeClient
+	Metrics *obs.Registry // non-nil iff SMRConfig.Metrics was set
 	Stop    func()
 
 	spanBufs []*tracing.SpanBuffer // per-node buffers; nil without TraceRate
@@ -151,41 +147,19 @@ type SMRConfig struct {
 	Ckpt      int           // checkpoint interval; 0 = smr.DefaultCheckpointInterval, < 0 disables
 	Metrics   *obs.Registry // optional: replicas, sig cache, and pipeline publish here
 	TraceRate int           // distributed tracing: 1-in-TraceRate requests sampled; 0 disables
-	TraceBuf  int           // per-node span buffer capacity; 0 = 8192
 
-	// Flow control (the B9 latency/throughput frontier knobs).
-
-	// Admission overrides the replicas' admission bounds; nil keeps the
-	// replica default (4096 pending, no rate limit).
-	Admission *smr.AdmissionConfig
-	// PaceDepth overrides proposal pacing: 0 keeps the replica default
-	// (4096), < 0 disables pacing, > 0 sets the queue-depth threshold. No
-	// effect over simnet (no QueueDepther).
-	PaceDepth int
 	// SubmitTimeout bounds Pipeline.Submit on an exhausted window; past it
 	// Submit sheds with smr.ErrOverloaded. 0 blocks indefinitely (legacy).
 	SubmitTimeout time.Duration
 	// AdaptiveWindow > 0 turns on AIMD window adaptation in the pipelined
 	// client, shrinking toward this minimum under overload.
 	AdaptiveWindow int
-
-	// Read fast path (leader leases; see smr/read.go and DESIGN.md §8).
-
-	// LeaseTerm overrides the replicas' lease term: 0 keeps the replica
-	// default (250ms), < 0 disables leases, > 0 sets the term explicitly.
-	LeaseTerm time.Duration
-	// ReadWindow is the pipelined client's in-flight read window; 0 keeps
-	// the pipeline default (UNIDIR_READ_WINDOW, else the write window).
-	ReadWindow int
-	// PipeClients is how many pipelined clients to connect (0 = 1). Extra
-	// clients let read benchmarks push past a single receive loop's
-	// message-processing ceiling and saturate the replicas instead.
-	PipeClients int
 }
 
 const defaultPipeWindow = 32
 
-const defaultTraceBuf = 8192
+// traceBuf is each node's span buffer capacity.
+const traceBuf = 8192
 
 // smrTracers provisions one tracer per replica plus the pipeline client's,
 // which is where the head-sampling decision lives (replica tracers use rate
@@ -195,17 +169,13 @@ func smrTracers(cfg SMRConfig, n int) (replicas []*tracing.Tracer, pipe *tracing
 	if cfg.TraceRate <= 0 {
 		return nil, nil, nil
 	}
-	cap := cfg.TraceBuf
-	if cap <= 0 {
-		cap = defaultTraceBuf
-	}
 	replicas = make([]*tracing.Tracer, n)
 	for i := range replicas {
-		buf := tracing.NewSpanBuffer(cap)
+		buf := tracing.NewSpanBuffer(traceBuf)
 		replicas[i] = tracing.NewTracer(fmt.Sprintf("r%d", i), 1, buf)
 		bufs = append(bufs, buf)
 	}
-	buf := tracing.NewSpanBuffer(cap)
+	buf := tracing.NewSpanBuffer(traceBuf)
 	pipe = tracing.NewTracer("client", cfg.TraceRate, buf)
 	bufs = append(bufs, buf)
 	return replicas, pipe, bufs
@@ -235,15 +205,12 @@ func BuildMinBFTCfg(cfg SMRConfig) (*SMRCluster, error) {
 // cluster.Spec shared with cmd/minbft-kv and sharded deployments.
 func smrSpec(p cluster.Protocol, cfg SMRConfig) cluster.Spec {
 	spec := cluster.Spec{
-		Protocol:  p,
-		F:         cfg.F,
-		Scheme:    cfg.Scheme,
-		Batch:     cfg.Batch,
-		Ckpt:      cfg.Ckpt,
-		Admission: cfg.Admission,
-		PaceDepth: cfg.PaceDepth,
-		LeaseTerm: cfg.LeaseTerm,
-		Metrics:   cfg.Metrics,
+		Protocol: p,
+		F:        cfg.F,
+		Scheme:   cfg.Scheme,
+		Batch:    cfg.Batch,
+		Ckpt:     cfg.Ckpt,
+		Metrics:  cfg.Metrics,
 	}
 	if p == cluster.MinBFT {
 		// The harness has always run MinBFT with a long view-change fuse so
@@ -263,8 +230,8 @@ func buildSMR(p cluster.Protocol, cfg SMRConfig) (*SMRCluster, error) {
 		return nil, err
 	}
 	n := m.N
-	// Extra endpoints: the closed-loop client and the pipeline(s).
-	netM, err := types.NewMembership(n+1+pipeCount(cfg), cfg.F)
+	// Extra endpoints: the closed-loop client and the pipeline.
+	netM, err := types.NewMembership(n+2, cfg.F)
 	if err != nil {
 		return nil, err
 	}
@@ -284,13 +251,12 @@ func buildSMR(p cluster.Protocol, cfg SMRConfig) (*SMRCluster, error) {
 		group.Close()
 		net.Close()
 	}
-	kv, pipes, closeClients, err := buildClients(net, group.M, cfg, pipeTracer,
-		spec.Encoders(), spec.ReadQuorum(group.M))
+	kv, pipe, closeClients, err := buildClients(net, group.M, spec, cfg, pipeTracer)
 	if err != nil {
 		stopReplicas()
 		return nil, err
 	}
-	return &SMRCluster{KV: kv, Pipe: pipes[0], Pipes: pipes, Metrics: cfg.Metrics, spanBufs: spanBufs, Stop: func() {
+	return &SMRCluster{KV: kv, Pipe: pipe, Metrics: cfg.Metrics, spanBufs: spanBufs, Stop: func() {
 		closeClients()
 		stopReplicas()
 	}}, nil
@@ -302,74 +268,59 @@ func BuildPBFTCfg(cfg SMRConfig) (*SMRCluster, error) {
 }
 
 // buildClients connects the closed-loop client (endpoint n) and the
-// pipelined client (endpoint n+1) to a running replica set. readNeed is the
-// fallback-read vote quorum — f+1 for MinBFT, 2f+1 for PBFT (one more than
-// the possible equivocators among the repliers; see DESIGN.md §8).
-func buildClients(net *simnet.Network, m types.Membership, cfg SMRConfig, tracer *tracing.Tracer,
-	enc cluster.Encoders, readNeed int) (*kvstore.Client, []*kvstore.PipeClient, func(), error) {
-	window, reg := cfg.Window, cfg.Metrics
-	if window <= 0 {
-		window = defaultPipeWindow
-	}
+// pipelined client (endpoint n+1) to a running replica set.
+func buildClients(net *simnet.Network, m types.Membership, spec cluster.Spec, cfg SMRConfig,
+	tracer *tracing.Tracer) (*kvstore.Client, *kvstore.PipeClient, func(), error) {
 	closedID := types.ProcessID(m.N)
 	base, err := smr.NewClient(net.Endpoint(closedID), m.All(), m.FPlusOne(), uint64(closedID),
-		time.Second, smr.WithRequestEncoder(enc.Request))
+		time.Second, smr.WithRequestEncoder(spec.Encoders().Request))
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	pipes := make([]*smr.Pipeline, pipeCount(cfg))
+	pl, err := newPipeline(net, types.ProcessID(m.N+1), m, spec, cfg, tracer)
+	if err != nil {
+		_ = base.Close()
+		return nil, nil, nil, err
+	}
 	closeClients := func() {
 		_ = base.Close()
-		for _, pl := range pipes {
-			if pl != nil {
-				_ = pl.Close()
-			}
-		}
+		_ = pl.Close()
 	}
-	for i := range pipes {
-		pipeID := types.ProcessID(m.N + 1 + i)
-		pipeOpts := []smr.PipelineOption{
-			smr.WithPipelineRequestEncoder(enc.Request),
-			smr.WithPipelineReadEncoder(enc.Read),
-			smr.WithPipelineReadBatchEncoder(enc.ReadBatch),
-			smr.WithReadQuorum(readNeed),
-		}
-		if cfg.ReadWindow > 0 {
-			pipeOpts = append(pipeOpts, smr.WithReadWindow(cfg.ReadWindow))
-		}
-		if reg != nil {
-			pipeOpts = append(pipeOpts, smr.WithPipelineMetrics(reg))
-		}
-		if tracer != nil && i == 0 {
-			// Tracing stays on the first pipeline: one head-sampling site.
-			pipeOpts = append(pipeOpts, smr.WithPipelineTracer(tracer))
-		}
-		if cfg.SubmitTimeout > 0 {
-			pipeOpts = append(pipeOpts, smr.WithSubmitTimeout(cfg.SubmitTimeout))
-		}
-		if cfg.AdaptiveWindow > 0 {
-			pipeOpts = append(pipeOpts, smr.WithAdaptiveWindow(cfg.AdaptiveWindow))
-		}
-		pipes[i], err = smr.NewPipeline(net.Endpoint(pipeID), m.All(), m.FPlusOne(), uint64(pipeID),
-			time.Second, window, pipeOpts...)
-		if err != nil {
-			closeClients()
-			return nil, nil, nil, err
-		}
-	}
-	kvPipes := make([]*kvstore.PipeClient, len(pipes))
-	for i, pl := range pipes {
-		kvPipes[i] = kvstore.NewPipeClient(pl)
-	}
-	return kvstore.NewClient(base), kvPipes, closeClients, nil
+	return kvstore.NewClient(base), kvstore.NewPipeClient(pl), closeClients, nil
 }
 
-// pipeCount is how many pipelined clients an SMRConfig asks for (>= 1).
-func pipeCount(cfg SMRConfig) int {
-	if cfg.PipeClients > 1 {
-		return cfg.PipeClients
+// newPipeline connects a pipelined client at endpoint id to the replica set
+// m, publishing to spec.Metrics and tracing through tracer when either is
+// set. Its fallback reads need spec.ReadQuorum(m) matching votes: f+1 for
+// MinBFT, 2f+1 for PBFT (one more than the possible equivocators among the
+// repliers; see DESIGN.md §8).
+func newPipeline(net *simnet.Network, id types.ProcessID, m types.Membership, spec cluster.Spec, cfg SMRConfig,
+	tracer *tracing.Tracer) (*smr.Pipeline, error) {
+	window := cfg.Window
+	if window <= 0 {
+		window = defaultPipeWindow
 	}
-	return 1
+	enc := spec.Encoders()
+	opts := []smr.PipelineOption{
+		smr.WithPipelineRequestEncoder(enc.Request),
+		smr.WithPipelineReadEncoder(enc.Read),
+		smr.WithPipelineReadBatchEncoder(enc.ReadBatch),
+		smr.WithReadQuorum(spec.ReadQuorum(m)),
+	}
+	if spec.Metrics != nil {
+		opts = append(opts, smr.WithPipelineMetrics(spec.Metrics))
+	}
+	if tracer != nil {
+		opts = append(opts, smr.WithPipelineTracer(tracer))
+	}
+	if cfg.SubmitTimeout > 0 {
+		opts = append(opts, smr.WithSubmitTimeout(cfg.SubmitTimeout))
+	}
+	if cfg.AdaptiveWindow > 0 {
+		opts = append(opts, smr.WithAdaptiveWindow(cfg.AdaptiveWindow))
+	}
+	return smr.NewPipeline(net.Endpoint(id), m.All(), m.FPlusOne(), uint64(id),
+		time.Second, window, opts...)
 }
 
 func MustMembership(n, f int) types.Membership {

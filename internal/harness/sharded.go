@@ -5,7 +5,6 @@ package harness
 
 import (
 	"fmt"
-	"time"
 
 	"unidir/internal/cluster"
 	"unidir/internal/kvstore"
@@ -21,14 +20,7 @@ import (
 // applied uniformly to all of them.
 type ShardedConfig struct {
 	Shards int       // consensus groups (>= 1)
-	SMR    SMRConfig // per-group configuration (F, Scheme, Batch, LeaseTerm, ...)
-
-	// LinkDelay, when > 0, delays every link on every group's network —
-	// replica↔replica and client↔replica alike. Benchmarks use it to put a
-	// single group into the latency-bound regime where sharding's aggregate
-	// scaling is visible (a zero-delay in-process group is CPU-bound, and
-	// shard counts beyond the core count can't help).
-	LinkDelay time.Duration
+	SMR    SMRConfig // per-group configuration (F, Scheme, Batch, Ckpt, ...)
 }
 
 // ShardedCluster is a running sharded deployment. Each group is a full
@@ -99,15 +91,6 @@ func BuildSharded(p cluster.Protocol, cfg ShardedConfig) (*ShardedCluster, error
 			return fail(err)
 		}
 		sc.Nets = append(sc.Nets, net)
-		if cfg.LinkDelay > 0 {
-			for from := 0; from < netM.N; from++ {
-				for to := 0; to < netM.N; to++ {
-					if from != to {
-						net.SetLinkDelay(types.ProcessID(from), types.ProcessID(to), cfg.LinkDelay)
-					}
-				}
-			}
-		}
 		group, err := cluster.NewGroup(spec, m,
 			func(id types.ProcessID) transport.Transport { return net.Endpoint(id) },
 			func() smr.StateMachine { return kvstore.New() }, nil)
@@ -116,7 +99,7 @@ func BuildSharded(p cluster.Protocol, cfg ShardedConfig) (*ShardedCluster, error
 		}
 		sc.Groups = append(sc.Groups, group)
 
-		pl, err := shardPipeline(net, m, spec, cfg.SMR)
+		pl, err := newPipeline(net, types.ProcessID(m.N), m, spec, cfg.SMR, nil)
 		if err != nil {
 			return fail(err)
 		}
@@ -134,35 +117,4 @@ func BuildSharded(p cluster.Protocol, cfg ShardedConfig) (*ShardedCluster, error
 		stop()
 	}
 	return sc, nil
-}
-
-// shardPipeline connects one group's pipelined client (endpoint n on the
-// group's network), mirroring buildClients' pipeline options.
-func shardPipeline(net *simnet.Network, m types.Membership, spec cluster.Spec, cfg SMRConfig) (*smr.Pipeline, error) {
-	window := cfg.Window
-	if window <= 0 {
-		window = defaultPipeWindow
-	}
-	enc := spec.Encoders()
-	pipeOpts := []smr.PipelineOption{
-		smr.WithPipelineRequestEncoder(enc.Request),
-		smr.WithPipelineReadEncoder(enc.Read),
-		smr.WithPipelineReadBatchEncoder(enc.ReadBatch),
-		smr.WithReadQuorum(spec.ReadQuorum(m)),
-	}
-	if cfg.ReadWindow > 0 {
-		pipeOpts = append(pipeOpts, smr.WithReadWindow(cfg.ReadWindow))
-	}
-	if spec.Metrics != nil {
-		pipeOpts = append(pipeOpts, smr.WithPipelineMetrics(spec.Metrics))
-	}
-	if cfg.SubmitTimeout > 0 {
-		pipeOpts = append(pipeOpts, smr.WithSubmitTimeout(cfg.SubmitTimeout))
-	}
-	if cfg.AdaptiveWindow > 0 {
-		pipeOpts = append(pipeOpts, smr.WithAdaptiveWindow(cfg.AdaptiveWindow))
-	}
-	pipeID := types.ProcessID(m.N)
-	return smr.NewPipeline(net.Endpoint(pipeID), m.All(), m.FPlusOne(), uint64(pipeID),
-		time.Second, window, pipeOpts...)
 }

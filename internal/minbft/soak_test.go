@@ -2,6 +2,7 @@ package minbft_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -188,6 +189,12 @@ func TestSoak(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
+			// Each replica's view, readiness, exec watermark, open slots and
+			// batches in flight: which replica holds the batch, and why.
+			for i, r := range h.replicas {
+				st, _ := json.Marshal(r.Status())
+				t.Logf("replica %d status: %s", i, st)
+			}
 			t.Fatalf("metrics did not quiesce: open_slots=%d in_flight=%d",
 				snap.GaugeSum("minbft_open_slots"), snap.GaugeSum("minbft_batches_in_flight"))
 		}

@@ -135,6 +135,9 @@ func (t *Trinket) checkLocked(a Attestation, q types.ProcessID) bool {
 // be conclusively rejected (a conflicting attestation holds (q, c)).
 func (t *Trinket) WaitAttestation(ctx context.Context, a Attestation, q types.ProcessID) error {
 	for {
+		// Take the wakeup before checking: a delivery stored after the check
+		// then fires a channel this loop already holds.
+		ch := t.pulse.Wait()
 		t.mu.Lock()
 		if t.checkLocked(a, q) {
 			t.mu.Unlock()
@@ -152,7 +155,6 @@ func (t *Trinket) WaitAttestation(ctx context.Context, a Attestation, q types.Pr
 		if closed {
 			return ErrClosed
 		}
-		ch := t.pulse.Wait()
 		select {
 		case <-ch:
 		case <-ctx.Done():

@@ -263,3 +263,47 @@ func TestZeroCounterRejected(t *testing.T) {
 		t.Fatal("Attest(0) succeeded")
 	}
 }
+
+// loopback is the SRB node of a one-process group: it delivers each of its
+// own broadcasts at once, so a trinket's pump stores an attestation while
+// the Attest caller is already checking for it.
+type loopback struct {
+	q   chan srb.Delivery
+	seq types.SeqNum
+}
+
+func (l *loopback) Self() types.ProcessID { return 0 }
+
+func (l *loopback) Broadcast(data []byte) (types.SeqNum, error) {
+	l.seq++
+	l.q <- srb.Delivery{Sender: 0, Seq: l.seq, Data: data}
+	return l.seq, nil
+}
+
+func (l *loopback) Deliver(ctx context.Context) (srb.Delivery, error) {
+	select {
+	case d := <-l.q:
+		return d, nil
+	case <-ctx.Done():
+		return srb.Delivery{}, ctx.Err()
+	}
+}
+
+func (l *loopback) Close() error { return nil }
+
+func TestWaitAttestationRacingDelivery(t *testing.T) {
+	tk := trincfromsrb.New(&loopback{q: make(chan srb.Delivery, 1)})
+	defer tk.Close()
+	for c := types.SeqNum(1); c <= 20000; c++ {
+		a, err := tk.Attest(c, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		err = tk.WaitAttestation(ctx, a, 0)
+		cancel()
+		if err != nil {
+			t.Fatalf("attestation %d: %v", c, err)
+		}
+	}
+}
