@@ -56,10 +56,12 @@ test:
 # the trincsrb sequence-number regression, and the TrInc verifier's cache
 # counts (its fast path fans batches out over goroutines) under the race
 # detector, five times each (so never from the test cache). TestEngine
-# includes the valve's TestEngineBatchesWhilePipelineBusy.
+# includes the valve's TestEngineBatchesWhilePipelineBusy. The pipelined
+# client's send loop, retransmit tick and reply-vote rule run against its
+# three goroutines (Submit's callers, the send loop, the receive loop).
 race:
 	$(GO) test -race -count=5 \
-		-run 'TestSelfSend|TestConcurrentSendClose|TestSendCloseRaceWindow|TestHelloWriteDeadline|TestQueue|TestSnapshotConsistentUnderConcurrentWriters|TestLabeledConcurrentScrape|TestEngine|TestLoop|TestVote|TestVerifiesOnlyWhatQuorumsNeed|TestRunner|TestSchedule|TestBroadcastSeqAfterFailedAttest|TestVerifierCachesOnlyFailures' \
+		-run 'TestSelfSend|TestConcurrentSendClose|TestSendCloseRaceWindow|TestHelloWriteDeadline|TestQueue|TestSnapshotConsistentUnderConcurrentWriters|TestLabeledConcurrentScrape|TestEngine|TestLoop|TestVote|TestVerifiesOnlyWhatQuorumsNeed|TestRunner|TestSchedule|TestBroadcastSeqAfterFailedAttest|TestVerifierCachesOnlyFailures|TestPipelineSendLoopCoalesces|TestPipelineFrameOpensAtSampledRequest|TestPipelineRetransmitsOverdueInOrder|TestPipelineOKVoteOutlivesOverloadVote|TestPipelineAcceptsReplyBatch|TestReplyVotes' \
 		./internal/tcpnet/ ./internal/syncx/ ./internal/obs/ ./internal/smr/ ./internal/pbft/ ./internal/srb/ ./internal/srb/trincsrb/ ./internal/trusted/trinc/
 
 # soak repeats the fault-injection soak (lossy links, rolling partitions,
@@ -114,11 +116,12 @@ loc:
 
 # trace-check re-runs the distributed-tracing test surface (context
 # propagation on the wire, span lifecycle, cross-node collection, the
-# end-to-end breakdown against live clusters) under the race detector.
+# end-to-end breakdown against live clusters, which request of a client
+# frame carries the frame's context) under the race detector.
 trace-check:
 	$(GO) test -race -count=2 \
-		-run 'TestTrace|TestBreakdown|TestAlignClocks|TestMerge|TestDebugSpans|TestSpan|TestFrame|TestLegacyFrame|TestTracedFrame|TestHealthAndReadiness' \
-		./internal/obs/... ./internal/tcpnet/ ./internal/simnet/ ./internal/harness/ ./cmd/minbft-kv/
+		-run 'TestTrace|TestBreakdown|TestAlignClocks|TestMerge|TestDebugSpans|TestSpan|TestFrame|TestLegacyFrame|TestTracedFrame|TestHealthAndReadiness|TestPipelineFrameOpensAtSampledRequest|TestEngineFrameTraceBelongsToFirstRequest|TestEngineTracePhases' \
+		./internal/obs/... ./internal/tcpnet/ ./internal/simnet/ ./internal/harness/ ./internal/smr/ ./cmd/minbft-kv/
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSigVerify' -benchtime 1x .

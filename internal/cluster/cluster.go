@@ -137,7 +137,7 @@ func (s Spec) ReadQuorum(m types.Membership) int {
 // Encoders is the protocol's client-side envelope set: how a group's
 // clients wrap write requests, fast-path reads, and coalesced read batches.
 type Encoders struct {
-	Request   func(smr.Request) []byte
+	Request   func([]smr.Request) []byte
 	Read      func(smr.ReadRequest) []byte
 	ReadBatch func([][]byte) []byte
 }

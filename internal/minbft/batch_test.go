@@ -208,7 +208,7 @@ func TestWatchdogTimersCanceledOnClose(t *testing.T) {
 	stray := types.ProcessID(h.m.N + 1)
 	req := smr.Request{Client: uint64(stray), Num: 1, Op: kvstore.EncodePut("stray", nil)}
 	for i := len(h.replicas) - 1; i >= 0; i-- { // the primary last: no PREPARE can overtake a backup's copy
-		h.net.Inject(stray, types.ProcessID(i), minbft.EncodeRequestEnvelope(req))
+		h.net.Inject(stray, types.ProcessID(i), minbft.EncodeRequestEnvelope([]smr.Request{req}))
 	}
 	for i, r := range h.replicas {
 		for deadline := time.Now().Add(10 * time.Second); r.PendingTimers() == 0; time.Sleep(time.Millisecond) {

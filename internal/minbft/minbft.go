@@ -351,11 +351,7 @@ func (r orderer) HandleEnvelope(env transport.Envelope) {
 	}
 	switch kind {
 	case kindRequest:
-		req, err := smr.DecodeRequest(body)
-		if err != nil {
-			return
-		}
-		r.handleRequest(req, env.Trace)
+		r.eng.HandleRequests(body, env.Trace, r.admitted)
 		return
 	case kindReadRequest:
 		r.eng.HandleRead(body)
@@ -521,11 +517,9 @@ func (r *Replica) dispatch(from types.ProcessID, msg peerMsg) {
 
 // --- client requests ---
 
-func (r *Replica) handleRequest(req smr.Request, tc tracing.Context) {
-	if !r.eng.HandleRequest(req, tc) {
-		return
-	}
-	// Arm the liveness watchdog for this request.
+// admitted follows the admission of a client request: arm its liveness
+// watchdog, then offer it to the batching valve.
+func (r *Replica) admitted(req smr.Request) {
 	r.loop.Watch(r.reqTimeout, timerEvent{kind: 't', pending: req.ID(), view: r.view})
 	r.mx.watchdogs.Set(int64(r.loop.Watched()))
 	r.eng.MaybePropose()

@@ -20,8 +20,7 @@ func (r orderer) InFlight() int { return r.inFlight }
 // or the broadcast failed: nothing is in flight, and the request watchdogs
 // drive recovery.
 func (r orderer) Propose(batch []smr.Request) bool {
-	p := prepare{View: r.view, Reqs: batch}
-	body := p.encodeBody()
+	p, body := prepare{View: r.view, Reqs: batch}.withBody()
 	span := r.eng.StartProposeSpan(batch)
 	ui, err := r.attestAndSendTraced(kindPrepare, body, span)
 	btc := span.Context() // capture before End: the handle is pooled

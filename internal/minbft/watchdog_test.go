@@ -30,7 +30,7 @@ func TestWatchdogRestartsAtViewInstall(t *testing.T) {
 	fix := newByzPrimaryFixture(t, WithRequestTimeout(timeout), WithEngineConfig(smr.EngineConfig{LeaseTerm: -1}))
 	b2 := fix.backups[1]
 	put := func(num uint64) []byte {
-		return EncodeRequestEnvelope(smr.Request{Client: 3, Num: num, Op: kvstore.EncodePut("k", []byte{byte(num)})})
+		return EncodeRequestEnvelope([]smr.Request{{Client: 3, Num: num, Op: kvstore.EncodePut("k", []byte{byte(num)})}})
 	}
 	vc1 := fix.attested(t, kindViewChange, viewChange{NewView: 1}.encodeBody())
 	fix.net.Inject(0, 1, vc1)
@@ -140,7 +140,7 @@ func TestDeferredViewChangeStopsLeaderRenewal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p0.Close()
-	net.Inject(3, 0, EncodeRequestEnvelope(smr.Request{Client: 3, Num: 1, Op: kvstore.EncodePut("k", nil)}))
+	net.Inject(3, 0, EncodeRequestEnvelope([]smr.Request{{Client: 3, Num: 1, Op: kvstore.EncodePut("k", nil)}}))
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*timeout)
 	defer cancel()

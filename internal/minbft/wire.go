@@ -59,6 +59,7 @@ func uiBinding(kind byte, body []byte) []byte {
 // the whole batch). Shared with pbft via smr.
 func encodeRequests(reqs []smr.Request) []byte { return smr.EncodeRequests(reqs) }
 
+// decodeRequests parses a batch; the requests' Ops alias b.
 func decodeRequests(b []byte) ([]smr.Request, error) {
 	reqs, err := smr.DecodeRequests(b, smr.MaxBatchSize)
 	if err != nil {
@@ -72,21 +73,32 @@ func decodeRequests(b []byte) ([]smr.Request, error) {
 type prepare struct {
 	View types.View
 	Reqs []smr.Request
+	// batch is encodeRequests(Reqs) inside the prepare body: set by
+	// withBody and decodePrepareBody, which every prepare that reaches
+	// batchDigest comes from.
+	batch []byte
 }
 
 func (p prepare) encodeBody() []byte {
-	reqs := encodeRequests(p.Reqs)
-	e := wire.NewEncoder(16 + len(reqs))
+	n := smr.RequestsSize(p.Reqs)
+	e := wire.NewEncoder(16 + n)
 	e.Uint64(uint64(p.View))
-	e.BytesField(reqs)
+	e.BytesFieldWith(n, func(b []byte) []byte { return smr.AppendRequests(b, p.Reqs) })
 	return e.Bytes()
+}
+
+// withBody encodes the prepare and returns it with batch set, and its body.
+func (p prepare) withBody() (prepare, []byte) {
+	body := p.encodeBody()
+	p.batch = body[len(body)-smr.RequestsSize(p.Reqs):]
+	return p, body
 }
 
 // batchDigest is what commits endorse: the hash of the canonical batch
 // encoding (not of the whole prepare body, so it is recomputable from the
 // requests alone).
 func (p prepare) batchDigest() [sha256.Size]byte {
-	return sha256.Sum256(encodeRequests(p.Reqs))
+	return sha256.Sum256(p.batch)
 }
 
 func decodePrepareBody(b []byte) (prepare, error) {
@@ -102,6 +114,7 @@ func decodePrepareBody(b []byte) (prepare, error) {
 		return prepare{}, err
 	}
 	p.Reqs = reqs
+	p.batch = reqBytes
 	return p, nil
 }
 
@@ -308,10 +321,11 @@ func decodeFetchBody(b []byte) (types.ProcessID, types.SeqNum, error) {
 	return peer, seq, nil
 }
 
-// EncodeRequestEnvelope wraps a client request for submission to replicas;
-// pass it to smr.WithRequestEncoder when building a client.
-func EncodeRequestEnvelope(req smr.Request) []byte {
-	return encodeEnvelope(kindRequest, req.Encode(), nil)
+// EncodeRequestEnvelope wraps one frame of client requests, an
+// smr.EncodeRequests body written in place, for submission to replicas; pass
+// it to smr.WithRequestEncoder when building a client.
+func EncodeRequestEnvelope(reqs []smr.Request) []byte {
+	return encodeEnvelopeWith(kindRequest, smr.RequestsSize(reqs), func(b []byte) []byte { return smr.AppendRequests(b, reqs) }, nil)
 }
 
 // EncodeReadRequestEnvelope wraps a client read for the fast path; pass it
@@ -370,13 +384,19 @@ func decodeLeaseGrantBody(b []byte) (types.View, types.SeqNum, error) {
 // envelope wraps kind, body, and the sender's UI attestation for replica
 // messages (UI empty for client requests).
 func encodeEnvelope(kind byte, body []byte, ui *trinc.Attestation) []byte {
+	return encodeEnvelopeWith(kind, len(body), func(b []byte) []byte { return append(b, body...) }, ui)
+}
+
+// encodeEnvelopeWith is the envelope layout: the kind, a body of n bytes
+// that body appends in place, and the sender's UI (none when nil).
+func encodeEnvelopeWith(kind byte, n int, body func([]byte) []byte, ui *trinc.Attestation) []byte {
 	var attBytes []byte
 	if ui != nil {
 		attBytes = ui.Encode()
 	}
-	e := wire.NewEncoder(16 + len(body) + len(attBytes))
+	e := wire.NewEncoder(16 + n + len(attBytes))
 	e.Byte(kind)
-	e.BytesField(body)
+	e.BytesFieldWith(n, body)
 	e.BytesField(attBytes)
 	return e.Bytes()
 }

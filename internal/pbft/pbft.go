@@ -182,11 +182,17 @@ func appendSigned(e *wire.Encoder, kind byte, v types.View, n types.SeqNum, payl
 }
 
 func encodeMsg(kind byte, v types.View, n types.SeqNum, payload, signature []byte) []byte {
-	e := wire.NewEncoder(48 + len(payload) + len(signature))
+	return encodeMsgWith(kind, v, n, len(payload), func(b []byte) []byte { return append(b, payload...) }, signature)
+}
+
+// encodeMsgWith is the message layout: kind, view, sequence number, a
+// payload of size bytes that payload appends in place, and the signature.
+func encodeMsgWith(kind byte, v types.View, n types.SeqNum, size int, payload func([]byte) []byte, signature []byte) []byte {
+	e := wire.NewEncoder(48 + size + len(signature))
 	e.Byte(kind)
 	e.Uint64(uint64(v))
 	e.Uint64(uint64(n))
-	e.BytesField(payload)
+	e.BytesFieldWith(size, payload)
 	e.BytesField(signature)
 	return e.Bytes()
 }
@@ -204,9 +210,10 @@ func decodeMsg(b []byte) (kind byte, v types.View, n types.SeqNum, payload, sign
 	return kind, v, n, payload, signature, nil
 }
 
-// EncodeRequestEnvelope wraps a client request for submission to replicas.
-func EncodeRequestEnvelope(req smr.Request) []byte {
-	return encodeMsg(kindRequest, 0, 0, req.Encode(), nil)
+// EncodeRequestEnvelope wraps one frame of client requests, an
+// smr.EncodeRequests body written in place, for submission to replicas.
+func EncodeRequestEnvelope(reqs []smr.Request) []byte {
+	return encodeMsgWith(kindRequest, 0, 0, smr.RequestsSize(reqs), func(b []byte) []byte { return smr.AppendRequests(b, reqs) }, nil)
 }
 
 // EncodeReadRequestEnvelope wraps a client read for the fast path; pass it
@@ -274,13 +281,9 @@ func (r orderer) HandleEnvelope(env transport.Envelope) {
 	}
 	switch kind {
 	case kindRequest:
-		req, err := smr.DecodeRequest(payload)
-		if err != nil {
-			return
-		}
-		if r.eng.HandleRequest(req, env.Trace) {
-			r.eng.MaybePropose() // a no-op on a backup, which waits for the primary's pre-prepare
-		}
+		// MaybePropose is a no-op on a backup, which waits for the primary's
+		// pre-prepare.
+		r.eng.HandleRequests(payload, env.Trace, func(smr.Request) { r.eng.MaybePropose() })
 		return
 	case kindReadRequest:
 		r.eng.HandleRead(payload)

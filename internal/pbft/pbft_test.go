@@ -107,7 +107,7 @@ func (h *harness) client(idx int) *pbftClient {
 func (c *pbftClient) invoke(ctx context.Context, op []byte) ([]byte, error) {
 	c.num++
 	req := smr.Request{Client: c.id, Num: c.num, Op: op}
-	payload := pbft.EncodeRequestEnvelope(req)
+	payload := pbft.EncodeRequestEnvelope([]smr.Request{req})
 	votes := make(map[string]map[types.ProcessID]bool)
 	for _, r := range c.replicas {
 		if err := c.tr.Send(r, payload); err != nil {
@@ -221,7 +221,7 @@ func TestRequestDeduplication(t *testing.T) {
 	// The same logical request retransmitted must execute once; exercised
 	// by a duplicate manual send before invoking.
 	req := smr.Request{Client: c.id, Num: 1, Op: kvstore.EncodePut("once", []byte("1"))}
-	payload := pbft.EncodeRequestEnvelope(req)
+	payload := pbft.EncodeRequestEnvelope([]smr.Request{req})
 	for i := 0; i < 3; i++ {
 		for _, r := range c.replicas {
 			if err := c.tr.Send(r, payload); err != nil {

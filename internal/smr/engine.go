@@ -20,13 +20,16 @@ package smr
 // (DESIGN.md §5, "Replica engine and ordering cores").
 
 import (
+	"cmp"
 	"crypto/sha256"
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"unidir/internal/obs/tracing"
 	"unidir/internal/transport"
 	"unidir/internal/types"
+	"unidir/internal/wire"
 )
 
 // Orderer is what the engine needs from an ordering core. Positions are
@@ -108,6 +111,12 @@ type Engine struct {
 	pending   map[RequestID]Request
 	proposed  map[RequestID]bool
 	admission *Admission
+	frameReqs []Request // HandleRequests' decode buffer
+
+	// Reply plane: a step that answers requests (a client frame, an executed
+	// batch, a replay) queues its replies here, and flushReplies sends them
+	// when the step ends, one frame per client.
+	out []queuedReply
 
 	// The batching valve.
 	maxBatch   int
@@ -148,10 +157,8 @@ type Engine struct {
 	mx               engineMetrics // all-nil (free no-ops) without a registry
 
 	// Distributed tracing (engine_trace.go); tracer is nil when off.
-	tracer       *tracing.Tracer
-	reqTrace     map[RequestID]reqTraceInfo // sampled requests awaiting execution
-	deferred     []deferredReply            // traced replies held while an execute span is open
-	deferReplies bool
+	tracer   *tracing.Tracer
+	reqTrace map[RequestID]reqTraceInfo // sampled requests awaiting execution
 }
 
 // NewEngine builds the engine of replica tr.Self(). name prefixes the metric
@@ -212,13 +219,35 @@ func (e *Engine) CheckpointInterval() int { return e.ckptInterval }
 
 // --- intake ---
 
-// HandleRequest takes one decoded client request and reports whether it
-// entered the pending set. A retransmission of the client's last executed
-// request is answered from the reply cache, a request that can no longer
-// execute or that admission refuses is shed with an overload reply, and a
-// duplicate is dropped. After an admission the core arms whatever watchdog
-// it keeps for the request and calls MaybePropose.
-func (e *Engine) HandleRequest(req Request, tc tracing.Context) bool {
+// HandleRequests takes the body of one client request frame (an
+// EncodeRequests batch of at most MaxFrameRequests) request by request and
+// calls admitted after each request that entered the pending set: the core
+// arms whatever watchdog it keeps for the request and calls MaybePropose. A
+// retransmission of the client's last executed request is answered from the
+// reply cache, a request that can no longer execute or that admission
+// refuses is shed with an overload reply, and a duplicate is dropped; the
+// replies the frame provokes leave together. A malformed frame is dropped
+// whole. The requests' Ops alias body. The frame's trace context belongs to
+// its first request only.
+func (e *Engine) HandleRequests(body []byte, tc tracing.Context, admitted func(Request)) {
+	reqs, err := decodeRequests(e.frameReqs[:0], body, MaxFrameRequests)
+	if err != nil {
+		return
+	}
+	for _, req := range reqs {
+		if e.handleRequest(req, tc) {
+			admitted(req)
+		}
+		tc = tracing.Context{}
+	}
+	e.flushReplies()
+	clear(reqs)
+	e.frameReqs = reqs[:0]
+}
+
+// handleRequest takes one request of a frame and reports whether it entered
+// the pending set; its replies wait for the frame's flushReplies.
+func (e *Engine) handleRequest(req Request, tc tracing.Context) bool {
 	if result, ok := e.table.CachedReply(req); ok {
 		e.reply(req, result)
 		return false
@@ -410,9 +439,10 @@ func (e *Engine) AnyFresh(reqs []Request) bool {
 }
 
 // Execute applies the batch the core says is next in the total order — each
-// request deduplicated through the client table — and sends the replies. bt
-// is the batch's trace record, bound earlier with BindBatch. The core calls
-// AfterExecute once it has executed everything that was ready.
+// request deduplicated through the client table — and sends the replies, one
+// frame per client, once the batch is applied. bt is the batch's trace
+// record, bound earlier with BindBatch. The core calls AfterExecute once it
+// has executed everything that was ready.
 func (e *Engine) Execute(reqs []Request, bt *BatchTrace) {
 	execSpan := e.finishBatchSpans(bt)
 	for _, req := range reqs {
@@ -436,6 +466,7 @@ func (e *Engine) Replay(reqs []Request) {
 	for _, req := range reqs {
 		e.apply(req)
 	}
+	e.flushReplies()
 }
 
 // AfterExecute follows a run of Execute calls: reads that waited for the
@@ -453,9 +484,10 @@ func (e *Engine) ResendCached(reqs []Request) {
 			e.reply(req, result)
 		}
 	}
+	e.flushReplies()
 }
 
-// apply executes one request (with client-table dedup) and replies.
+// apply executes one request (with client-table dedup) and queues its reply.
 func (e *Engine) apply(req Request) {
 	id := req.ID()
 	delete(e.pending, id)
@@ -475,17 +507,58 @@ func (e *Engine) apply(req Request) {
 	e.tracedReply(id, req, result)
 }
 
+// reply queues a result for req's client; the step's flushReplies sends it.
 func (e *Engine) reply(req Request, result []byte) {
-	rep := Reply{Replica: e.tr.Self(), Client: req.Client, Num: req.Num, Result: result}
-	_ = e.tr.Send(types.ProcessID(req.Client), rep.Encode())
+	e.out = append(e.out, queuedReply{Reply: Reply{Replica: e.tr.Self(), Client: req.Client, Num: req.Num, Result: result}})
 }
 
 // replyOverloaded sheds a request with an overload-coded reply. The client
 // counts these as votes like any other reply, so it backs off only when f+1
 // replicas independently shed — one Byzantine replica cannot fake overload.
 func (e *Engine) replyOverloaded(req Request) {
-	rep := Reply{Replica: e.tr.Self(), Client: req.Client, Num: req.Num, Code: ReplyOverloaded}
-	_ = e.tr.Send(types.ProcessID(req.Client), rep.Encode())
+	e.out = append(e.out, queuedReply{Reply: Reply{Replica: e.tr.Self(), Client: req.Client, Num: req.Num, Code: ReplyOverloaded}})
+}
+
+// queuedReply is a reply waiting for its step's end; tc is the trace of a
+// sampled request and zero otherwise.
+type queuedReply struct {
+	Reply
+	tc tracing.Context
+}
+
+// flushReplies sends the queued replies, one frame per client: a lone reply
+// in its bare wire form, several in a batch frame (encodeReplyBatch), each
+// client's replies in the order they were queued.
+func (e *Engine) flushReplies() {
+	slices.SortStableFunc(e.out, func(a, b queuedReply) int { return cmp.Compare(a.Client, b.Client) })
+	for rest := e.out; len(rest) > 0; {
+		n := 1
+		for n < len(rest) && rest[n].Client == rest[0].Client {
+			n++
+		}
+		e.sendReplyFrame(rest[:n])
+		rest = rest[n:]
+	}
+	clear(e.out)
+	e.out = e.out[:0]
+}
+
+// encodeReplyBatch coalesces replies bound for one client into one batch
+// frame (the frame shape of EncodeReadReplyBatch), each reply written in
+// place.
+func encodeReplyBatch(reps []queuedReply) []byte {
+	n := 16
+	for _, r := range reps {
+		n += 4 + replyHeader + len(r.Result)
+	}
+	e := wire.NewEncoder(n)
+	e.Uint64(batchSentinel)
+	e.Uint64(uint64(len(reps)))
+	for _, r := range reps {
+		e.Uint32(uint32(replyHeader + len(r.Result)))
+		r.appendTo(e)
+	}
+	return e.Bytes()
 }
 
 // --- checkpoint state ---

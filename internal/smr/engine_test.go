@@ -177,10 +177,18 @@ func put(client, num uint64) Request {
 	return Request{Client: client, Num: num, Op: []byte(fmt.Sprintf("c%d/%d", client, num))}
 }
 
-// arrive plays a request frame: HandleRequest, then what the core does on an
-// admission. It reports whether the request was admitted.
+// handle plays a client frame carrying req alone, without the core's part;
+// it reports whether req was admitted.
+func (r *rig) handle(req Request, tc tracing.Context) bool {
+	ok := false
+	r.HandleRequests(EncodeRequests([]Request{req}), tc, func(Request) { ok = true })
+	return ok
+}
+
+// arrive plays a client frame carrying req alone, and what the core does on
+// an admission. It reports whether the request was admitted.
 func (r *rig) arrive(req Request) bool {
-	ok := r.HandleRequest(req, tracing.Context{})
+	ok := r.handle(req, tracing.Context{})
 	if ok {
 		r.MaybePropose()
 	}
@@ -200,19 +208,24 @@ func (r *rig) counter(suffix string) uint64 {
 	return r.reg.Snapshot().CounterSum("x_" + suffix)
 }
 
-// replies decodes the write replies among frames.
+// replies decodes the write replies among frames, bare or batched.
 func replies(t *testing.T, frames []sentFrame) []Reply {
 	t.Helper()
 	var out []Reply
 	for _, f := range frames {
-		rep, err := DecodeReply(f.payload)
-		if err != nil {
-			t.Fatalf("frame to %v is not a Reply: %v", f.to, err)
+		one := func(b []byte) {
+			rep, err := DecodeReply(b)
+			if err != nil {
+				t.Fatalf("frame to %v is not a Reply: %v", f.to, err)
+			}
+			if types.ProcessID(rep.Client) != f.to {
+				t.Fatalf("reply for client %d sent to %v", rep.Client, f.to)
+			}
+			out = append(out, rep)
 		}
-		if types.ProcessID(rep.Client) != f.to {
-			t.Fatalf("reply for client %d sent to %v", rep.Client, f.to)
+		if !eachBatchEntry(f.payload, one) {
+			one(f.payload)
 		}
-		out = append(out, rep)
 	}
 	return out
 }
@@ -426,7 +439,7 @@ func TestEngineStalePurge(t *testing.T) {
 	sampled := tracing.Context{Trace: tracing.TraceID{1}, Span: tracing.SpanID{1}, Sampled: true}
 	// Request 1 is admitted, traced and proposed; then request 2 overtakes
 	// it (the core commits only the second proposal).
-	if !r.HandleRequest(put(7, 1), sampled) {
+	if !r.handle(put(7, 1), sampled) {
 		t.Fatal("request 1 not admitted")
 	}
 	r.MaybePropose()
@@ -774,7 +787,7 @@ func TestEngineTracePhases(t *testing.T) {
 	buf := tracing.NewSpanBuffer(16)
 	r := newRig(t, EngineConfig{Tracer: tracing.NewTracer("r0", 1, buf)})
 	tc := tracing.Context{Trace: tracing.TraceID{9}, Span: tracing.SpanID{9}, Sampled: true}
-	r.HandleRequest(put(7, 1), tc)
+	r.handle(put(7, 1), tc)
 	r.MaybePropose()
 	wantProposals(t, r.core, 1)
 	var bt BatchTrace
@@ -806,7 +819,7 @@ func TestEngineTracePhases(t *testing.T) {
 	if by["batch-wait"].End.After(by["propose"].Start) || by["reply"].Start.Before(by["execute"].End) {
 		t.Fatal("phases overlap")
 	}
-	if len(r.reqTrace) != 0 || len(r.deferred) != 0 {
+	if len(r.reqTrace) != 0 || len(r.out) != 0 {
 		t.Fatal("trace records not retired")
 	}
 }
@@ -828,15 +841,19 @@ func TestEngineTracePhases(t *testing.T) {
 func TestEngineWritePathAllocs(t *testing.T) {
 	r := newRig(t, EngineConfig{})
 	r.net.quiet = true
-	num := uint64(0)
-	op := []byte("op")
+	// One client frame of one request each: the frame's decode buffer is
+	// reused and the Op shares the frame, so the frame costs nothing over a
+	// request handed over already decoded.
+	bodies := make([][]byte, 202)
+	for i := range bodies {
+		bodies[i] = EncodeRequests([]Request{{Client: 7, Num: uint64(i + 1), Op: []byte("op")}})
+	}
+	next := 0
+	admitted := func(Request) { r.MaybePropose() }
 	var bt BatchTrace
 	got := testing.AllocsPerRun(200, func() {
-		num++
-		if !r.HandleRequest(Request{Client: 7, Num: num, Op: op}, tracing.Context{}) {
-			t.Fatal("not admitted")
-		}
-		r.MaybePropose()
+		r.HandleRequests(bodies[next], tracing.Context{}, admitted)
+		next++
 		batch := r.core.proposals[0]
 		r.core.proposals = r.core.proposals[:0]
 		r.core.inFlight--

@@ -97,55 +97,48 @@ func (e *Engine) BindBatch(bt *BatchTrace, btc tracing.Context) {
 }
 
 // finishBatchSpans closes the batch's commit-quorum span and returns the
-// execute span to wrap the batch's application (nil when untraced). While
-// the execute span is open, traced replies are deferred (flushReplies sends
-// them after it closes): the breakdown's phases must partition the
-// client-observed latency, so the reply span cannot nest inside execute.
+// execute span to wrap the batch's application (nil when untraced). Replies
+// leave after the execute span closes (Execute's flushReplies): the
+// breakdown's phases must partition the client-observed latency, so the
+// reply span cannot nest inside execute.
 func (e *Engine) finishBatchSpans(bt *BatchTrace) *tracing.Active {
 	bt.quorumSpan.End()
 	bt.quorumSpan = nil
-	sp := e.tracer.Start("execute", bt.btc)
-	e.deferReplies = sp != nil
-	return sp
+	return e.tracer.Start("execute", bt.btc)
 }
 
-// deferredReply is a traced reply held back until the batch's execute span
-// closes.
-type deferredReply struct {
-	tc     tracing.Context
-	req    Request
-	result []byte
-}
-
-// flushReplies sends the traced replies deferred during batch execution.
-func (e *Engine) flushReplies() {
-	e.deferReplies = false
-	for _, d := range e.deferred {
-		e.sendTracedReply(d)
-	}
-	e.deferred = e.deferred[:0]
-}
-
-// tracedReply sends the reply inside a reply span on the request's own
-// trace, retiring the request's trace record.
+// tracedReply queues the reply and, for a sampled request, retires its
+// trace record and marks the reply for a reply span.
 func (e *Engine) tracedReply(id RequestID, req Request, result []byte) {
-	info, ok := e.reqTrace[id]
-	if !ok {
-		e.reply(req, result)
-		return
+	e.reply(req, result)
+	if info, ok := e.reqTrace[id]; ok {
+		delete(e.reqTrace, id)
+		e.out[len(e.out)-1].tc = info.tc
 	}
-	delete(e.reqTrace, id)
-	d := deferredReply{tc: info.tc, req: req, result: result}
-	if e.deferReplies {
-		e.deferred = append(e.deferred, d)
-		return
-	}
-	e.sendTracedReply(d)
 }
 
-func (e *Engine) sendTracedReply(d deferredReply) {
-	sp := e.tracer.Start("reply", d.tc)
-	rep := Reply{Replica: e.tr.Self(), Client: d.req.Client, Num: d.req.Num, Result: d.result}
-	_ = transport.SendTraced(e.tr, types.ProcessID(d.req.Client), rep.Encode(), d.tc)
-	sp.End()
+// sendReplyFrame sends one client's queued replies as one frame. Each
+// sampled request it answers gets a reply span, on its own trace, around
+// the send, and the frame carries the first one's context.
+func (e *Engine) sendReplyFrame(reps []queuedReply) {
+	var frame []byte
+	if len(reps) == 1 {
+		frame = reps[0].Encode()
+	} else {
+		frame = encodeReplyBatch(reps)
+	}
+	var tc tracing.Context
+	var spans []*tracing.Active
+	for _, r := range reps {
+		if r.tc.Valid() {
+			if !tc.Valid() {
+				tc = r.tc
+			}
+			spans = append(spans, e.tracer.Start("reply", r.tc))
+		}
+	}
+	_ = transport.SendTraced(e.tr, types.ProcessID(reps[0].Client), frame, tc)
+	for _, sp := range spans {
+		sp.End()
+	}
 }

@@ -1,9 +1,11 @@
 package smr
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -54,16 +56,25 @@ type Pipeline struct {
 	need       int
 	id         uint64
 	retry      time.Duration
-	encode     func(Request) []byte
+	encode     func([]Request) []byte
 	readEncode func(ReadRequest) []byte
 	// readBatchEncode wraps several encoded ReadRequest bodies in one
-	// protocol envelope; the read send loop uses it to coalesce every read
+	// protocol envelope; the send loop uses it to coalesce every read
 	// queued while the previous frame was in flight into a single frame.
 	readBatchEncode func([][]byte) []byte
-	// readOut feeds the send loop: SubmitRead enqueues, readSendLoop
-	// drains and sends one (possibly batched) frame per wakeup.
-	readOut  *syncx.Queue[readOutItem]
+	// out feeds the send loop: SubmitRead and the retransmit tick enqueue,
+	// sendLoop drains and sends one frame per kind per wakeup. A fresh
+	// write leaves from Submit itself, in a frame of its own.
+	out      *syncx.Queue[outItem]
 	readNeed int // matching fallback votes required (default: need)
+
+	// The send loop's buffers, reused across wakeups; only it touches them.
+	sendReads, sendWrites []outItem
+	frameReqs             []Request
+	// resendNums is the retransmit tick's buffer; submitReq is Submit's
+	// one-request frame. Both are used under mu.
+	resendNums []uint64
+	submitReq  [1]Request
 
 	// avail holds the window tokens: Submit takes one, completion returns
 	// one (unless swallowed to pay down a window decrease — see debt).
@@ -129,19 +140,22 @@ type Pipeline struct {
 }
 
 type pipeCall struct {
-	call    *Call
-	payload []byte
-	votes   map[string]map[types.ProcessID]bool
+	call   *Call
+	sentAt time.Time // Submit's instant: the retransmit tick's yardstick
+	votes  replyVotes
+	// voteBuf backs votes for groups of up to four replicas.
+	voteBuf [4]replyVote
 	span    *tracing.Active // client-submit root; nil when unsampled
-	tc      tracing.Context // propagated with every (re)broadcast
+	tc      tracing.Context // propagated with every (re)send
 }
 
 // PipelineOption configures NewPipeline.
 type PipelineOption func(*Pipeline)
 
 // WithPipelineRequestEncoder sets the protocol-specific request envelope
-// encoder, like smr.WithRequestEncoder for the closed-loop client.
-func WithPipelineRequestEncoder(encode func(Request) []byte) PipelineOption {
+// encoder, like smr.WithRequestEncoder for the closed-loop client. Submit
+// hands it one request, the send loop every resend of one frame.
+func WithPipelineRequestEncoder(encode func([]Request) []byte) PipelineOption {
 	return func(p *Pipeline) { p.encode = encode }
 }
 
@@ -173,7 +187,9 @@ func WithPipelineMetrics(reg *obs.Registry) PipelineOption {
 // WithPipelineTracer makes the pipeline the head-sampling point of the
 // request lifecycle: each Submit that wins the sampling decision opens a
 // client-submit root span, propagates its context with the request (and all
-// retransmits), and ends the span when f+1 matching replies arrive.
+// retransmits), and ends the span when f+1 matching replies arrive. A frame
+// carries one trace context, its first request's, so the send loop opens a
+// new resend frame at every sampled request.
 func WithPipelineTracer(t *tracing.Tracer) PipelineOption {
 	return func(p *Pipeline) { p.tracer = t }
 }
@@ -245,10 +261,10 @@ func NewPipeline(tr transport.Transport, replicas []types.ProcessID, need int, i
 		need:            need,
 		id:              id,
 		retry:           retry,
-		encode:          func(r Request) []byte { return r.Encode() },
+		encode:          EncodeRequests,
 		readEncode:      func(r ReadRequest) []byte { return r.Encode() },
 		readBatchEncode: EncodeReadRequestBatch,
-		readOut:         syncx.NewQueue[readOutItem](),
+		out:             syncx.NewQueue[outItem](),
 		readNeed:        need,
 		avail:           make(chan struct{}, window),
 		winMax:          window,
@@ -288,7 +304,7 @@ func NewPipeline(tr transport.Transport, replicas []types.ProcessID, need int, i
 	p.wg.Add(3)
 	go p.recvLoop()
 	go p.retransmitLoop()
-	go p.readSendLoop()
+	go p.sendLoop()
 	return p, nil
 }
 
@@ -322,19 +338,18 @@ func (p *Pipeline) Submit(ctx context.Context, op []byte) (*Call, error) {
 	p.nextNum++
 	req := Request{Client: p.id, Num: p.nextNum, Op: op}
 	call := &Call{req: req, done: make(chan struct{})}
-	payload := p.encode(req)
 	span := p.tracer.Root("client-submit")
-	tc := span.Context()
-	p.inflight[req.Num] = &pipeCall{
-		call: call, payload: payload,
-		votes: make(map[string]map[types.ProcessID]bool),
-		span:  span, tc: tc,
-	}
+	pc := &pipeCall{call: call, sentAt: time.Now(), span: span, tc: span.Context()}
+	pc.votes = pc.voteBuf[:0]
+	p.inflight[req.Num] = pc
 	depth := len(p.inflight)
+	p.submitReq[0] = req
+	payload := p.encode(p.submitReq[:])
+	p.submitReq[0] = Request{}
 	p.mu.Unlock()
 	p.mxSubmitted.Inc()
 	p.mxInflight.Set(int64(depth))
-	if err := transport.BroadcastTraced(p.tr, p.replicas, payload, tc); err != nil {
+	if err := transport.BroadcastTraced(p.tr, p.replicas, payload, pc.tc); err != nil {
 		p.complete(req.Num, nil, fmt.Errorf("smr: send request: %w", err))
 		return nil, fmt.Errorf("smr: send request: %w", err)
 	}
@@ -457,58 +472,55 @@ func (p *Pipeline) recvLoop() {
 		if err != nil {
 			return
 		}
-		// A replica that answered several of our reads in one event-loop
-		// drain coalesces them into a sentinel-prefixed batch frame; the
-		// check is one integer compare for every other frame shape.
-		if reps, berr := DecodeReadReplyBatch(env.Payload); berr == nil {
-			for _, rr := range reps {
-				p.handleReadReply(rr, env.From)
-			}
-			continue
+		// A replica coalesces its replies to us — those of one executed
+		// batch, or the reads of one event-loop drain — into a sentinel-
+		// prefixed batch frame; the check is one integer compare for every
+		// other frame shape.
+		if !eachBatchEntry(env.Payload, func(b []byte) { p.handleReply(b, env.From) }) {
+			p.handleReply(env.Payload, env.From)
 		}
-		rep, err := DecodeReply(env.Payload)
-		if err != nil {
-			// Not a write reply; a read reply carries the same prefix plus
-			// the trailing exec watermark, so DecodeReply fails on the
-			// leftover bytes and we try the read shape.
-			if rr, rerr := DecodeReadReply(env.Payload); rerr == nil {
-				p.handleReadReply(rr, env.From)
-			}
-			continue
-		}
-		if rep.Client != p.id || rep.Replica != env.From {
-			continue
-		}
-		p.mu.Lock()
-		pc := p.inflight[rep.Num]
-		if pc == nil {
-			p.mu.Unlock()
-			continue
-		}
-		key := rep.voteKey()
-		if pc.votes[key] == nil {
-			pc.votes[key] = make(map[types.ProcessID]bool)
-		}
-		pc.votes[key][rep.Replica] = true
-		agreed := len(pc.votes[key]) >= p.need
-		p.mu.Unlock()
-		if !agreed {
-			continue
-		}
-		if rep.Code == ReplyOverloaded {
-			p.mxOverloadVotes.Inc()
-			p.complete(rep.Num, nil, fmt.Errorf("smr: request %d shed by %d replicas: %w", rep.Num, p.need, ErrOverloaded))
-			continue
-		}
-		p.complete(rep.Num, append([]byte(nil), rep.Result...), nil)
 	}
 }
 
-// retransmitLoop rebroadcasts every outstanding request each retry period,
-// covering loss, replica restarts, and view changes in one mechanism, like
-// the closed-loop client's per-request timer. A non-empty resend set is
-// also a congestion signal for the adaptive window: requests outlived a
-// full retry period without f+1 replies.
+// handleReply routes one replica's reply, a write's or a read's, to its
+// call.
+func (p *Pipeline) handleReply(b []byte, from types.ProcessID) {
+	rep, err := DecodeReply(b)
+	if err != nil {
+		// Not a write reply; a read reply carries the same prefix plus the
+		// trailing exec watermark, so DecodeReply fails on the leftover
+		// bytes and we try the read shape.
+		if rr, rerr := DecodeReadReply(b); rerr == nil {
+			p.handleReadReply(rr, from)
+		}
+		return
+	}
+	if rep.Client != p.id || rep.Replica != from {
+		return
+	}
+	p.mu.Lock()
+	pc := p.inflight[rep.Num]
+	if pc == nil {
+		p.mu.Unlock()
+		return
+	}
+	agreed := pc.votes.add(rep) >= p.need
+	p.mu.Unlock()
+	if !agreed {
+		return
+	}
+	if rep.Code == ReplyOverloaded {
+		p.mxOverloadVotes.Inc()
+		p.complete(rep.Num, nil, fmt.Errorf("smr: request %d shed by %d replicas: %w", rep.Num, p.need, ErrOverloaded))
+		return
+	}
+	// DecodeReply copied Result out of the frame.
+	p.complete(rep.Num, rep.Result, nil)
+}
+
+// retransmitLoop resends overdue requests each retry period, covering loss,
+// replica restarts, and view changes in one mechanism, like the closed-loop
+// client's per-request timer.
 func (p *Pipeline) retransmitLoop() {
 	defer p.wg.Done()
 	t := time.NewTicker(p.retry)
@@ -519,43 +531,143 @@ func (p *Pipeline) retransmitLoop() {
 			return
 		case <-t.C:
 		}
-		p.mu.Lock()
-		resend := make([]*pipeCall, 0, len(p.inflight))
-		for _, pc := range p.inflight {
-			resend = append(resend, pc)
+		p.retransmit(time.Now())
+	}
+}
+
+// retransmit is one retry tick. It resends, through the send loop and in
+// Num order, the writes outstanding for a full retry period. A fresh write
+// is still on its way: resent, it arrives as a late duplicate after the
+// replicas executed it, and they shed it. A resend of Num k+1 ahead of k
+// would make the replicas execute k+1 first and shed k. A non-empty resend
+// set is also a congestion signal for the adaptive window: requests outlived
+// a full retry period without f+1 replies.
+func (p *Pipeline) retransmit(now time.Time) {
+	p.mu.Lock()
+	due := p.resendNums[:0]
+	for num, pc := range p.inflight {
+		if now.Sub(pc.sentAt) >= p.retry {
+			due = append(due, num)
 		}
-		if p.winMin > 0 && len(resend) > 0 {
-			p.shrinkLocked(time.Now())
+	}
+	slices.Sort(due)
+	if p.winMin > 0 && len(due) > 0 {
+		p.shrinkLocked(now)
+	}
+	for _, num := range due {
+		// Retransmits carry the same context: wherever the request finally
+		// lands, it stays on its trace.
+		pc := p.inflight[num]
+		p.out.Push(outItem{num: num, op: pc.call.req.Op, tc: pc.tc})
+	}
+	p.resendNums = due[:0]
+	// Reads that outlived a retry period lost their leader hint (or the
+	// leader lost its lease mid-read): go wide and finish as a quorum read.
+	// A read still wide after ANOTHER full period is stuck on mismatched
+	// votes — hand it to the ordering path instead of asking the same
+	// diverging replicas again.
+	var resendReads [][]byte
+	for num, rc := range p.readInflight {
+		if rc.ordered || now.Sub(rc.start) < p.retry {
+			continue
 		}
-		// Reads that outlived a retry period lost their leader hint (or the
-		// leader lost its lease mid-read): go wide and finish as a quorum
-		// read. A read still wide after ANOTHER full period is stuck on
-		// mismatched votes — hand it to the ordering path instead of asking
-		// the same diverging replicas again.
-		now := time.Now()
-		resendReads := make([][]byte, 0, len(p.readInflight))
-		for num, rc := range p.readInflight {
-			if rc.ordered || now.Sub(rc.start) < p.retry {
-				continue
+		if rc.broadcasted {
+			p.escalateReadLocked(num, rc)
+			continue
+		}
+		rc.broadcasted = true
+		if rc.sent {
+			p.advanceHintLocked(rc.sentTo)
+		}
+		resendReads = append(resendReads, p.readPayloadLocked(rc))
+	}
+	p.mu.Unlock()
+	for _, payload := range resendReads {
+		_ = transport.Broadcast(p.tr, p.replicas, payload)
+	}
+}
+
+// outItem is one submission queued for the send loop, a read or a resend of
+// a write. The wire forms are built at send time.
+type outItem struct {
+	num  uint64
+	op   []byte
+	read bool
+	tc   tracing.Context // a write's trace context; zero when unsampled
+}
+
+// sendLoop sends what the pipeline queued for it: each wakeup drains
+// everything queued since the last one and sends the reads to the leader
+// hint and the resent writes to every replica, each kind in as few frames
+// as it can. A lone request goes out as a frame of one.
+func (p *Pipeline) sendLoop() {
+	defer p.wg.Done()
+	var spare []outItem
+	for {
+		items, err := p.out.PopAllSwap(p.ctx, spare)
+		if err != nil {
+			return
+		}
+		p.sendItems(items)
+		clear(items)
+		spare = items[:0]
+	}
+}
+
+// sendItems sends one wakeup's worth of queued items.
+func (p *Pipeline) sendItems(items []outItem) {
+	p.mu.Lock()
+	leader := p.leaderHint
+	reads, writes := p.sendReads[:0], p.sendWrites[:0]
+	for _, it := range items {
+		switch {
+		case it.read:
+			if rc := p.readInflight[it.num]; rc != nil {
+				// Stamp the target before anything is on the wire: a leased
+				// reply is only trusted when it comes from the replica the
+				// read was aimed at.
+				rc.sentTo, rc.sent = leader, true
+				reads = append(reads, it)
 			}
-			if rc.broadcasted {
-				p.escalateReadLocked(num, rc)
-				continue
-			}
-			rc.broadcasted = true
-			if rc.sent {
-				p.advanceHintLocked(rc.sentTo)
-			}
-			resendReads = append(resendReads, p.readPayloadLocked(rc))
+		case p.inflight[it.num] != nil: // a completed write is not resent
+			writes = append(writes, it)
 		}
-		p.mu.Unlock()
-		for _, pc := range resend {
-			// Retransmits carry the same context: wherever the request
-			// finally lands, it stays on its trace.
-			_ = transport.BroadcastTraced(p.tr, p.replicas, pc.payload, pc.tc)
+	}
+	p.mu.Unlock()
+	p.sendReadFrames(leader, reads)
+	p.sendWriteFrames(writes)
+	clear(reads)
+	clear(writes)
+	p.sendReads, p.sendWrites = reads[:0], writes[:0]
+}
+
+// sendWriteFrames broadcasts resent writes in Num order, MaxFrameRequests at
+// most to a frame. A frame carries one trace context, its first request's,
+// so a sampled request opens a frame of its own and the requests after it
+// in that frame stay unsampled at the replicas.
+func (p *Pipeline) sendWriteFrames(writes []outItem) {
+	byNum := func(a, b outItem) int { return cmp.Compare(a.num, b.num) }
+	if !slices.IsSortedFunc(writes, byNum) {
+		slices.SortFunc(writes, byNum)
+	}
+	for len(writes) > 0 {
+		n := 1
+		for n < len(writes) && n < MaxFrameRequests && !writes[n].tc.Valid() {
+			n++
 		}
-		for _, payload := range resendReads {
-			_ = transport.Broadcast(p.tr, p.replicas, payload)
+		frame := writes[:n]
+		writes = writes[n:]
+		reqs := p.frameReqs[:0]
+		for _, it := range frame {
+			reqs = append(reqs, Request{Client: p.id, Num: it.num, Op: it.op})
+		}
+		payload := p.encode(reqs)
+		clear(reqs)
+		p.frameReqs = reqs[:0]
+		if err := transport.BroadcastTraced(p.tr, p.replicas, payload, frame[0].tc); err != nil {
+			for _, it := range frame {
+				p.complete(it.num, nil, fmt.Errorf("smr: send request: %w", err))
+			}
 		}
 	}
 }

@@ -23,17 +23,15 @@ func codedReplicas(net *simnet.Network, ids []types.ProcessID, overloaded *atomi
 				if err != nil {
 					return
 				}
-				req, err := DecodeRequest(env.Payload)
-				if err != nil {
-					continue
+				for _, req := range decodeFrame(env.Payload) {
+					rep := Reply{Replica: id, Client: req.Client, Num: req.Num}
+					if overloaded.Load() {
+						rep.Code = ReplyOverloaded
+					} else {
+						rep.Result = req.Op
+					}
+					_ = ep.Send(env.From, rep.Encode())
 				}
-				rep := Reply{Replica: id, Client: req.Client, Num: req.Num}
-				if overloaded.Load() {
-					rep.Code = ReplyOverloaded
-				} else {
-					rep.Result = req.Op
-				}
-				_ = ep.Send(env.From, rep.Encode())
 			}
 		}(id)
 	}

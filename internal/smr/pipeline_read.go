@@ -100,70 +100,36 @@ func (p *Pipeline) SubmitRead(ctx context.Context, op []byte) (*ReadCall, error)
 		votes: make(map[string]map[types.ProcessID]bool),
 		start: time.Now(),
 	}
-	p.mu.Unlock()
-	p.mxReadsSubmitted.Inc()
 	// The send loop drains everything queued since its last wakeup into one
 	// frame, so under load a burst of reads costs the leader one receive
-	// instead of one per read. Push only fails once the queue is closed.
-	if !p.readOut.Push(readOutItem{num: req.Num, req: req}) {
-		p.completeRead(req.Num, nil, ErrClientClosed)
-		return nil, ErrClientClosed
-	}
+	// instead of one per read.
+	p.out.Push(outItem{num: req.Num, op: op, read: true})
+	p.mu.Unlock()
+	p.mxReadsSubmitted.Inc()
 	return call, nil
 }
 
-// readOutItem is one queued read submission; the wire forms are built at
-// send time so a batched read never pays for the single-read envelope.
-type readOutItem struct {
-	num uint64
-	req ReadRequest
-}
-
-// maxReadSubmitBatch caps reads coalesced into one frame so a deep backlog
-// cannot produce an arbitrarily large message.
-const maxReadSubmitBatch = 512
-
-// readSendLoop drains queued read submissions and sends them to the
-// current leader hint — one frame per wakeup: the bare payload when a
+// sendReadFrames sends reads to the leader hint: the bare payload when a
 // single read is queued (wire-identical to the unbatched path), a batch
-// frame when the window refilled faster than the last frame round-tripped.
-func (p *Pipeline) readSendLoop() {
-	defer p.wg.Done()
-	for {
-		items, err := p.readOut.PopAll(p.ctx)
-		if err != nil {
-			return
+// frame when the read window refilled faster than the last frame
+// round-tripped.
+func (p *Pipeline) sendReadFrames(leader types.ProcessID, reads []outItem) {
+	for len(reads) > 0 {
+		chunk := reads[:min(len(reads), MaxFrameRequests)]
+		reads = reads[len(chunk):]
+		var frame []byte
+		if len(chunk) == 1 {
+			frame = p.readEncode(ReadRequest{Client: p.id, Num: chunk[0].num, Op: chunk[0].op})
+		} else {
+			bodies := make([][]byte, len(chunk))
+			for i, it := range chunk {
+				bodies[i] = ReadRequest{Client: p.id, Num: it.num, Op: it.op}.Encode()
+			}
+			frame = p.readBatchEncode(bodies)
 		}
-		p.mu.Lock()
-		leader := p.leaderHint
-		// Stamp the target before anything is on the wire: a leased reply is
-		// only trusted when it comes from the replica the read was aimed at.
-		for _, it := range items {
-			if rc := p.readInflight[it.num]; rc != nil {
-				rc.sentTo, rc.sent = leader, true
-			}
-		}
-		p.mu.Unlock()
-		for len(items) > 0 {
-			chunk := items
-			if len(chunk) > maxReadSubmitBatch {
-				chunk = items[:maxReadSubmitBatch]
-			}
-			items = items[len(chunk):]
-			var frame []byte
-			if len(chunk) == 1 {
-				frame = p.readEncode(chunk[0].req)
-			} else {
-				bodies := make([][]byte, len(chunk))
-				for i, it := range chunk {
-					bodies[i] = it.req.Encode()
-				}
-				frame = p.readBatchEncode(bodies)
-			}
-			if err := p.tr.Send(leader, frame); err != nil {
-				for _, it := range chunk {
-					p.completeRead(it.num, nil, fmt.Errorf("smr: send read: %w", err))
-				}
+		if err := p.tr.Send(leader, frame); err != nil {
+			for _, it := range chunk {
+				p.completeRead(it.num, nil, fmt.Errorf("smr: send read: %w", err))
 			}
 		}
 	}

@@ -41,12 +41,10 @@ func readTestReplica(net *simnet.Network, id types.ProcessID, onRead func(op str
 				}
 				continue
 			}
-			req, err := DecodeRequest(env.Payload)
-			if err != nil {
-				continue
+			for _, req := range decodeFrame(env.Payload) {
+				rep := Reply{Replica: id, Client: req.Client, Num: req.Num, Result: req.Op}
+				_ = ep.Send(env.From, rep.Encode())
 			}
-			rep := Reply{Replica: id, Client: req.Client, Num: req.Num, Result: req.Op}
-			_ = ep.Send(env.From, rep.Encode())
 		}
 	}()
 }

@@ -57,16 +57,14 @@ func echoReplicas(net *simnet.Network, ids []types.ProcessID, skipN int) {
 				if err != nil {
 					return
 				}
-				req, err := DecodeRequest(env.Payload)
-				if err != nil {
-					continue
+				for _, req := range decodeFrame(env.Payload) {
+					seen[req.Num]++
+					if seen[req.Num] <= skipN {
+						continue
+					}
+					rep := Reply{Replica: id, Client: req.Client, Num: req.Num, Result: req.Op}
+					_ = ep.Send(env.From, rep.Encode())
 				}
-				seen[req.Num]++
-				if seen[req.Num] <= skipN {
-					continue
-				}
-				rep := Reply{Replica: id, Client: req.Client, Num: req.Num, Result: req.Op}
-				_ = ep.Send(env.From, rep.Encode())
 			}
 		}(id)
 	}
@@ -197,4 +195,13 @@ func TestPipelineValidation(t *testing.T) {
 	if _, err := NewPipeline(net.Endpoint(1), []types.ProcessID{0}, 1, 1, 0, 0); err == nil {
 		t.Fatal("window 0 accepted")
 	}
+}
+
+// decodeFrame returns the requests of a client request frame, or nil.
+func decodeFrame(b []byte) []Request {
+	reqs, err := DecodeRequests(b, MaxFrameRequests)
+	if err != nil {
+		return nil
+	}
+	return reqs
 }

@@ -75,7 +75,7 @@ func DecodeReadRequest(b []byte) (ReadRequest, error) {
 	// The sentinel is reserved to open batch frames; no correct client uses
 	// it as an ID, so rejecting it here makes batch/single discrimination
 	// independent of which decoder a handler tries first.
-	if r.Client == readBatchSentinel {
+	if r.Client == batchSentinel {
 		return ReadRequest{}, fmt.Errorf("smr: decode read request: reserved client id")
 	}
 	return r, nil
@@ -147,11 +147,27 @@ func DefaultReadWindow() int {
 		map[string]int{"off": 0, "0": 0})
 }
 
-// readBatchSentinel opens a coalesced read-reply frame. Every Reply and
-// ReadReply begins with the sender's replica ID, which correct replicas
-// never encode as -1, so the prefix cleanly separates batch frames from
-// single replies on the shared client delivery path.
-const readBatchSentinel = ^uint64(0)
+// batchSentinel opens a batch frame: coalesced replies (write or read) to
+// one client, or coalesced reads from one client. Every Reply and ReadReply
+// begins with the sender's replica ID, which correct replicas never encode
+// as -1, so the prefix cleanly separates batch frames from single replies on
+// the shared client delivery path.
+const batchSentinel = ^uint64(0)
+
+// eachBatchEntry calls fn with each entry of a batch frame, up to the first
+// malformed one, and reports whether b is one. The entries alias b.
+func eachBatchEntry(b []byte, fn func([]byte)) bool {
+	d := wire.NewDecoder(b)
+	if d.Uint64() != batchSentinel || d.Err() != nil {
+		return false
+	}
+	for n := d.Uint64(); n > 0 && d.Err() == nil; n-- {
+		if entry := d.BytesField(); d.Err() == nil {
+			fn(entry)
+		}
+	}
+	return true
+}
 
 // EncodeReadReplyBatch coalesces several encoded ReadReply payloads bound
 // for one client into a single transport frame. Replicas answering a burst
@@ -165,7 +181,7 @@ func EncodeReadReplyBatch(reps [][]byte) []byte {
 		n += 8 + len(r)
 	}
 	e := wire.NewEncoder(n)
-	e.Uint64(readBatchSentinel)
+	e.Uint64(batchSentinel)
 	e.Uint64(uint64(len(reps)))
 	for _, r := range reps {
 		e.BytesField(r)
@@ -177,7 +193,7 @@ func EncodeReadReplyBatch(reps [][]byte) []byte {
 // (one integer compare) on anything without the sentinel prefix.
 func DecodeReadReplyBatch(b []byte) ([]ReadReply, error) {
 	d := wire.NewDecoder(b)
-	if d.Uint64() != readBatchSentinel || d.Err() != nil {
+	if d.Uint64() != batchSentinel || d.Err() != nil {
 		return nil, fmt.Errorf("smr: not a read reply batch")
 	}
 	count := d.Uint64()
@@ -212,7 +228,7 @@ func EncodeReadRequestBatch(reqs [][]byte) []byte {
 		n += 8 + len(r)
 	}
 	e := wire.NewEncoder(n)
-	e.Uint64(readBatchSentinel)
+	e.Uint64(batchSentinel)
 	e.Uint64(uint64(len(reqs)))
 	for _, r := range reqs {
 		e.BytesField(r)
@@ -224,7 +240,7 @@ func EncodeReadRequestBatch(reqs [][]byte) []byte {
 // fast (one integer compare) on a single-read body.
 func DecodeReadRequestBatch(b []byte) ([]ReadRequest, error) {
 	d := wire.NewDecoder(b)
-	if d.Uint64() != readBatchSentinel || d.Err() != nil {
+	if d.Uint64() != batchSentinel || d.Err() != nil {
 		return nil, fmt.Errorf("smr: not a read request batch")
 	}
 	count := d.Uint64()

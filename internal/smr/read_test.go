@@ -183,7 +183,7 @@ func TestBatchSentinelDiscrimination(t *testing.T) {
 // rejected before any allocation sized by the claim.
 func TestBatchDecodeBoundsCount(t *testing.T) {
 	e := wire.NewEncoder(32)
-	e.Uint64(readBatchSentinel)
+	e.Uint64(batchSentinel)
 	e.Uint64(1 << 40) // absurd element count, almost no payload
 	if _, err := DecodeReadReplyBatch(e.Bytes()); err == nil {
 		t.Fatal("DecodeReadReplyBatch accepted an absurd count")

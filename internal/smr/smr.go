@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -37,11 +38,19 @@ type Request struct {
 // Encode returns the canonical wire form (also the form protocols sign or
 // attest, so it must be deterministic).
 func (r Request) Encode() []byte {
-	e := wire.NewEncoder(24 + len(r.Op))
+	e := wire.NewEncoder(requestHeader + len(r.Op))
+	r.appendTo(e)
+	return e.Bytes()
+}
+
+// requestHeader is the encoded size of a Request without its Op bytes:
+// Client, Num and the Op's length prefix.
+const requestHeader = 20
+
+func (r Request) appendTo(e *wire.Encoder) {
 	e.Uint64(r.Client)
 	e.Uint64(r.Num)
 	e.BytesField(r.Op)
-	return e.Bytes()
 }
 
 // DecodeRequest parses a request.
@@ -57,22 +66,52 @@ func DecodeRequest(b []byte) (Request, error) {
 	return r, nil
 }
 
+// MaxFrameRequests caps the requests one client frame carries. The pipeline
+// cuts its frames at this count and replicas refuse a larger one, so a deep
+// backlog cannot make one message arbitrarily large.
+const MaxFrameRequests = 512
+
 // EncodeRequests is the canonical wire form of a request batch: the count,
 // then each request's own encoding. Both SMR protocols bind their per-slot
 // consensus messages to this byte string, so one digest (and one
-// attestation, in MinBFT's case) covers the whole batch.
+// attestation, in MinBFT's case) covers the whole batch. It is also the body
+// of a client's request frame.
 func EncodeRequests(reqs []Request) []byte {
-	e := wire.NewEncoder(16 + 48*len(reqs))
+	return AppendRequests(make([]byte, 0, RequestsSize(reqs)), reqs)
+}
+
+// RequestsSize is len(EncodeRequests(reqs)).
+func RequestsSize(reqs []Request) int {
+	n := 8
+	for _, req := range reqs {
+		n += 4 + requestHeader + len(req.Op)
+	}
+	return n
+}
+
+// AppendRequests appends EncodeRequests(reqs) to b, each request written in
+// place behind its length prefix, so an envelope sized with RequestsSize
+// takes a whole frame in one allocation.
+func AppendRequests(b []byte, reqs []Request) []byte {
+	e := wire.AppendTo(b)
 	e.Int(len(reqs))
 	for _, req := range reqs {
-		e.BytesField(req.Encode())
+		e.Uint32(uint32(requestHeader + len(req.Op)))
+		req.appendTo(e)
 	}
 	return e.Bytes()
 }
 
 // DecodeRequests parses a batch, rejecting empty batches and more than max
-// entries (defensive; proposers cap batches far lower).
+// entries (defensive; proposers cap batches far lower). Every Op aliases b:
+// the caller keeps b, unmodified, as long as the requests.
 func DecodeRequests(b []byte, max int) ([]Request, error) {
+	return decodeRequests(nil, b, max)
+}
+
+// decodeRequests is DecodeRequests appending to dst; it returns nil and the
+// error on a malformed batch.
+func decodeRequests(dst []Request, b []byte, max int) ([]Request, error) {
 	d := wire.NewDecoder(b)
 	n := d.Int()
 	if err := d.Err(); err != nil {
@@ -81,18 +120,21 @@ func DecodeRequests(b []byte, max int) ([]Request, error) {
 	if n < 1 || n > max {
 		return nil, fmt.Errorf("smr: batch of %d requests", n)
 	}
-	reqs := make([]Request, 0, n)
+	if dst == nil {
+		dst = make([]Request, 0, n)
+	}
 	for i := 0; i < n; i++ {
-		req, err := DecodeRequest(d.BytesField())
-		if err != nil {
-			return nil, err
+		rd := wire.NewDecoder(d.BytesField())
+		req := Request{Client: rd.Uint64(), Num: rd.Uint64(), Op: rd.BytesField()}
+		if err := rd.Finish(); err != nil {
+			return nil, fmt.Errorf("smr: decode request: %w", err)
 		}
-		reqs = append(reqs, req)
+		dst = append(dst, req)
 	}
 	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("smr: decode batch: %w", err)
 	}
-	return reqs, nil
+	return dst, nil
 }
 
 // SortRequests orders reqs deterministically by (Client, Num) — the order
@@ -120,13 +162,20 @@ type Reply struct {
 
 // Encode returns the wire form.
 func (r Reply) Encode() []byte {
-	e := wire.NewEncoder(33 + len(r.Result))
+	e := wire.NewEncoder(replyHeader + len(r.Result))
+	r.appendTo(e)
+	return e.Bytes()
+}
+
+// replyHeader is the encoded size of a Reply without its Result bytes.
+const replyHeader = 29
+
+func (r Reply) appendTo(e *wire.Encoder) {
 	e.Int(int(r.Replica))
 	e.Uint64(r.Client)
 	e.Uint64(r.Num)
 	e.BytesField(r.Result)
 	e.Byte(r.Code)
-	return e.Bytes()
 }
 
 // errReplyTrailing distinguishes a well-formed prefix with extra bytes — a
@@ -155,10 +204,40 @@ func DecodeReply(b []byte) (Reply, error) {
 	return r, nil
 }
 
-// voteKey groups reply votes: replies agree only when both the code and the
-// result match.
-func (r Reply) voteKey() string {
-	return string([]byte{r.Code}) + string(r.Result)
+// replyVote is one replica's vote on a request's outcome.
+type replyVote struct {
+	from   types.ProcessID
+	code   byte
+	result []byte
+}
+
+// replyVotes tallies the replies to one request; votes agree only when both
+// the code and the result match. A replica holds one vote: a repeat changes
+// nothing, and an OK vote replaces its overload vote, never the reverse. A
+// replica that executed a request answers a late duplicate of it with an
+// overload reply once its reply cache has moved on (Engine.HandleRequests),
+// and that shed must not count against its own OK.
+type replyVotes []replyVote
+
+// add records rep and returns how many replicas now vote as rep does, or 0
+// when rep changed nothing.
+func (vs *replyVotes) add(rep Reply) int {
+	i := slices.IndexFunc(*vs, func(v replyVote) bool { return v.from == rep.Replica })
+	switch {
+	case i < 0:
+		*vs = append(*vs, replyVote{from: rep.Replica, code: rep.Code, result: rep.Result})
+	case (*vs)[i].code == ReplyOverloaded && rep.Code != ReplyOverloaded:
+		(*vs)[i] = replyVote{from: rep.Replica, code: rep.Code, result: rep.Result}
+	default:
+		return 0
+	}
+	n := 0
+	for _, v := range *vs {
+		if v.code == rep.Code && bytes.Equal(v.result, rep.Result) {
+			n++
+		}
+	}
+	return n
 }
 
 // ClientTable dedups request execution per client and caches the last
@@ -205,7 +284,7 @@ type Client struct {
 	need     int
 	id       uint64
 	retry    time.Duration
-	encode   func(Request) []byte
+	encode   func([]Request) []byte
 
 	mu      sync.Mutex
 	nextNum uint64
@@ -217,8 +296,8 @@ type ClientOption func(*Client)
 
 // WithRequestEncoder sets the protocol-specific request envelope encoder
 // (for example minbft.EncodeRequestEnvelope or pbft.EncodeRequestEnvelope).
-// The default sends the bare Request wire form.
-func WithRequestEncoder(encode func(Request) []byte) ClientOption {
+// The default sends the bare EncodeRequests body.
+func WithRequestEncoder(encode func([]Request) []byte) ClientOption {
 	return func(c *Client) { c.encode = encode }
 }
 
@@ -232,7 +311,7 @@ func NewClient(tr transport.Transport, replicas []types.ProcessID, need int, id 
 		retry = 50 * time.Millisecond
 	}
 	c := &Client{tr: tr, replicas: replicas, need: need, id: id, retry: retry,
-		encode: func(r Request) []byte { return r.Encode() }}
+		encode: EncodeRequests}
 	// Start request numbers from the wall clock so that a restarted client
 	// process reusing the same identity stays monotonic with respect to the
 	// replicas' dedup tables (the standard PBFT timestamp trick). Within
@@ -256,7 +335,7 @@ func (c *Client) Invoke(ctx context.Context, op []byte) ([]byte, error) {
 	req := Request{Client: c.id, Num: c.nextNum, Op: op}
 	c.mu.Unlock()
 
-	payload := c.encode(req)
+	payload := c.encode([]Request{req})
 	send := func() error {
 		return transport.Broadcast(c.tr, c.replicas, payload)
 	}
@@ -264,7 +343,7 @@ func (c *Client) Invoke(ctx context.Context, op []byte) ([]byte, error) {
 		return nil, fmt.Errorf("smr: send request: %w", err)
 	}
 
-	votes := make(map[string]map[types.ProcessID]bool)
+	var votes replyVotes
 	timer := time.NewTimer(c.retry)
 	defer timer.Stop()
 	for {
@@ -289,21 +368,28 @@ func (c *Client) Invoke(ctx context.Context, op []byte) ([]byte, error) {
 			timer.Reset(c.retry)
 			continue
 		}
-		rep, err := DecodeReply(env.Payload)
-		if err != nil || rep.Client != c.id || rep.Num != req.Num || rep.Replica != env.From {
+		// Our reply may share a batch frame with replies to our earlier
+		// requests (a view change replays several batches at once).
+		var agreed *Reply
+		vote := func(b []byte) {
+			rep, err := DecodeReply(b)
+			if err != nil || rep.Client != c.id || rep.Num != req.Num || rep.Replica != env.From {
+				return
+			}
+			if votes.add(rep) >= c.need {
+				agreed = &rep
+			}
+		}
+		if !eachBatchEntry(env.Payload, vote) {
+			vote(env.Payload)
+		}
+		if agreed == nil {
 			continue
 		}
-		key := rep.voteKey()
-		if votes[key] == nil {
-			votes[key] = make(map[types.ProcessID]bool)
+		if agreed.Code == ReplyOverloaded {
+			return nil, fmt.Errorf("smr: request %d shed by %d replicas: %w", req.Num, c.need, ErrOverloaded)
 		}
-		votes[key][rep.Replica] = true
-		if len(votes[key]) >= c.need {
-			if rep.Code == ReplyOverloaded {
-				return nil, fmt.Errorf("smr: request %d shed by %d replicas: %w", req.Num, c.need, ErrOverloaded)
-			}
-			return append([]byte(nil), rep.Result...), nil
-		}
+		return agreed.Result, nil
 	}
 }
 

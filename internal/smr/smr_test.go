@@ -136,16 +136,14 @@ func TestClientRetransmitsAndCollects(t *testing.T) {
 				if err != nil {
 					return
 				}
-				req, err := DecodeRequest(env.Payload)
-				if err != nil {
-					continue
+				for _, req := range decodeFrame(env.Payload) {
+					seen++
+					if seen < 2 {
+						continue
+					}
+					rep := Reply{Replica: id, Client: req.Client, Num: req.Num, Result: []byte("done")}
+					_ = ep.Send(env.From, rep.Encode())
 				}
-				seen++
-				if seen < 2 {
-					continue
-				}
-				rep := Reply{Replica: id, Client: req.Client, Num: req.Num, Result: []byte("done")}
-				_ = ep.Send(env.From, rep.Encode())
 			}
 		}(id)
 	}
@@ -189,12 +187,10 @@ func TestClientNeedsMatchingResults(t *testing.T) {
 				if err != nil {
 					return
 				}
-				req, err := DecodeRequest(env.Payload)
-				if err != nil {
-					continue
+				for _, req := range decodeFrame(env.Payload) {
+					rep := Reply{Replica: id, Client: req.Client, Num: req.Num, Result: []byte(res)}
+					_ = ep.Send(env.From, rep.Encode())
 				}
-				rep := Reply{Replica: id, Client: req.Client, Num: req.Num, Result: []byte(res)}
-				_ = ep.Send(env.From, rep.Encode())
 			}
 		}(cfg.id, cfg.res)
 	}

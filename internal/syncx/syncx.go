@@ -91,11 +91,19 @@ func (q *Queue[T]) TryPop() (T, bool) {
 // (e.g. a transport writer flushing many frames per syscall) drains the
 // whole backlog in one wakeup instead of one item per lock acquisition.
 func (q *Queue[T]) PopAll(ctx context.Context) ([]T, error) {
+	return q.PopAllSwap(ctx, nil)
+}
+
+// PopAllSwap is PopAll for a consumer that recycles what it drained: spare,
+// emptied, becomes the queue's buffer, so once the consumer hands back the
+// slice of its previous wakeup, Push stops allocating. The caller must not
+// touch spare afterwards.
+func (q *Queue[T]) PopAllSwap(ctx context.Context, spare []T) ([]T, error) {
 	for {
 		q.mu.Lock()
 		if len(q.items) > 0 {
 			items := q.items
-			q.items = nil
+			q.items = spare[:0]
 			q.mu.Unlock()
 			return items, nil
 		}

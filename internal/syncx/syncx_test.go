@@ -242,3 +242,29 @@ func TestPulseGenerations(t *testing.T) {
 	default:
 	}
 }
+
+// TestQueuePopAllSwapReuses: a consumer that hands back the slice of its
+// previous wakeup keeps FIFO order, and its producer's pushes stop
+// allocating.
+func TestQueuePopAllSwapReuses(t *testing.T) {
+	q := NewQueue[int]()
+	ctx := context.Background()
+	var spare []int
+	next := 0
+	cycle := func() {
+		for i := 0; i < 8; i++ {
+			q.Push(next + i)
+		}
+		got, err := q.PopAllSwap(ctx, spare)
+		if err != nil || len(got) != 8 || got[0] != next || got[7] != next+7 {
+			t.Fatalf("PopAllSwap = %v, %v (want %d..%d)", got, err, next, next+7)
+		}
+		next += 8
+		spare = got[:0]
+	}
+	cycle()
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("push/drain cycle allocated %v times", allocs)
+	}
+}

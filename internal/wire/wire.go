@@ -76,6 +76,9 @@ func NewEncoder(capacity int) *Encoder {
 	return &Encoder{buf: make([]byte, 0, capacity)}
 }
 
+// AppendTo returns an Encoder that appends to b.
+func AppendTo(b []byte) *Encoder { return &Encoder{buf: b} }
+
 // Bytes returns the accumulated encoding. The slice aliases the encoder's
 // internal buffer; callers that keep it must not append to the encoder again.
 func (e *Encoder) Bytes() []byte { return e.buf }
@@ -121,6 +124,19 @@ func (e *Encoder) BytesField(b []byte) {
 	}
 	e.Uint32(uint32(len(b)))
 	e.buf = append(e.buf, b...)
+}
+
+// BytesFieldWith appends the length prefix n followed by the n bytes that
+// fill appends to the buffer it is handed: a field written in place instead
+// of encoded apart and copied in. It panics if fill appends any other
+// number of bytes.
+func (e *Encoder) BytesFieldWith(n int, fill func([]byte) []byte) {
+	e.Uint32(uint32(n))
+	start := len(e.buf)
+	e.buf = fill(e.buf)
+	if len(e.buf)-start != n {
+		panic("wire: field does not match its length prefix")
+	}
 }
 
 // String appends a length-prefixed UTF-8 string.
