@@ -59,10 +59,14 @@ test:
 # includes the valve's TestEngineBatchesWhilePipelineBusy. The pipelined
 # client's send loop, retransmit tick and reply-vote rule run against its
 # three goroutines (Submit's callers, the send loop, the receive loop).
+# TestBroadcastBodyShared has three replicas decode and keep one broadcast
+# payload at once (a write into a decoded body is a race), and
+# TestLockstepGotBeforeWaitEnd holds a round's last Got while WaitEnd runs.
 race:
 	$(GO) test -race -count=5 \
-		-run 'TestSelfSend|TestConcurrentSendClose|TestSendCloseRaceWindow|TestHelloWriteDeadline|TestQueue|TestSnapshotConsistentUnderConcurrentWriters|TestLabeledConcurrentScrape|TestEngine|TestLoop|TestVote|TestVerifiesOnlyWhatQuorumsNeed|TestRunner|TestSchedule|TestBroadcastSeqAfterFailedAttest|TestVerifierCachesOnlyFailures|TestPipelineSendLoopCoalesces|TestPipelineFrameOpensAtSampledRequest|TestPipelineRetransmitsOverdueInOrder|TestPipelineOKVoteOutlivesOverloadVote|TestPipelineAcceptsReplyBatch|TestReplyVotes' \
-		./internal/tcpnet/ ./internal/syncx/ ./internal/obs/ ./internal/smr/ ./internal/pbft/ ./internal/srb/ ./internal/srb/trincsrb/ ./internal/trusted/trinc/
+		-run 'TestSelfSend|TestConcurrentSendClose|TestSendCloseRaceWindow|TestHelloWriteDeadline|TestQueue|TestSnapshotConsistentUnderConcurrentWriters|TestLabeledConcurrentScrape|TestEngine|TestLoop|TestVote|TestVerifiesOnlyWhatQuorumsNeed|TestRunner|TestSchedule|TestBroadcastSeqAfterFailedAttest|TestVerifierCachesOnlyFailures|TestPipelineSendLoopCoalesces|TestPipelineFrameOpensAtSampledRequest|TestPipelineRetransmitsOverdueInOrder|TestPipelineOKVoteOutlivesOverloadVote|TestPipelineAcceptsReplyBatch|TestReplyVotes|TestBroadcastBodyShared|TestLockstepGotBeforeWaitEnd' \
+		./internal/tcpnet/ ./internal/syncx/ ./internal/obs/ ./internal/smr/ ./internal/pbft/ ./internal/srb/ ./internal/srb/trincsrb/ ./internal/trusted/trinc/ \
+		./internal/minbft/ ./internal/rounds/
 
 # soak repeats the fault-injection soak (lossy links, rolling partitions,
 # a Byzantine spammer against batched checkpointing MinBFT, with the watch

@@ -263,9 +263,9 @@ func checkUniSubsumesZero() error {
 // every process sending, over a fresh simulated network that delays every
 // message from the last member to p0: a round that may end on a quorum ends
 // p0's without it. It returns the checker that observed the round and what
-// each process's WaitEnd returned. The systems are closed before it
-// returns, and closing is what reports each round-1 boundary to the
-// checker.
+// each process's WaitEnd returned. Each process's round-1 boundary is
+// declared the moment its WaitEnd returns: the round systems report every
+// Got in order with what WaitEnd can see, so none arrives after it.
 func oneRound(m types.Membership, build func(transport.Transport, rounds.Observer) (rounds.System, error)) (
 	*core.UniChecker, map[types.ProcessID]map[types.ProcessID][]byte, error) {
 	net, err := simnet.New(m)
@@ -303,6 +303,7 @@ func oneRound(m types.Membership, build func(transport.Transport, rounds.Observe
 				return
 			}
 			got, err := s.WaitEnd(ctx, 1)
+			checker.Boundary(id, 1)
 			results <- result{id, got, err}
 		}(types.ProcessID(i), s)
 	}

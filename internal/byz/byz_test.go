@@ -106,6 +106,14 @@ func TestMinBFTSurvivesSpamAndReplay(t *testing.T) {
 	if err != nil || v[0] != 7 {
 		t.Fatalf("Get = %v, %v", v, err)
 	}
+	// The writes can finish before the replayer has replayed anything; the
+	// dedup check below means something only once it has.
+	for deadline := time.Now().Add(5 * time.Second); replayer.Replayed() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the replayer replayed nothing within 5s")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	// Exactly 11 commands executed (10 puts + 1 get), identically ordered —
 	// the replayed messages were all deduplicated.
 	for i, log := range logs {

@@ -5,6 +5,7 @@ package kvstore
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -27,12 +28,22 @@ const (
 	statusBadCmd   byte = 2
 )
 
+// The status-only results, shared by every command that returns one. A
+// result is read-only (replicas encode it into reply frames and cache it),
+// and at capacity 1 an append to one copies.
+var (
+	resultOK       = []byte{statusOK}
+	resultNotFound = []byte{statusNotFound}
+	resultBadCmd   = []byte{statusBadCmd}
+)
+
 // ErrNotFound reports a Get/Del of a missing key.
 var ErrNotFound = errors.New("kvstore: key not found")
 
 // Store is a deterministic in-memory key-value state machine. It is not
 // concurrency-safe by design: replicas apply commands from one goroutine
-// (see smr.StateMachine).
+// (see smr.StateMachine). It owns every stored value: nothing it returns
+// aliases one, so a PUT may overwrite a value's bytes in place.
 type Store struct {
 	data map[string][]byte
 }
@@ -102,13 +113,18 @@ func (s *Store) Restore(snap []byte) error {
 func (s *Store) Query(cmd []byte) []byte {
 	d := wire.NewDecoder(cmd)
 	op := d.Byte()
-	key := d.String()
+	key := d.BytesField()
 	if op != opGet || d.Finish() != nil {
-		return []byte{statusBadCmd}
+		return resultBadCmd
 	}
-	v, ok := s.data[key]
+	return s.get(key)
+}
+
+// get answers a GET: the status, then a copy of the value.
+func (s *Store) get(key []byte) []byte {
+	v, ok := s.data[string(key)]
 	if !ok {
-		return []byte{statusNotFound}
+		return resultNotFound
 	}
 	return append([]byte{statusOK}, v...)
 }
@@ -116,38 +132,42 @@ func (s *Store) Query(cmd []byte) []byte {
 // Apply executes one encoded command. Malformed commands yield a BadCmd
 // status deterministically (they must not crash the replica: a Byzantine
 // client's garbage is ordered like any other command).
+//
+// cmd aliases a received frame, so nothing of it is kept: a PUT copies the
+// value into the store. A PUT to an existing key that holds a value of the
+// same length writes over it and allocates nothing.
 func (s *Store) Apply(cmd []byte) []byte {
 	d := wire.NewDecoder(cmd)
 	op := d.Byte()
-	key := d.String()
+	key := d.BytesField()
 	switch op {
 	case opGet:
 		if d.Finish() != nil {
-			return []byte{statusBadCmd}
+			return resultBadCmd
 		}
-		v, ok := s.data[key]
-		if !ok {
-			return []byte{statusNotFound}
-		}
-		return append([]byte{statusOK}, v...)
+		return s.get(key)
 	case opPut:
 		val := d.BytesField()
 		if d.Finish() != nil {
-			return []byte{statusBadCmd}
+			return resultBadCmd
 		}
-		s.data[key] = append([]byte(nil), val...)
-		return []byte{statusOK}
+		if old, ok := s.data[string(key)]; ok && len(old) == len(val) {
+			copy(old, val)
+		} else {
+			s.data[string(key)] = append(old[:0], val...)
+		}
+		return resultOK
 	case opDel:
 		if d.Finish() != nil {
-			return []byte{statusBadCmd}
+			return resultBadCmd
 		}
-		if _, ok := s.data[key]; !ok {
-			return []byte{statusNotFound}
+		if _, ok := s.data[string(key)]; !ok {
+			return resultNotFound
 		}
-		delete(s.data, key)
-		return []byte{statusOK}
+		delete(s.data, string(key))
+		return resultOK
 	default:
-		return []byte{statusBadCmd}
+		return resultBadCmd
 	}
 }
 
@@ -161,11 +181,19 @@ func EncodeGet(key string) []byte {
 
 // EncodePut builds a PUT command.
 func EncodePut(key string, value []byte) []byte {
-	e := wire.NewEncoder(16 + len(key) + len(value))
-	e.Byte(opPut)
-	e.String(key)
-	e.BytesField(value)
-	return e.Bytes()
+	return appendPut(make([]byte, 0, 16+len(key)+len(value)), key, value)
+}
+
+// appendPut appends a PUT command to b: the opcode, then the key and the
+// value as wire length-prefixed fields. It appends directly rather than
+// through a wire.Encoder, whose appends through a pointer would move b to the
+// heap: PutAsync builds the command on the stack.
+func appendPut(b []byte, key string, value []byte) []byte {
+	b = append(b, opPut)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(key)))
+	b = append(b, key...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(value)))
+	return append(b, value...)
 }
 
 // EncodeDel builds a DEL command.
@@ -224,10 +252,17 @@ type PipeClient struct {
 func NewPipeClient(p *smr.Pipeline) *PipeClient { return &PipeClient{p: p} }
 
 // PutAsync submits a PUT and returns without waiting; it blocks only while
-// the pipeline's in-flight window is full.
+// the pipeline's in-flight window is full. The command is built on the
+// stack (a larger one on the heap) and Submit copies it into the request
+// frame, so a PUT costs the frame alone; value may be reused once PutAsync
+// returns.
 func (c *PipeClient) PutAsync(ctx context.Context, key string, value []byte) (*smr.Call, error) {
-	return c.p.Submit(ctx, EncodePut(key, value))
+	var buf [putStackSize]byte
+	return c.p.Submit(ctx, appendPut(buf[:0], key, value))
 }
+
+// putStackSize bounds the PUT commands PutAsync builds on the stack.
+const putStackSize = 256
 
 // GetAsync submits a GET on the read fast path and returns without waiting;
 // it blocks only while the pipeline's read window is full. The read is

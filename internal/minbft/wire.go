@@ -285,7 +285,7 @@ func decodeNewViewBody(b []byte, maxVCs int) (newView, error) {
 	for i := 0; i < n; i++ {
 		var vc signedVC
 		vc.Sender = types.ProcessID(d.Int())
-		vc.Body = append([]byte(nil), d.BytesField()...)
+		vc.Body = d.BytesField()
 		attBytes := d.BytesField()
 		if err := d.Err(); err != nil {
 			return newView{}, err
@@ -401,10 +401,13 @@ func encodeEnvelopeWith(kind byte, n int, body func([]byte) []byte, ui *trinc.At
 	return e.Bytes()
 }
 
+// decodeEnvelope splits an envelope. body aliases payload, which the
+// transport hands over read-only and never reuses (transport.Envelope), so
+// the message logs may keep it.
 func decodeEnvelope(payload []byte) (kind byte, body []byte, ui *trinc.Attestation, err error) {
 	d := wire.NewDecoder(payload)
 	kind = d.Byte()
-	body = append([]byte(nil), d.BytesField()...)
+	body = d.BytesField()
 	attBytes := d.BytesField()
 	if err := d.Finish(); err != nil {
 		return 0, nil, nil, fmt.Errorf("minbft: decode envelope: %w", err)

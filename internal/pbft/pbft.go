@@ -197,13 +197,16 @@ func encodeMsgWith(kind byte, v types.View, n types.SeqNum, size int, payload fu
 	return e.Bytes()
 }
 
+// decodeMsg splits a message. payload and signature alias b, which the
+// transport hands over read-only and never reuses (transport.Envelope), so
+// slots and vote sets may keep them.
 func decodeMsg(b []byte) (kind byte, v types.View, n types.SeqNum, payload, signature []byte, err error) {
 	d := wire.NewDecoder(b)
 	kind = d.Byte()
 	v = types.View(d.Uint64())
 	n = types.SeqNum(d.Uint64())
-	payload = append([]byte(nil), d.BytesField()...)
-	signature = append([]byte(nil), d.BytesField()...)
+	payload = d.BytesField()
+	signature = d.BytesField()
 	if err := d.Finish(); err != nil {
 		return 0, 0, 0, nil, nil, fmt.Errorf("pbft: decode: %w", err)
 	}

@@ -13,6 +13,12 @@ import (
 // first-seen round messages per (round, sender), the exactly-once delivery
 // stream, send-order enforcement, observer reporting, and wakeups for
 // predicate waiters.
+//
+// Observer events are reported under the tracker lock, in order with the
+// table writes they describe: a waiter that sees a message in the table (a
+// WaitEnd returning, say) knows its Got was reported first, so a Boundary
+// declared when WaitEnd returns cannot overtake the Got that ended the round.
+// An Observer must therefore not call back into the round system.
 type tracker struct {
 	self types.ProcessID
 	m    types.Membership
@@ -55,13 +61,13 @@ func (t *tracker) markSent(r types.Round, data []byte) error {
 	prev := t.lastSent
 	t.lastSent = r
 	t.recordLocked(t.self, r, data)
-	t.mu.Unlock()
 	if t.obs != nil {
 		if prev > 0 {
 			t.obs.Boundary(t.self, prev)
 		}
 		t.obs.Sent(t.self, r)
 	}
+	t.mu.Unlock()
 	t.pulse.Fire()
 	return nil
 }
@@ -95,12 +101,12 @@ func (t *tracker) record(from types.ProcessID, r types.Round, data []byte) {
 		}
 	}
 	t.recordLocked(from, r, data)
+	if t.obs != nil && from != t.self {
+		t.obs.Got(t.self, from, r)
+	}
 	t.mu.Unlock()
 	if from != t.self {
 		t.inbox.Push(Msg{From: from, Round: r, Data: data})
-	}
-	if t.obs != nil && from != t.self {
-		t.obs.Got(t.self, from, r)
 	}
 	t.pulse.Fire()
 }
@@ -208,11 +214,10 @@ func (t *tracker) close() {
 		return
 	}
 	t.closed = true
-	last := t.lastSent
-	t.mu.Unlock()
-	if t.obs != nil && last > 0 {
-		t.obs.Boundary(t.self, last)
+	if t.obs != nil && t.lastSent > 0 {
+		t.obs.Boundary(t.self, t.lastSent)
 	}
+	t.mu.Unlock()
 	t.inbox.Close()
 	t.pulse.Fire()
 }

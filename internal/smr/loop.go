@@ -117,11 +117,13 @@ func (l *Loop[T]) receive(ctx context.Context) {
 func (l *Loop[T]) run(ctx context.Context) {
 	defer l.wg.Done()
 	l.core.Start()
+	var spare []loopEvent
 	for {
 		// Draining the whole backlog per wakeup lets read replies produced
 		// while handling one burst coalesce into one frame per client
-		// (FlushReads) instead of one frame per read.
-		evs, err := l.events.PopAll(ctx)
+		// (FlushReads) instead of one frame per read. The drained slice goes
+		// back to the queue as its next buffer.
+		evs, err := l.events.PopAllSwap(ctx, spare)
 		if err != nil {
 			return
 		}
@@ -136,6 +138,8 @@ func (l *Loop[T]) run(ctx context.Context) {
 			}
 		}
 		l.eng.FlushReads()
+		clear(evs)
+		spare = evs[:0]
 	}
 }
 

@@ -1,6 +1,7 @@
 package smr
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"errors"
@@ -72,9 +73,10 @@ type Pipeline struct {
 	sendReads, sendWrites []outItem
 	frameReqs             []Request
 	// resendNums is the retransmit tick's buffer; submitReq is Submit's
-	// one-request frame. Both are used under mu.
+	// one-request frame and opBuf its op. All are used under mu.
 	resendNums []uint64
 	submitReq  [1]Request
+	opBuf      []byte
 
 	// avail holds the window tokens: Submit takes one, completion returns
 	// one (unless swallowed to pay down a window decrease — see debt).
@@ -139,8 +141,10 @@ type Pipeline struct {
 	mxReadLatency     *obs.Histogram
 }
 
+// pipeCall is the pipeline's state for one in-flight write; Submit hands out
+// its call, so a write is one allocation besides its done channel.
 type pipeCall struct {
-	call   *Call
+	call   Call
 	sentAt time.Time // Submit's instant: the retransmit tick's yardstick
 	votes  replyVotes
 	// voteBuf backs votes for groups of up to four replicas.
@@ -312,6 +316,11 @@ func NewPipeline(tr transport.Transport, replicas []types.ProcessID, need int, i
 // only while the in-flight window is full; with a submit timeout set, a
 // window still full past the deadline fails fast with ErrOverloaded
 // instead of wedging the caller.
+//
+// The request frame is the write's one buffer: op is copied into it, by way
+// of a buffer the pipeline reuses, and the call keeps the frame's copy.
+// Nothing keeps op itself, so the caller may reuse it once Submit returns,
+// and may build it on the stack.
 func (p *Pipeline) Submit(ctx context.Context, op []byte) (*Call, error) {
 	var timeout <-chan time.Time
 	if p.submitTimeout > 0 {
@@ -336,16 +345,17 @@ func (p *Pipeline) Submit(ctx context.Context, op []byte) (*Call, error) {
 		return nil, ErrClientClosed
 	}
 	p.nextNum++
-	req := Request{Client: p.id, Num: p.nextNum, Op: op}
-	call := &Call{req: req, done: make(chan struct{})}
-	span := p.tracer.Root("client-submit")
-	pc := &pipeCall{call: call, sentAt: time.Now(), span: span, tc: span.Context()}
-	pc.votes = pc.voteBuf[:0]
-	p.inflight[req.Num] = pc
-	depth := len(p.inflight)
+	p.opBuf = append(p.opBuf[:0], op...)
+	req := Request{Client: p.id, Num: p.nextNum, Op: p.opBuf}
 	p.submitReq[0] = req
 	payload := p.encode(p.submitReq[:])
 	p.submitReq[0] = Request{}
+	req.Op = inFrame(payload, req.Op)
+	span := p.tracer.Root("client-submit")
+	pc := &pipeCall{call: Call{req: req, done: make(chan struct{})}, sentAt: time.Now(), span: span, tc: span.Context()}
+	pc.votes = pc.voteBuf[:0]
+	p.inflight[req.Num] = pc
+	depth := len(p.inflight)
 	p.mu.Unlock()
 	p.mxSubmitted.Inc()
 	p.mxInflight.Set(int64(depth))
@@ -353,7 +363,18 @@ func (p *Pipeline) Submit(ctx context.Context, op []byte) (*Call, error) {
 		p.complete(req.Num, nil, fmt.Errorf("smr: send request: %w", err))
 		return nil, fmt.Errorf("smr: send request: %w", err)
 	}
-	return call, nil
+	return &pc.call, nil
+}
+
+// inFrame returns the copy of op that frame carries — a request encoder
+// writes every op into its frame verbatim (EncodeRequests) — or, should the
+// frame hold none, a fresh copy of op. Any copy will do: it is op's bytes, in
+// a frame that nothing writes to once it is sent.
+func inFrame(frame, op []byte) []byte {
+	if i := bytes.LastIndex(frame, op); i >= 0 {
+		return frame[i : i+len(op) : i+len(op)]
+	}
+	return append([]byte(nil), op...)
 }
 
 // Invoke submits op and blocks until completion — Client.Invoke semantics
@@ -472,13 +493,18 @@ func (p *Pipeline) recvLoop() {
 		if err != nil {
 			return
 		}
-		// A replica coalesces its replies to us — those of one executed
-		// batch, or the reads of one event-loop drain — into a sentinel-
-		// prefixed batch frame; the check is one integer compare for every
-		// other frame shape.
-		if !eachBatchEntry(env.Payload, func(b []byte) { p.handleReply(b, env.From) }) {
-			p.handleReply(env.Payload, env.From)
-		}
+		p.handleFrame(env)
+	}
+}
+
+// handleFrame routes every reply of one received frame. A replica coalesces
+// its replies to us — those of one executed batch, or the reads of one
+// event-loop drain — into a sentinel-prefixed batch frame; the check is one
+// integer compare for every other frame shape. The replies are decoded in
+// place: their results alias the frame.
+func (p *Pipeline) handleFrame(env transport.Envelope) {
+	if !eachBatchEntry(env.Payload, func(b []byte) { p.handleReply(b, env.From) }) {
+		p.handleReply(env.Payload, env.From)
 	}
 }
 
@@ -514,7 +540,8 @@ func (p *Pipeline) handleReply(b []byte, from types.ProcessID) {
 		p.complete(rep.Num, nil, fmt.Errorf("smr: request %d shed by %d replicas: %w", rep.Num, p.need, ErrOverloaded))
 		return
 	}
-	// DecodeReply copied Result out of the frame.
+	// Result aliases the reply frame, which the transport never reuses, so
+	// the caller may keep it.
 	p.complete(rep.Num, rep.Result, nil)
 }
 

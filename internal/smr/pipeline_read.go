@@ -169,8 +169,8 @@ func (p *Pipeline) handleReadReply(rep ReadReply, from types.ProcessID) {
 			rc.leased = true
 			p.leaderHint = from
 			p.mu.Unlock()
-			// DecodeReadReply copied Result out of the frame, so handing the
-			// slice to the caller is safe without another copy.
+			// Result aliases the reply frame, which the transport never
+			// reuses, so the caller may keep it.
 			p.completeRead(rep.Num, rep.Result, nil)
 			return
 		}

@@ -335,7 +335,7 @@ func TestPipelineAcceptsReplyBatch(t *testing.T) {
 
 // TestPipelineSubmitAllocs pins a write's client path: Submit, its frame,
 // and completion. The frame is encoded in place in one allocation, from a
-// one-request buffer the pipeline reuses.
+// one-request buffer and an op buffer the pipeline reuses.
 func TestPipelineSubmitAllocs(t *testing.T) {
 	net := newFrameNet()
 	net.quiet = true
@@ -352,8 +352,64 @@ func TestPipelineSubmitAllocs(t *testing.T) {
 		}
 		p.complete(call.Request().Num, nil, nil)
 	})
-	const want = 4 // the Call, its done channel, the pipeCall, the frame
+	const want = 3 // the pipeCall holding the Call, its done channel, the frame
 	if got != want {
 		t.Fatalf("Submit → frame → completion: %v allocations, want %d", got, want)
+	}
+}
+
+// TestPipelineSubmitKeepsFrameCopy: the call's request keeps the op's copy
+// inside the request frame, so the caller may reuse op at once, and resends
+// and replies see exactly the op that was submitted.
+func TestPipelineSubmitKeepsFrameCopy(t *testing.T) {
+	net := newFrameNet()
+	p := newSendPipeline(t, net)
+	op := []byte("put:value")
+	call, err := p.Submit(context.Background(), op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.await(t, len(sendReplicas))
+	op[0] = 'P'
+	net.mu.Lock()
+	frame := net.frames[0].payload
+	net.mu.Unlock()
+	if got := call.Request().Op; string(got) != "put:value" || &got[0] != &frame[len(frame)-len(got)] {
+		t.Fatalf("Request().Op = %q, not the op at the end of frame %x", got, frame)
+	}
+	// A frame that does not carry the op verbatim gets the call a copy.
+	if got := inFrame([]byte("frame"), op); string(got) != string(op) || &got[0] == &op[0] {
+		t.Fatalf("inFrame without the op = %q, want a copy of %q", got, op)
+	}
+}
+
+// TestPipelineReplyBatchAllocs pins the client's receive path: a batch frame
+// of replies is decoded in place, each result aliasing the frame, and each
+// vote lands in its call's own vote buffer.
+func TestPipelineReplyBatchAllocs(t *testing.T) {
+	net := newFrameNet()
+	net.quiet = true
+	p := newSendPipeline(t, net)
+	var reps []queuedReply
+	for i := 0; i < 8; i++ {
+		call, err := p.Submit(context.Background(), []byte{byte('a' + i)})
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		reps = append(reps, queuedReply{Reply: Reply{Replica: 0, Client: 3, Num: call.Request().Num, Result: call.Request().Op}})
+	}
+	env := transport.Envelope{From: 0, To: 3, Payload: encodeReplyBatch(reps)}
+	got := testing.AllocsPerRun(200, func() { p.handleFrame(env) })
+	// The parent copied each reply's result out of the frame.
+	const parent, want = 8, 0
+	if got != want {
+		t.Fatalf("reply batch of %d: %v allocations, want %d (the parent's code path made %d)", len(reps), got, want, parent)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, r := range reps {
+		if pc := p.inflight[r.Num]; pc == nil || len(pc.votes) != 1 {
+			t.Fatalf("request %d: votes not recorded once", r.Num)
+		}
 	}
 }

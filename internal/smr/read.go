@@ -62,13 +62,13 @@ func (r ReadRequest) Encode() []byte {
 	return e.Bytes()
 }
 
-// DecodeReadRequest parses a read request.
+// DecodeReadRequest parses a read request; Op aliases b.
 func DecodeReadRequest(b []byte) (ReadRequest, error) {
 	d := wire.NewDecoder(b)
 	var r ReadRequest
 	r.Client = d.Uint64()
 	r.Num = d.Uint64()
-	r.Op = append([]byte(nil), d.BytesField()...)
+	r.Op = d.BytesField()
 	if err := d.Finish(); err != nil {
 		return ReadRequest{}, fmt.Errorf("smr: decode read request: %w", err)
 	}
@@ -107,14 +107,14 @@ func (r ReadReply) Encode() []byte {
 	return e.Bytes()
 }
 
-// DecodeReadReply parses a read reply.
+// DecodeReadReply parses a read reply; Result aliases b.
 func DecodeReadReply(b []byte) (ReadReply, error) {
 	d := wire.NewDecoder(b)
 	var r ReadReply
 	r.Replica = types.ProcessID(d.Int())
 	r.Client = d.Uint64()
 	r.Num = d.Uint64()
-	r.Result = append([]byte(nil), d.BytesField()...)
+	r.Result = d.BytesField()
 	r.Code = d.Byte()
 	r.ExecSeq = d.Uint64()
 	if err := d.Finish(); err != nil {

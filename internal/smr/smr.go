@@ -53,13 +53,13 @@ func (r Request) appendTo(e *wire.Encoder) {
 	e.BytesField(r.Op)
 }
 
-// DecodeRequest parses a request.
+// DecodeRequest parses a request; Op aliases b.
 func DecodeRequest(b []byte) (Request, error) {
 	d := wire.NewDecoder(b)
 	var r Request
 	r.Client = d.Uint64()
 	r.Num = d.Uint64()
-	r.Op = append([]byte(nil), d.BytesField()...)
+	r.Op = d.BytesField()
 	if err := d.Finish(); err != nil {
 		return Request{}, fmt.Errorf("smr: decode request: %w", err)
 	}
@@ -185,14 +185,14 @@ func (r Reply) appendTo(e *wire.Encoder) {
 // measurably slows read-heavy workloads.
 var errReplyTrailing = errors.New("smr: decode reply: trailing bytes")
 
-// DecodeReply parses a reply.
+// DecodeReply parses a reply; Result aliases b.
 func DecodeReply(b []byte) (Reply, error) {
 	d := wire.NewDecoder(b)
 	var r Reply
 	r.Replica = types.ProcessID(d.Int())
 	r.Client = d.Uint64()
 	r.Num = d.Uint64()
-	res := d.BytesField()
+	r.Result = d.BytesField()
 	r.Code = d.Byte()
 	if d.Err() == nil && d.Remaining() > 0 {
 		return Reply{}, errReplyTrailing
@@ -200,7 +200,6 @@ func DecodeReply(b []byte) (Reply, error) {
 	if err := d.Finish(); err != nil {
 		return Reply{}, fmt.Errorf("smr: decode reply: %w", err)
 	}
-	r.Result = append([]byte(nil), res...)
 	return r, nil
 }
 

@@ -16,8 +16,14 @@ var ErrQueueClosed = errors.New("syncx: queue closed")
 
 // Queue is an unbounded FIFO. The zero value is not ready; use NewQueue.
 type Queue[T any] struct {
-	mu     sync.Mutex
+	mu sync.Mutex
+	// items[head:] are queued. Pop zeroes what it takes, so a popped item
+	// is not kept reachable, and rewinds to the start of the buffer when the
+	// queue empties, so a consumer that keeps up never makes Push grow it;
+	// one that lags has the queued items slid forward when Push finds the
+	// buffer full and at least half popped.
 	items  []T
+	head   int
 	notify chan struct{}
 	closed bool
 }
@@ -36,6 +42,13 @@ func (q *Queue[T]) Push(v T) bool {
 		q.mu.Unlock()
 		return false
 	}
+	if len(q.items) == cap(q.items) && 2*q.head >= len(q.items) && q.head > 0 {
+		// Full, and at least half of it popped: slide the queued items to
+		// the front rather than grow a buffer that is mostly dead.
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
 	q.items = append(q.items, v)
 	q.mu.Unlock()
 	q.wake()
@@ -48,9 +61,7 @@ func (q *Queue[T]) Pop(ctx context.Context) (T, error) {
 	var zero T
 	for {
 		q.mu.Lock()
-		if len(q.items) > 0 {
-			v := q.items[0]
-			q.items = q.items[1:]
+		if v, ok := q.popLocked(); ok {
 			q.mu.Unlock()
 			return v, nil
 		}
@@ -74,14 +85,23 @@ func (q *Queue[T]) Pop(ctx context.Context) (T, error) {
 // TryPop removes and returns the oldest item without blocking. The second
 // return is false when the queue is currently empty (closed or not).
 func (q *Queue[T]) TryPop() (T, bool) {
-	var zero T
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if len(q.items) == 0 {
+	return q.popLocked()
+}
+
+// popLocked takes the oldest item, if any. The caller holds q.mu.
+func (q *Queue[T]) popLocked() (T, bool) {
+	var zero T
+	if q.head == len(q.items) {
 		return zero, false
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
+	v := q.items[q.head]
+	q.items[q.head] = zero
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
 	return v, true
 }
 
@@ -101,9 +121,9 @@ func (q *Queue[T]) PopAll(ctx context.Context) ([]T, error) {
 func (q *Queue[T]) PopAllSwap(ctx context.Context, spare []T) ([]T, error) {
 	for {
 		q.mu.Lock()
-		if len(q.items) > 0 {
-			items := q.items
-			q.items = spare[:0]
+		if q.head < len(q.items) {
+			items := q.items[q.head:]
+			q.items, q.head = spare[:0], 0
 			q.mu.Unlock()
 			return items, nil
 		}
@@ -125,7 +145,7 @@ func (q *Queue[T]) PopAllSwap(ctx context.Context, spare []T) ([]T, error) {
 func (q *Queue[T]) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.items)
+	return len(q.items) - q.head
 }
 
 // Close marks the queue closed. Queued items remain poppable; once drained,

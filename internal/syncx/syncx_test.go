@@ -268,3 +268,55 @@ func TestQueuePopAllSwapReuses(t *testing.T) {
 		t.Fatalf("push/drain cycle allocated %v times", allocs)
 	}
 }
+
+// TestQueuePopRewinds: a consumer that pops one item at a time keeps FIFO
+// order whether it keeps up or lags, the producer's pushes stop allocating
+// once the consumer keeps up, and a lagging consumer's backlog is slid
+// forward instead of growing the buffer without bound.
+func TestQueuePopRewinds(t *testing.T) {
+	q := NewQueue[int]()
+	pushed, popped := 0, 0
+	pop := func() {
+		v, ok := q.TryPop()
+		if !ok || v != popped {
+			t.Fatalf("TryPop = %d, %v; want %d", v, ok, popped)
+		}
+		popped++
+	}
+	keepUp := func() {
+		for i := 0; i < 8; i++ {
+			q.Push(pushed)
+			pushed++
+		}
+		for i := 0; i < 8; i++ {
+			pop()
+		}
+	}
+	keepUp()
+	if allocs := testing.AllocsPerRun(100, keepUp); allocs != 0 {
+		t.Fatalf("push/pop cycle allocated %v times", allocs)
+	}
+	// Lag by 16 items for a long run: two pushes per pop while the backlog
+	// builds, then one each.
+	for i := 0; i < 16; i++ {
+		q.Push(pushed)
+		pushed++
+	}
+	for i := 0; i < 10000; i++ {
+		q.Push(pushed)
+		pushed++
+		pop()
+	}
+	if n := q.Len(); n != 16 {
+		t.Fatalf("Len = %d, want 16", n)
+	}
+	q.mu.Lock()
+	c := cap(q.items)
+	q.mu.Unlock()
+	if c > 64 {
+		t.Fatalf("a backlog of 16 grew the buffer to %d", c)
+	}
+	for q.Len() > 0 {
+		pop()
+	}
+}

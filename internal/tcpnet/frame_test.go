@@ -26,7 +26,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	for _, tc := range []tracing.Context{{}, testCtx(false), testCtx(true)} {
 		payload := []byte("hello frame")
 		enc := appendFrame(nil, payload, tc)
-		got, gotTC, err := readFrame(bytes.NewReader(enc))
+		got, gotTC, err := readFrame(bufio.NewReader(bytes.NewReader(enc)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func TestLegacyFrameDecodes(t *testing.T) {
 	payload := []byte("old client says hi")
 	legacy := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
 	legacy = append(legacy, payload...)
-	got, tc, err := readFrame(bytes.NewReader(legacy))
+	got, tc, err := readFrame(bufio.NewReader(bytes.NewReader(legacy)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			}
 		}
 		enc := appendFrame(nil, payload, tc)
-		got, gotTC, err := readFrame(bytes.NewReader(enc))
+		got, gotTC, err := readFrame(bufio.NewReader(bytes.NewReader(enc)))
 		if err != nil {
 			t.Fatalf("round trip failed: %v", err)
 		}
@@ -117,7 +117,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(appendFrame(nil, []byte("plain"), tracing.Context{}))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		payload, tc, err := readFrame(bytes.NewReader(data))
+		payload, tc, err := readFrame(bufio.NewReader(bytes.NewReader(data)))
 		if err != nil {
 			return
 		}
@@ -128,7 +128,7 @@ func FuzzReadFrame(f *testing.F) {
 		if len(reenc) > len(data) {
 			t.Fatalf("decoded frame longer than input: %d > %d", len(reenc), len(data))
 		}
-		got, gotTC, err := readFrame(bytes.NewReader(reenc))
+		got, gotTC, err := readFrame(bufio.NewReader(bytes.NewReader(reenc)))
 		if err != nil || !bytes.Equal(got, payload) || gotTC != tc {
 			t.Fatalf("re-encoded frame does not round trip: %v", err)
 		}
@@ -140,12 +140,12 @@ func FuzzReadFrame(f *testing.F) {
 // allocation.
 func TestReadFrameOversize(t *testing.T) {
 	enc := binary.LittleEndian.AppendUint32(nil, maxFrame+1)
-	if _, _, err := readFrame(bytes.NewReader(enc)); err == nil {
+	if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(enc))); err == nil {
 		t.Fatal("oversize frame accepted")
 	}
 	// Oversize with the trace flag set must fail the same way.
 	enc = binary.LittleEndian.AppendUint32(nil, (maxFrame+1)|uint32(1<<31))
-	if _, _, err := readFrame(bytes.NewReader(enc)); err == nil {
+	if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(enc))); err == nil {
 		t.Fatal("oversize traced frame accepted")
 	}
 }
@@ -154,7 +154,7 @@ func TestReadFrameOversize(t *testing.T) {
 // short must error, not deliver a half-read context.
 func TestTracedFrameTruncatedBlock(t *testing.T) {
 	enc := appendFrame(nil, []byte("x"), testCtx(true))
-	if _, _, err := readFrame(bytes.NewReader(enc[:len(enc)-5])); err != io.ErrUnexpectedEOF {
+	if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(enc[:len(enc)-5]))); err != io.ErrUnexpectedEOF {
 		t.Fatalf("got %v, want unexpected EOF", err)
 	}
 }

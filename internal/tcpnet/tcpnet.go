@@ -173,34 +173,50 @@ func appendFrame(dst []byte, payload []byte, tc tracing.Context) []byte {
 	return dst
 }
 
-// readFrame reads one frame from r: the length prefix (validated against
+// readFrame reads one frame from br: the length prefix (validated against
 // maxFrame after masking the trace flag), the payload, and — when the flag
-// is set — the fixed-size trace block.
-func readFrame(r io.Reader) ([]byte, tracing.Context, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+// is set — the fixed-size trace block. The payload is the frame's one
+// allocation: the length prefix and the trace block are decoded in br's
+// buffer, and the payload is handed to the receiver, never reused
+// (transport.Envelope).
+func readFrame(br *bufio.Reader) ([]byte, tracing.Context, error) {
+	hdr, err := peek(br, 4)
+	if err != nil {
 		return nil, tracing.Context{}, err
 	}
-	size, traced := wire.DecodeFrameSize(binary.LittleEndian.Uint32(lenBuf[:]))
+	size, traced := wire.DecodeFrameSize(binary.LittleEndian.Uint32(hdr))
+	_, _ = br.Discard(4)
 	if size > maxFrame {
 		return nil, tracing.Context{}, fmt.Errorf("tcpnet: frame of %d bytes exceeds limit", size)
 	}
 	payload := make([]byte, size)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if _, err := io.ReadFull(br, payload); err != nil {
 		return nil, tracing.Context{}, err
 	}
 	if !traced {
 		return payload, tracing.Context{}, nil
 	}
-	var tcBuf [tracing.ContextWireSize]byte
-	if _, err := io.ReadFull(r, tcBuf[:]); err != nil {
+	block, err := peek(br, tracing.ContextWireSize)
+	if err != nil {
 		return nil, tracing.Context{}, err
 	}
-	tc, err := tracing.DecodeContext(tcBuf[:])
+	tc, err := tracing.DecodeContext(block)
+	_, _ = br.Discard(tracing.ContextWireSize)
 	if err != nil {
 		return nil, tracing.Context{}, err
 	}
 	return payload, tc, nil
+}
+
+// peek returns the next n bytes of br, valid until br is next read, with
+// io.ReadFull's errors: io.EOF when br is at its end, io.ErrUnexpectedEOF
+// when it ends within the n bytes.
+func peek(br *bufio.Reader, n int) ([]byte, error) {
+	b, err := br.Peek(n)
+	if err == io.EOF && len(b) > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return b, err
 }
 
 // New starts listening on cfg[self] and returns the endpoint.
@@ -421,9 +437,9 @@ func (n *Net) readLoop(conn net.Conn) {
 const senderBufSize = 64 << 10
 
 // sender drains one destination's queue over a (re)dialed connection. Each
-// wakeup drains the *entire* backlog (PopAll, plus a TryPop sweep for frames
-// that arrive while writing) through a buffered writer with a single flush,
-// so under load the syscall count is per batch, not per frame.
+// wakeup drains the *entire* backlog (PopAllSwap, plus a TryPop sweep for
+// frames that arrive while writing) through a buffered writer with a single
+// flush, so under load the syscall count is per batch, not per frame.
 //
 // Delivery is at-least-once across reconnects: a write error mid-batch
 // retries the whole batch on a fresh connection, and frames already flushed
@@ -492,8 +508,11 @@ func (s *sender) run() {
 	// timer per attempt, and a sender stuck redialing a down peer ticks for
 	// as long as the outage lasts.
 	redial := syncx.NewStoppedTimer()
+	var spare []outFrame
 	for {
-		batch, err := s.queue.PopAll(s.net.ctx)
+		// Hand the last written batch back to the queue as its buffer, so a
+		// steady stream of Sends stops growing a fresh slice per wakeup.
+		batch, err := s.queue.PopAllSwap(s.net.ctx, spare)
 		if err != nil {
 			return
 		}
@@ -540,7 +559,8 @@ func (s *sender) run() {
 			}
 			s.bytes.Add(written)
 			s.queueDepth.Set(int64(s.queue.Len()))
-			batch = nil
+			clear(batch)
+			spare, batch = batch[:0], nil
 		}
 	}
 }
@@ -555,20 +575,19 @@ func (s *sender) writeBatch(conn net.Conn, bw *bufio.Writer, batch []outFrame) e
 			return err
 		}
 	}
-	var lenBuf [4]byte
-	var tcBuf []byte
+	// The length prefix and the trace block are written into bw's own free
+	// space (AvailableBuffer), so framing allocates nothing.
 	for _, f := range batch {
 		traced := f.tc.Valid()
-		binary.LittleEndian.PutUint32(lenBuf[:], wire.EncodeFrameSize(len(f.payload), traced))
-		if _, err := bw.Write(lenBuf[:]); err != nil {
+		hdr := binary.LittleEndian.AppendUint32(bw.AvailableBuffer(), wire.EncodeFrameSize(len(f.payload), traced))
+		if _, err := bw.Write(hdr); err != nil {
 			return err
 		}
 		if _, err := bw.Write(f.payload); err != nil {
 			return err
 		}
 		if traced {
-			tcBuf = f.tc.AppendBinary(tcBuf[:0])
-			if _, err := bw.Write(tcBuf); err != nil {
+			if _, err := bw.Write(f.tc.AppendBinary(bw.AvailableBuffer())); err != nil {
 				return err
 			}
 		}

@@ -27,6 +27,15 @@ import (
 var ErrClosed = errors.New("transport: closed")
 
 // Envelope is one received message.
+//
+// Payload is read-only. The receiver may keep it, or any slice of it, for as
+// long as it likes: no transport reuses a payload's memory, and decoders
+// hand out fields that alias it instead of copying them (a tcpnet frame is
+// allocated once, when it is read). So nothing may write into a payload or
+// into anything decoded from it: simnet hands one slice to every receiver of
+// a broadcast, and a write would race with every other replica decoding the
+// same message. A receiver that keeps a small piece of a large payload keeps
+// the whole payload alive; copy the piece when that matters.
 type Envelope struct {
 	From    types.ProcessID
 	To      types.ProcessID

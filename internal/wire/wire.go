@@ -219,7 +219,9 @@ func (d *Decoder) take(n int) []byte {
 		d.fail(fmt.Errorf("%w: need %d bytes, have %d", ErrTruncated, n, d.Remaining()))
 		return nil
 	}
-	b := d.buf[d.off : d.off+n]
+	// Capped at its own end: an append to a decoded field copies instead of
+	// overwriting the bytes after it in a frame other decoded fields alias.
+	b := d.buf[d.off : d.off+n : d.off+n]
 	d.off += n
 	return b
 }
@@ -258,7 +260,8 @@ func (d *Decoder) Byte() byte {
 func (d *Decoder) Bool() bool { return d.Byte() != 0 }
 
 // BytesField reads a length-prefixed byte string. The returned slice aliases
-// the decoder's input; callers that retain it across input reuse must copy.
+// the decoder's input, capped at the field's end; callers that retain it
+// across input reuse must copy.
 func (d *Decoder) BytesField() []byte {
 	n := d.Uint32()
 	if d.err != nil {
