@@ -72,17 +72,17 @@ race:
 # a Byzantine spammer against batched checkpointing MinBFT, with the watch
 # safety auditor scraping throughout) under the race detector; -count
 # disables caching so each run reshuffles the schedule. A doctor one-shot
-# against a live 2-shard cluster closes the run.
+# against a live cluster closes the run.
 soak:
 	$(GO) test -race -count=3 -run 'TestSoak' ./internal/minbft/
-	$(GO) run ./cmd/unidir-doctor -cluster minbft -shards 2
+	$(GO) run ./cmd/unidir-doctor -cluster minbft
 
 # doctor runs the cluster safety auditor one-shot against a self-driven
-# 2-shard MinBFT cluster (exit 0 healthy, 1 on violation) plus its test
-# surface, including the forged-checkpoint-digest detection case.
+# MinBFT cluster (exit 0 healthy, 1 on violation) plus its test surface,
+# including the forged-checkpoint-digest detection case.
 doctor:
 	$(GO) test -race -count=1 ./internal/watch/ ./cmd/unidir-doctor/
-	$(GO) run ./cmd/unidir-doctor -cluster minbft -shards 2
+	$(GO) run ./cmd/unidir-doctor -cluster minbft
 
 # flake is the pre-merge flake hunt (ROADMAP "Fix first"): the tests that
 # used to fail some fraction of the time, repeated; TestFigure1 (the

@@ -18,15 +18,6 @@
 // then client endpoints. Kill a backup replica and the cluster keeps
 // serving; kill the primary and a view change recovers it.
 //
-// Sharding: -shards s runs s independent consensus groups and routes every
-// key to the group owning it (internal/shard; UNIDIR_SHARDS sets the
-// default). The config becomes shard-major: s*n replica addresses (group
-// 0's replicas, then group 1's, ...), then s addresses per client — one
-// endpoint per group, since a client process reaches whichever group its
-// key routes to. Replica IDs are global: replica id serves group id/n as
-// local replica id%n. Client IDs start at s*n. With -shards 1 (the
-// default) this collapses to the layout above.
-//
 // Crash-restart survival: give each replica its own -data-dir and it
 // persists the trusted-counter WAL plus the latest stable checkpoint there.
 // A replica killed outright (SIGKILL) and restarted with the same flags
@@ -47,7 +38,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -57,7 +47,6 @@ import (
 	"unidir/internal/obs"
 	"unidir/internal/obs/knob"
 	"unidir/internal/obs/tracing"
-	"unidir/internal/shard"
 	"unidir/internal/sig"
 	"unidir/internal/smr"
 	"unidir/internal/tcpnet"
@@ -85,8 +74,7 @@ func main() {
 	id := flag.Int("id", -1, "this process's ID (replicas: 0..n-1; clients: >= n)")
 	n := flag.Int("n", 3, "number of replicas")
 	f := flag.Int("f", 1, "failure threshold (n must be >= 2f+1)")
-	config := flag.String("config", "", "comma-separated host:port per process ID (shard-major with -shards > 1)")
-	shards := flag.Int("shards", shard.DefaultShards(), "independent consensus groups; keys route by hash (UNIDIR_SHARDS sets the default)")
+	config := flag.String("config", "", "comma-separated host:port per process ID: n replicas, then clients")
 	seed := flag.Int64("seed", 42, "deterministic key seed shared by the whole demo cluster")
 	timeout := flag.Duration("timeout", time.Second, "view-change request timeout (replicas)")
 	dataDir := flag.String("data-dir", "", "replica persistence dir (counter WAL + stable checkpoint); empty = volatile")
@@ -114,64 +102,38 @@ func main() {
 		paceDepth:    *paceDepth,
 		leaseTerm:    *leaseTerm,
 	}
-	if err := run(*role, *id, *n, *f, *shards, *config, *seed, ro, flag.Args()); err != nil {
+	if err := run(*role, *id, *n, *f, *config, *seed, ro, flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "minbft-kv:", err)
 		os.Exit(1)
 	}
 }
 
-func run(role string, id, n, f, shards int, config string, seed int64, ro replicaOpts, args []string) error {
-	if shards < 1 {
-		return fmt.Errorf("-shards must be >= 1, got %d", shards)
-	}
+func run(role string, id, n, f int, config string, seed int64, ro replicaOpts, args []string) error {
 	addrs := strings.Split(config, ",")
-	for i := range addrs {
-		addrs[i] = strings.TrimSpace(addrs[i])
+	if config == "" || len(addrs) <= n {
+		return fmt.Errorf("-config must list at least n+1 addresses (replicas then clients)")
 	}
-	// Shard-major layout: shards*n replica addresses, then shards per
-	// client. With shards=1 this is the classic replicas-then-clients list.
-	if config == "" || len(addrs)%shards != 0 || len(addrs)/shards <= n {
-		return fmt.Errorf("-config must list shards*n replica addresses then shards per client (got %d addresses for n=%d shards=%d)",
-			len(addrs), n, shards)
+	cfg := make(tcpnet.Config, len(addrs))
+	for i, addr := range addrs {
+		cfg[types.ProcessID(i)] = strings.TrimSpace(addr)
 	}
 	m, err := types.NewMembership(n, f)
 	if err != nil {
 		return err
 	}
+	self := types.ProcessID(id)
+	if _, ok := cfg[self]; !ok {
+		return fmt.Errorf("id %d has no address in -config", id)
+	}
 
 	switch role {
 	case "replica":
-		if id < 0 || id >= shards*n {
-			return fmt.Errorf("replica id %d out of range [0, %d)", id, shards*n)
-		}
-		g, local := id/n, types.ProcessID(id%n)
-		// Each group derives its own trusted-hardware universe: same seed
-		// convention, offset by group, so all processes of a group agree
-		// and distinct groups hold distinct keys.
-		return runReplica(m, local, g, shardConfig(addrs, n, shards, g), seed+int64(g), ro)
+		return runReplica(m, self, cfg, seed, ro)
 	case "client":
-		if id < shards*n {
-			return fmt.Errorf("client id %d must be >= shards*n (%d)", id, shards*n)
-		}
-		return runClient(m, n, shards, id-shards*n, addrs, args)
+		return runClient(m, self, cfg, args)
 	default:
 		return fmt.Errorf("-role must be replica or client")
 	}
-}
-
-// shardConfig projects the shard-major global address list onto group g's
-// local process space: local IDs 0..n-1 are the group's replicas, local n+j
-// is client j's group-g endpoint.
-func shardConfig(addrs []string, n, shards, g int) tcpnet.Config {
-	clients := len(addrs)/shards - n
-	cfg := make(tcpnet.Config, n+clients)
-	for i := 0; i < n; i++ {
-		cfg[types.ProcessID(i)] = addrs[g*n+i]
-	}
-	for j := 0; j < clients; j++ {
-		cfg[types.ProcessID(n+j)] = addrs[shards*n+j*shards+g]
-	}
-	return cfg
 }
 
 // replicaSpec translates the replica flags into the group-agnostic
@@ -242,7 +204,7 @@ func envDuration(name string, def time.Duration) time.Duration {
 	return -1
 }
 
-func runReplica(m types.Membership, self types.ProcessID, g int, cfg tcpnet.Config, seed int64, ro replicaOpts) error {
+func runReplica(m types.Membership, self types.ProcessID, cfg tcpnet.Config, seed int64, ro replicaOpts) error {
 	if !m.Contains(self) {
 		return fmt.Errorf("replica id %v out of range [0, %d)", self, m.N)
 	}
@@ -298,7 +260,7 @@ func runReplica(m types.Membership, self types.ProcessID, g int, cfg tcpnet.Conf
 		opts := []obs.HandlerOption{
 			obs.WithSpans(spans),
 			obs.WithReadinessDetail(rep.ReadyReason),
-			obs.WithStatus(strconv.Itoa(g), rep),
+			obs.WithStatus(rep),
 		}
 		handler := obs.Handler(reg, opts...)
 		go func() {
@@ -316,21 +278,10 @@ func runReplica(m types.Membership, self types.ProcessID, g int, cfg tcpnet.Conf
 	return rep.Close()
 }
 
-func runClient(m types.Membership, n, shards, clientIdx int, addrs []string, args []string) error {
+func runClient(m types.Membership, self types.ProcessID, cfg tcpnet.Config, args []string) error {
 	if len(args) < 2 {
 		return fmt.Errorf("usage: ... put KEY VALUE | get KEY | rget KEY | del KEY")
 	}
-	// Route the key, then talk to its group exactly like an unsharded
-	// client: every CLI invocation is a single-key operation, so routing is
-	// just picking which group's endpoints to dial. All clients share the
-	// deterministic uniform view, so they agree on placement with no
-	// coordination (shard.View).
-	view, err := shard.NewUniformView(1, shards)
-	if err != nil {
-		return err
-	}
-	cfg := shardConfig(addrs, n, shards, view.Group(args[1]))
-	self := types.ProcessID(n + clientIdx)
 	tr, err := tcpnet.New(self, cfg)
 	if err != nil {
 		return err

@@ -13,7 +13,6 @@ import (
 	"unidir/internal/minbft"
 	"unidir/internal/obs"
 	"unidir/internal/obs/tracing"
-	"unidir/internal/shard"
 	"unidir/internal/sig"
 	"unidir/internal/smr"
 	"unidir/internal/tcpnet"
@@ -114,140 +113,75 @@ func TestHealthAndReadinessEndpoints(t *testing.T) {
 	}
 }
 
-// TestShardConfigLayout pins the shard-major config projection: group g's
-// local space is its own n replicas at 0..n-1 plus each client's group-g
-// endpoint at n+j.
-func TestShardConfigLayout(t *testing.T) {
-	addrs := []string{"r0", "r1", "r2", "r3", "r4", "r5", "c0g0", "c0g1", "c1g0", "c1g1"}
-	const n, shards = 3, 2
-	g0 := shardConfig(addrs, n, shards, 0)
-	g1 := shardConfig(addrs, n, shards, 1)
-	want0 := tcpnet.Config{0: "r0", 1: "r1", 2: "r2", 3: "c0g0", 4: "c1g0"}
-	want1 := tcpnet.Config{0: "r3", 1: "r4", 2: "r5", 3: "c0g1", 4: "c1g1"}
-	for id, addr := range want0 {
-		if g0[id] != addr {
-			t.Errorf("group 0 local %v = %q, want %q", id, g0[id], addr)
-		}
-	}
-	for id, addr := range want1 {
-		if g1[id] != addr {
-			t.Errorf("group 1 local %v = %q, want %q", id, g1[id], addr)
-		}
-	}
-	if len(g0) != 5 || len(g1) != 5 {
-		t.Fatalf("config sizes = %d, %d, want 5", len(g0), len(g1))
-	}
-}
-
-// TestShardedClusterOverTCP is the sharded end-to-end over real TCP: two
-// MinBFT groups (n=3, f=1 each) on their own tcpnet meshes, a sharded
-// client routing writes and leased fast-path reads across both.
-func TestShardedClusterOverTCP(t *testing.T) {
-	const n, f, shards = 3, 1, 2
+// TestClusterOverTCP is the end-to-end over real TCP: a MinBFT group (n=3,
+// f=1) on a tcpnet mesh, a pipelined client writing and then reading back
+// through the leased fast path.
+func TestClusterOverTCP(t *testing.T) {
+	const n, f = 3, 1
 	m, err := types.NewMembership(n, f)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Per-group shared config maps, the tcpnet test idiom: bind every
-	// listener on :0 and publish the final address back into the map the
-	// whole group dials through.
-	groupCfg := make([]tcpnet.Config, shards)
-	repNets := make([][]*tcpnet.Net, shards)
-	clientNets := make([]*tcpnet.Net, shards)
-	for g := 0; g < shards; g++ {
-		groupCfg[g] = make(tcpnet.Config, n+1)
-		for i := 0; i <= n; i++ {
-			groupCfg[g][types.ProcessID(i)] = "127.0.0.1:0"
-		}
-		repNets[g] = make([]*tcpnet.Net, n)
-		for i := 0; i < n; i++ {
-			nt, err := tcpnet.New(types.ProcessID(i), groupCfg[g])
-			if err != nil {
-				t.Fatalf("group %d replica %d: %v", g, i, err)
-			}
-			defer nt.Close()
-			groupCfg[g][types.ProcessID(i)] = nt.Addr()
-			repNets[g][i] = nt
-		}
-		nt, err := tcpnet.New(types.ProcessID(n), groupCfg[g])
+	// The tcpnet test idiom: bind every listener on :0 and publish the
+	// final address back into the config map the whole group dials through.
+	cfg := make(tcpnet.Config, n+1)
+	for i := 0; i <= n; i++ {
+		cfg[types.ProcessID(i)] = "127.0.0.1:0"
+	}
+	nets := make([]*tcpnet.Net, n+1)
+	for i := range nets {
+		nt, err := tcpnet.New(types.ProcessID(i), cfg)
 		if err != nil {
-			t.Fatalf("group %d client: %v", g, err)
+			t.Fatalf("tcpnet.New(%d): %v", i, err)
 		}
 		defer nt.Close()
-		groupCfg[g][types.ProcessID(n)] = nt.Addr()
-		clientNets[g] = nt
+		cfg[types.ProcessID(i)] = nt.Addr()
+		nets[i] = nt
 	}
 
-	pipes := make([]*kvstore.PipeClient, shards)
-	for g := 0; g < shards; g++ {
-		spec := cluster.Spec{
-			Protocol: cluster.MinBFT,
-			F:        f,
-			Scheme:   sig.HMAC,
-			Timeout:  5 * time.Second,
-			Seed:     int64(7 + g), // distinct trusted universes per group
-		}
-		nets := repNets[g]
-		group, err := cluster.NewGroup(spec, m,
-			func(id types.ProcessID) transport.Transport { return nets[id] },
-			func() smr.StateMachine { return kvstore.New() }, nil)
-		if err != nil {
-			t.Fatalf("group %d: %v", g, err)
-		}
-		defer group.Close()
-
-		enc := spec.Encoders()
-		pl, err := smr.NewPipeline(clientNets[g], m.All(), m.FPlusOne(), uint64(n),
-			time.Second, 16,
-			smr.WithPipelineRequestEncoder(enc.Request),
-			smr.WithPipelineReadEncoder(enc.Read),
-			smr.WithPipelineReadBatchEncoder(enc.ReadBatch),
-			smr.WithReadQuorum(spec.ReadQuorum(m)))
-		if err != nil {
-			t.Fatalf("group %d pipeline: %v", g, err)
-		}
-		defer pl.Close()
-		pipes[g] = kvstore.NewPipeClient(pl)
-	}
-
-	view, err := shard.NewUniformView(1, shards)
+	spec := cluster.Spec{Protocol: cluster.MinBFT, F: f, Scheme: sig.HMAC, Timeout: 5 * time.Second, Seed: 7}
+	group, err := cluster.NewGroup(spec, m,
+		func(id types.ProcessID) transport.Transport { return nets[id] },
+		func() smr.StateMachine { return kvstore.New() }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := shard.NewClient(shard.NewRouter(view), pipes)
+	defer group.Close()
+
+	enc := spec.Encoders()
+	reg := obs.NewRegistry()
+	pl, err := smr.NewPipeline(nets[n], m.All(), m.FPlusOne(), uint64(n), time.Second, 16,
+		smr.WithPipelineRequestEncoder(enc.Request),
+		smr.WithPipelineReadEncoder(enc.Read),
+		smr.WithPipelineReadBatchEncoder(enc.ReadBatch),
+		smr.WithReadQuorum(spec.ReadQuorum(m)),
+		smr.WithPipelineMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer pl.Close()
+	kv := kvstore.NewPipeClient(pl)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	// Pick keys so both groups see traffic (sequential key names may all
-	// hash into one range), then write and leased-read through the router.
-	var keys []string
-	perGroup := map[int]int{}
-	for i := 0; len(keys) < 24; i++ {
+	for i := 0; i < 24; i++ {
 		key := fmt.Sprintf("key-%d", i)
-		if g := sc.Group(key); perGroup[g] < 12 {
-			perGroup[g]++
-			keys = append(keys, key)
-		}
-		if i > 1<<16 {
-			t.Fatalf("could not spread 24 keys over %d groups: %v", shards, perGroup)
-		}
-	}
-	for _, key := range keys {
-		if err := sc.Put(ctx, key, []byte("v-"+key)); err != nil {
+		if err := kv.Put(ctx, key, []byte("v-"+key)); err != nil {
 			t.Fatalf("put %q: %v", key, err)
 		}
 	}
-	for _, key := range keys {
-		got, err := sc.RGet(ctx, key) // leased fast path, per group
+	for i := 0; i < 24; i++ {
+		key := fmt.Sprintf("key-%d", i)
+		got, err := kv.GetFast(ctx, key) // leased fast path
 		if err != nil {
 			t.Fatalf("rget %q: %v", key, err)
 		}
 		if string(got) != "v-"+key {
 			t.Fatalf("rget %q = %q", key, got)
 		}
+	}
+	if reg.Snapshot().CounterSum("smr_leased_reads_total") == 0 {
+		t.Fatal("no read was answered under the leader's lease")
 	}
 }

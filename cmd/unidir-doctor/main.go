@@ -1,6 +1,6 @@
 // Command unidir-doctor scrapes a cluster's introspection plane
-// (/debug/status, or in-process replicas in harness mode), aggregates
-// per-shard health, and audits the safety invariants the trusted hardware
+// (/debug/status, or in-process replicas in harness mode), aggregates the
+// group's health, and audits the safety invariants the trusted hardware
 // is supposed to enforce: equal checkpoint digests at equal counts,
 // monotone trusted counters, executed ≤ proposed, and at most one lease
 // holder per term. See internal/watch and DESIGN.md §10.
@@ -8,7 +8,7 @@
 // Modes:
 //
 //	unidir-doctor -targets http://h1:7001,http://h2:7001   scrape live processes
-//	unidir-doctor -cluster minbft -shards 2                self-driven in-process cluster
+//	unidir-doctor -cluster minbft                          self-driven in-process cluster
 //	... -watch 1s                                          continuous; default one-shot
 //
 // One-shot runs scrape twice (the cross-scrape monotonicity rules need a
@@ -25,13 +25,11 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"unidir/internal/byz"
-	"unidir/internal/cluster"
 	"unidir/internal/harness"
 	"unidir/internal/obs"
 	"unidir/internal/sig"
@@ -48,12 +46,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		targets  = fs.String("targets", "", "comma-separated /debug/status endpoints (or base URLs) to scrape")
 		clusterP = fs.String("cluster", "", "build and drive an in-process cluster instead: minbft or pbft")
-		shards   = fs.Int("shards", 2, "consensus groups in -cluster mode")
-		f        = fs.Int("f", 1, "faults tolerated per group in -cluster mode")
-		ops      = fs.Int("ops", 32, "writes to drive per shard in -cluster mode before auditing")
+		f        = fs.Int("f", 1, "faults tolerated in -cluster mode")
+		ops      = fs.Int("ops", 64, "writes to drive in -cluster mode before auditing")
 		watchInt = fs.Duration("watch", 0, "scrape continuously at this interval (0: one-shot)")
 		gap      = fs.Duration("gap", 200*time.Millisecond, "pause between the two one-shot scrapes")
-		forge    = fs.Int("forge-digest", -1, "fault injection (-cluster mode): shard-0 replica whose status forges its checkpoint digest")
+		forge    = fs.Int("forge-digest", -1, "fault injection (-cluster mode): replica whose status forges its checkpoint digest")
 		verbose  = fs.Bool("v", false, "log scrapes and violations to stderr")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -85,44 +82,44 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	case *clusterP != "":
-		var p cluster.Protocol
+		var build func(harness.SMRConfig) (*harness.SMRCluster, error)
 		switch *clusterP {
 		case "minbft":
-			p = cluster.MinBFT
+			build = harness.BuildMinBFTCfg
 		case "pbft":
-			p = cluster.PBFT
+			build = harness.BuildPBFTCfg
 		default:
 			fmt.Fprintf(stderr, "unidir-doctor: unknown -cluster protocol %q\n", *clusterP)
 			return 2
 		}
-		sc, err := harness.BuildSharded(p, harness.ShardedConfig{
-			Shards: *shards,
-			SMR:    harness.SMRConfig{F: *f, Scheme: sig.HMAC, Ckpt: 4, Batch: 4, Metrics: reg},
-		})
+		sc, err := build(harness.SMRConfig{F: *f, Scheme: sig.HMAC, Ckpt: ckptInterval, Batch: 4, Metrics: reg})
 		if err != nil {
 			fmt.Fprintf(stderr, "unidir-doctor: build cluster: %v\n", err)
 			return 2
 		}
 		defer sc.Stop()
-		for g, group := range sc.Groups {
-			providers := make([]obs.StatusProvider, 0, len(group.Replicas))
-			for i, rep := range group.Replicas {
-				var sp obs.StatusProvider = rep
-				if g == 0 && i == *forge {
-					sp = byz.ForgeCheckpointDigest(sp)
-				}
-				providers = append(providers, sp)
-			}
-			sources = append(sources, watch.Local(strconv.Itoa(g), providers...))
+		// An out-of-range replica would inject nothing and pass vacuously.
+		if n := len(sc.Group.Replicas); *forge < -1 || *forge >= n {
+			fmt.Fprintf(stderr, "unidir-doctor: -forge-digest %d names no replica of the %d-replica group (-1: none)\n", *forge, n)
+			return 2
 		}
-		total := *ops * *shards
+		providers := make([]obs.StatusProvider, 0, len(sc.Group.Replicas))
+		for i, rep := range sc.Group.Replicas {
+			var sp obs.StatusProvider = rep
+			if i == *forge {
+				sp = byz.ForgeCheckpointDigest(sp)
+			}
+			providers = append(providers, sp)
+		}
+		src := watch.Local(*clusterP, providers...)
+		sources = append(sources, src)
 		drive = func(ctx context.Context) error {
-			for i := 0; i < total; i++ {
-				if err := sc.Client.Put(ctx, fmt.Sprintf("doctor-%d", i), []byte{byte(i)}); err != nil {
+			for i := 0; i < *ops; i++ {
+				if err := sc.Pipe.Put(ctx, fmt.Sprintf("doctor-%d", i), []byte{byte(i)}); err != nil {
 					return err
 				}
 			}
-			settle(ctx, sources)
+			settle(ctx, src)
 			return nil
 		}
 	default:
@@ -183,20 +180,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // settle gives a self-driven cluster up to settleWait after its traffic to
-// converge: every group's replicas reporting one stable checkpoint count.
-// Only then does the audit see a claim from each replica, and blame for a
-// divergent digest needs f+1 claims agreeing on one (DESIGN.md §10).
-func settle(ctx context.Context, sources []watch.Source) {
+// converge: every replica has executed the same batches and holds the last
+// stable checkpoint they imply. Only then does the audit see a claim from
+// each replica, and blame for a divergent digest needs f+1 claims agreeing
+// on one (DESIGN.md §10). Equal checkpoint counts alone are not enough: a
+// checkpoint still being voted on can become stable at one replica after
+// the check, leaving its claim alone at its count.
+func settle(ctx context.Context, src watch.Source) {
 	for deadline := time.Now().Add(settleWait); time.Now().Before(deadline); time.Sleep(20 * time.Millisecond) {
+		sts, err := src.Fetch(ctx)
+		if err != nil {
+			return
+		}
 		converged := true
-		for _, src := range sources {
-			sts, err := src.Fetch(ctx)
-			if err != nil {
-				return
-			}
-			for _, st := range sts {
-				converged = converged && ckptCount(st) == ckptCount(sts[0])
-			}
+		for _, st := range sts {
+			converged = converged && st.ExecCount == sts[0].ExecCount &&
+				ckptCount(st) == st.ExecCount-st.ExecCount%ckptInterval
 		}
 		if converged {
 			return
@@ -204,7 +203,12 @@ func settle(ctx context.Context, sources []watch.Source) {
 	}
 }
 
-const settleWait = 10 * time.Second
+const (
+	settleWait = 10 * time.Second
+	// ckptInterval is the self-driven cluster's checkpoint interval: small,
+	// so a short run takes several checkpoints.
+	ckptInterval = 4
+)
 
 func ckptCount(st obs.Status) uint64 {
 	if st.Checkpoint == nil {

@@ -6,28 +6,26 @@ import (
 )
 
 // TestDoctorHealthyCluster is the acceptance run: a one-shot doctor against
-// a self-driven 2-shard MinBFT cluster reports healthy and exits 0.
+// a self-driven MinBFT cluster reports healthy and exits 0.
 func TestDoctorHealthyCluster(t *testing.T) {
 	var out, errOut strings.Builder
-	code := run([]string{"-cluster", "minbft", "-shards", "2", "-ops", "24"}, &out, &errOut)
+	code := run([]string{"-cluster", "minbft", "-ops", "48"}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0\nstdout: %s\nstderr: %s", code, out.String(), errOut.String())
 	}
 	if !strings.Contains(out.String(), "healthy: no violations") {
 		t.Fatalf("missing healthy verdict: %s", out.String())
 	}
-	for _, shard := range []string{"shard 0:", "shard 1:"} {
-		if !strings.Contains(out.String(), shard) {
-			t.Fatalf("missing %q in report: %s", shard, out.String())
-		}
+	if !strings.Contains(out.String(), "group: 3 replicas") {
+		t.Fatalf("missing group line in report: %s", out.String())
 	}
 }
 
-// TestDoctorForgedDigestExitsNonzero: with shard-0 replica 1 forging its
-// checkpoint digest, the doctor must exit 1 and print evidence naming it.
+// TestDoctorForgedDigestExitsNonzero: with replica 1 forging its checkpoint
+// digest, the doctor must exit 1 and print evidence naming it.
 func TestDoctorForgedDigestExitsNonzero(t *testing.T) {
 	var out, errOut strings.Builder
-	code := run([]string{"-cluster", "minbft", "-shards", "2", "-ops", "24", "-forge-digest", "1"}, &out, &errOut)
+	code := run([]string{"-cluster", "minbft", "-ops", "48", "-forge-digest", "1"}, &out, &errOut)
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1\nstdout: %s\nstderr: %s", code, out.String(), errOut.String())
 	}
@@ -44,7 +42,7 @@ func TestDoctorForgedDigestExitsNonzero(t *testing.T) {
 // trusted-counter maps (the hybrid-trust distinction).
 func TestDoctorPBFTCluster(t *testing.T) {
 	var out, errOut strings.Builder
-	code := run([]string{"-cluster", "pbft", "-shards", "1", "-ops", "16"}, &out, &errOut)
+	code := run([]string{"-cluster", "pbft", "-ops", "16"}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0\nstdout: %s\nstderr: %s", code, out.String(), errOut.String())
 	}
@@ -60,5 +58,12 @@ func TestDoctorUsageErrors(t *testing.T) {
 	}
 	if code := run([]string{"-cluster", "minbft", "-targets", "http://x"}, &out, &errOut); code != 2 {
 		t.Fatalf("conflicting-modes exit = %d, want 2", code)
+	}
+	// A forged replica outside the group would inject nothing: the run
+	// would pass vacuously, so it is a usage error.
+	for _, forge := range []string{"3", "7", "-2"} {
+		if code := run([]string{"-cluster", "minbft", "-forge-digest", forge}, &out, &errOut); code != 2 {
+			t.Fatalf("-forge-digest %s exit = %d, want 2", forge, code)
+		}
 	}
 }

@@ -1,16 +1,13 @@
 // Package cluster holds the group-agnostic replica lifecycle shared by the
-// in-process harness, the minbft-kv command, and the sharded multi-group
-// deployments: protocol selection, membership sizing, deterministic key
-// provisioning, replica option assembly, checkpoint/data-dir plumbing, and
-// metrics/trace attachment.
+// in-process harness, the benchmark and the minbft-kv command: protocol
+// selection, membership sizing, deterministic key provisioning, replica
+// option assembly, checkpoint/data-dir plumbing, and metrics/trace
+// attachment.
 //
 // A "group" is one consensus instance — one MinBFT or PBFT replica set
-// ordering one log. Before sharding, every deployment was exactly one group
-// and this lifecycle lived twice: once in internal/harness (simnet,
-// in-process benchmarks) and once in cmd/minbft-kv (tcpnet, one OS process
-// per replica), drifting independently. Sharded deployments
-// (internal/shard) run several groups side by side, each built through this
-// package over whatever transport the caller provides.
+// ordering one log; every deployment is exactly one group, built through
+// this package over whatever transport the caller provides (simnet
+// in-process, tcpnet with one OS process per replica).
 package cluster
 
 import (
@@ -99,15 +96,13 @@ type Spec struct {
 	LeaseTerm time.Duration
 
 	// Metrics, when set, attaches replica, signature-cache, and transport
-	// metric families to this registry. Sharded deployments hand each group
-	// a labeled view (obs.Registry.Labeled) of one shared registry.
+	// metric families to this registry.
 	Metrics *obs.Registry
 	// DataDir is the replica persistence directory (trusted-counter WAL +
 	// stable checkpoint). Empty means volatile. MinBFT only.
 	DataDir string
 	// Seed derives the group's deterministic demo key material; 0 uses the
-	// library default (distinct per protocol). Groups of a sharded
-	// deployment must use distinct seeds or share a universe deliberately.
+	// library default (distinct per protocol).
 	Seed int64
 }
 

@@ -128,10 +128,12 @@ func buildOverSimnet(m types.Membership, node func(transport.Transport) (srb.Nod
 // SMRCluster is a running SMR deployment with two connected clients: KV is
 // the closed-loop client (one request outstanding), Pipe the pipelined one
 // (up to the configured window outstanding — the load shape that gives a
-// batching primary something to batch).
+// batching primary something to batch). Group is the replica set itself,
+// for callers that scrape its replicas' status (cluster.StatusProvider).
 type SMRCluster struct {
 	KV      *kvstore.Client
 	Pipe    *kvstore.PipeClient
+	Group   *cluster.Group
 	Metrics *obs.Registry // non-nil iff SMRConfig.Metrics was set
 	Stop    func()
 
@@ -202,7 +204,7 @@ func BuildMinBFTCfg(cfg SMRConfig) (*SMRCluster, error) {
 }
 
 // smrSpec translates the harness-level SMRConfig into the group-agnostic
-// cluster.Spec shared with cmd/minbft-kv and sharded deployments.
+// cluster.Spec shared with cmd/minbft-kv.
 func smrSpec(p cluster.Protocol, cfg SMRConfig) cluster.Spec {
 	spec := cluster.Spec{
 		Protocol: p,
@@ -221,8 +223,7 @@ func smrSpec(p cluster.Protocol, cfg SMRConfig) cluster.Spec {
 }
 
 // buildSMR builds one consensus group over a fresh simnet with the
-// configured clients attached — the single-group deployment every
-// experiment before sharding used.
+// configured clients attached.
 func buildSMR(p cluster.Protocol, cfg SMRConfig) (*SMRCluster, error) {
 	spec := smrSpec(p, cfg)
 	m, err := spec.Membership()
@@ -256,7 +257,7 @@ func buildSMR(p cluster.Protocol, cfg SMRConfig) (*SMRCluster, error) {
 		stopReplicas()
 		return nil, err
 	}
-	return &SMRCluster{KV: kv, Pipe: pipe, Metrics: cfg.Metrics, spanBufs: spanBufs, Stop: func() {
+	return &SMRCluster{KV: kv, Pipe: pipe, Group: group, Metrics: cfg.Metrics, spanBufs: spanBufs, Stop: func() {
 		closeClients()
 		stopReplicas()
 	}}, nil

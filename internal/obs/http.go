@@ -92,14 +92,7 @@ type handlerConfig struct {
 	spans       *tracing.SpanBuffer
 	ready       func() bool
 	readyDetail func() (bool, string)
-	status      []statusSource
-}
-
-// statusSource is one shard's worth of status providers; the shard label is
-// stamped onto every Status whose own Shard field is empty.
-type statusSource struct {
-	shard     string
-	providers []StatusProvider
+	status      []StatusProvider
 }
 
 // WithSpans serves the buffer's completed distributed-tracing spans at
@@ -124,14 +117,9 @@ func WithReadinessDetail(probe func() (bool, string)) HandlerOption {
 }
 
 // WithStatus serves the providers' snapshots at /debug/status as a JSON
-// object {"replicas": [...]}. The shard label is stamped onto each Status
-// that does not already carry one (replicas don't know their shard; the
-// process hosting them does). The option accumulates: call it once per shard
-// in multi-group processes.
-func WithStatus(shard string, providers ...StatusProvider) HandlerOption {
-	return func(c *handlerConfig) {
-		c.status = append(c.status, statusSource{shard: shard, providers: providers})
-	}
+// object {"replicas": [...]}.
+func WithStatus(providers ...StatusProvider) HandlerOption {
+	return func(c *handlerConfig) { c.status = providers }
 }
 
 // Handler returns an http.Handler exposing the registry:
@@ -187,12 +175,12 @@ func Handler(r *Registry, opts ...HandlerOption) http.Handler {
 		}
 		out := make(map[string][]Event)
 		if r != nil {
-			r.store.mu.Lock()
-			rings := make(map[string]*Trace, len(r.store.traces))
-			for name, tr := range r.store.traces {
+			r.mu.Lock()
+			rings := make(map[string]*Trace, len(r.traces))
+			for name, tr := range r.traces {
 				rings[name] = tr
 			}
-			r.store.mu.Unlock()
+			r.mu.Unlock()
 			for name, tr := range rings {
 				if want != "" && name != want {
 					continue
@@ -227,14 +215,8 @@ func Handler(r *Registry, opts ...HandlerOption) http.Handler {
 			var body struct {
 				Replicas []Status `json:"replicas"`
 			}
-			for _, src := range cfg.status {
-				for _, p := range src.providers {
-					st := p.Status()
-					if st.Shard == "" {
-						st.Shard = src.shard
-					}
-					body.Replicas = append(body.Replicas, st)
-				}
+			for _, p := range cfg.status {
+				body.Replicas = append(body.Replicas, p.Status())
 			}
 			w.Header().Set("Content-Type", "application/json; charset=utf-8")
 			enc := json.NewEncoder(w)

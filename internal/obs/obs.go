@@ -133,19 +133,7 @@ var LatencyBuckets = []float64{
 // idempotent: the first caller for a name creates the series, later callers
 // share it. A nil *Registry hands out nil metrics, making the whole layer a
 // no-op.
-//
-// A Registry value is a view onto a shared series store: Labeled returns a
-// view that stamps extra label pairs onto every series it creates, while
-// Snapshot and the HTTP exporters always see the full store. Sharded
-// deployments hand each consensus group a Labeled("shard", g) view of one
-// registry, so per-group series coexist with the same base names.
 type Registry struct {
-	store  *metricStore
-	labels []any // label pairs stamped onto every series name; nil on the root
-}
-
-// metricStore is the series storage every view of a registry shares.
-type metricStore struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
@@ -155,43 +143,12 @@ type metricStore struct {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{store: &metricStore{
+	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 		traces:   make(map[string]*Trace),
-	}}
-}
-
-// Labeled returns a view of the registry that stamps the given label pairs
-// onto every series it creates (merging into an existing inline label
-// block), sharing storage with the parent: the parent's Snapshot and debug
-// handlers see the labeled series. Views nest — labels accumulate. A nil
-// registry stays nil, with no pairs the same view is returned.
-func (r *Registry) Labeled(pairs ...any) *Registry {
-	if r == nil || len(pairs) == 0 {
-		return r
 	}
-	labels := append(append([]any(nil), r.labels...), pairs...)
-	return &Registry{store: r.store, labels: labels}
-}
-
-// name applies the view's labels to a series name.
-func (r *Registry) name(name string) string {
-	if len(r.labels) == 0 {
-		return name
-	}
-	if strings.HasSuffix(name, "}") {
-		// Merge into the existing label block: `x{peer="3"}` + (shard, 1)
-		// -> `x{peer="3",shard="1"}`.
-		var b strings.Builder
-		b.WriteString(name[:len(name)-1])
-		b.WriteByte(',')
-		writeLabelPairs(&b, r.labels)
-		b.WriteByte('}')
-		return b.String()
-	}
-	return Name(name, r.labels...)
 }
 
 // Name renders a metric name with label pairs: Name("x", "peer", 3) returns
@@ -204,18 +161,14 @@ func Name(base string, pairs ...any) string {
 	var b strings.Builder
 	b.WriteString(base)
 	b.WriteByte('{')
-	writeLabelPairs(&b, pairs)
-	b.WriteByte('}')
-	return b.String()
-}
-
-func writeLabelPairs(b *strings.Builder, pairs []any) {
 	for i := 0; i+1 < len(pairs); i += 2 {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(b, "%s=%q", pairs[i], fmt.Sprint(pairs[i+1]))
+		fmt.Fprintf(&b, "%s=%q", pairs[i], fmt.Sprint(pairs[i+1]))
 	}
+	b.WriteByte('}')
+	return b.String()
 }
 
 // baseOf strips an inline label block: `x{peer="3"}` -> `x`.
@@ -232,13 +185,12 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	name = r.name(name)
-	r.store.mu.Lock()
-	defer r.store.mu.Unlock()
-	c := r.store.counters[name]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	c := r.counters[name]
 	if c == nil {
 		c = &Counter{}
-		r.store.counters[name] = c
+		r.counters[name] = c
 	}
 	return c
 }
@@ -248,13 +200,12 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	name = r.name(name)
-	r.store.mu.Lock()
-	defer r.store.mu.Unlock()
-	g := r.store.gauges[name]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	g := r.gauges[name]
 	if g == nil {
 		g = &Gauge{}
-		r.store.gauges[name] = g
+		r.gauges[name] = g
 	}
 	return g
 }
@@ -266,19 +217,18 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	if r == nil {
 		return nil
 	}
-	name = r.name(name)
-	r.store.mu.Lock()
-	defer r.store.mu.Unlock()
-	h := r.store.hists[name]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	h := r.hists[name]
 	if h == nil {
 		b := append([]float64(nil), bounds...)
 		h = &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b)+1)}
 		cn := suffixed(name, "_clock_clamps_total")
-		if h.clamps = r.store.counters[cn]; h.clamps == nil {
+		if h.clamps = r.counters[cn]; h.clamps == nil {
 			h.clamps = &Counter{}
-			r.store.counters[cn] = h.clamps
+			r.counters[cn] = h.clamps
 		}
-		r.store.hists[name] = h
+		r.hists[name] = h
 	}
 	return h
 }
@@ -289,13 +239,12 @@ func (r *Registry) Trace(name string, capacity int) *Trace {
 	if r == nil {
 		return nil
 	}
-	name = r.name(name)
-	r.store.mu.Lock()
-	defer r.store.mu.Unlock()
-	t := r.store.traces[name]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	t := r.traces[name]
 	if t == nil {
 		t = NewTrace(capacity)
-		r.store.traces[name] = t
+		r.traces[name] = t
 	}
 	return t
 }
@@ -330,15 +279,15 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return s
 	}
-	r.store.mu.Lock()
-	defer r.store.mu.Unlock()
-	for name, c := range r.store.counters {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for name, c := range r.counters {
 		s.Counters[name] = c.Value()
 	}
-	for name, g := range r.store.gauges {
+	for name, g := range r.gauges {
 		s.Gauges[name] = g.Value()
 	}
-	for name, h := range r.store.hists {
+	for name, h := range r.hists {
 		hs := HistogramSnapshot{
 			Bounds: append([]float64(nil), h.bounds...),
 			Counts: make([]uint64, len(h.counts)),

@@ -171,64 +171,6 @@ func TestName(t *testing.T) {
 	}
 }
 
-func TestLabeledView(t *testing.T) {
-	root := NewRegistry()
-	s0 := root.Labeled("shard", 0)
-	s1 := root.Labeled("shard", 1)
-
-	s0.Counter("committed_total").Add(2)
-	s1.Counter("committed_total").Add(5)
-	snap := root.Snapshot()
-	if got := snap.Counter(`committed_total{shard="0"}`); got != 2 {
-		t.Fatalf("shard 0 series = %d, want 2", got)
-	}
-	if got := snap.Counter(`committed_total{shard="1"}`); got != 5 {
-		t.Fatalf("shard 1 series = %d, want 5", got)
-	}
-	if got := snap.CounterSum("committed_total"); got != 7 {
-		t.Fatalf("CounterSum across shards = %d, want 7", got)
-	}
-
-	// Labels merge into an existing inline block, not nest around it.
-	s0.Counter(Name("sent", "peer", 3)).Add(1)
-	if got := root.Snapshot().Counter(`sent{peer="3",shard="0"}`); got != 1 {
-		t.Fatalf("merged-label series missing: %+v", root.Snapshot().Counters)
-	}
-
-	// Histogram clamp companions stay attached to the labeled series.
-	s1.Histogram("lat", LatencyBuckets).Observe(-1)
-	if got := root.Snapshot().Counter(`lat_clock_clamps_total{shard="1"}`); got != 1 {
-		t.Fatalf("labeled clamp counter = %d, want 1", got)
-	}
-
-	// Views share storage: the same name through the same view is the same
-	// series, and the root still sees the unlabeled name unlabeled.
-	if s0.Counter("committed_total") != s0.Counter("committed_total") {
-		t.Fatal("labeled view not idempotent")
-	}
-	root.Counter("committed_total").Add(1)
-	if got := root.Snapshot().Counter("committed_total"); got != 1 {
-		t.Fatalf("root series = %d, want 1", got)
-	}
-
-	// Nested views accumulate labels.
-	nested := s0.Labeled("replica", 2)
-	nested.Gauge("window").Set(9)
-	if got := root.Snapshot().Gauges[`window{shard="0",replica="2"}`]; got != 9 {
-		t.Fatalf("nested labels: %+v", root.Snapshot().Gauges)
-	}
-
-	// Nil and no-pairs stay cheap and safe.
-	var nilr *Registry
-	if nilr.Labeled("shard", 0) != nil {
-		t.Fatal("nil.Labeled != nil")
-	}
-	if root.Labeled() != root {
-		t.Fatal("Labeled() with no pairs should return the same view")
-	}
-	nilr.Labeled("shard", 0).Counter("x").Inc() // must not panic
-}
-
 func TestSnapshotSumHelpers(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(Name("sent", "peer", 1)).Add(3)

@@ -35,7 +35,7 @@ type CheckpointStatus struct {
 
 // LeaseStatus is an active leader lease as reported by its holder. Only the
 // holder reports one; grantors report nothing (their promise is not a
-// lease). Two holders for one (shard, term) is mutual-exclusion evidence.
+// lease). Two holders for one term is mutual-exclusion evidence.
 type LeaseStatus struct {
 	Holder      int    `json:"holder"`
 	Term        uint64 `json:"term"` // the view the lease belongs to
@@ -45,9 +45,8 @@ type LeaseStatus struct {
 // Status is one replica's introspection snapshot (see /debug/status and
 // internal/watch).
 type Status struct {
-	Protocol string `json:"protocol"`        // "minbft" or "pbft"
-	Replica  int    `json:"replica"`         // process ID within the group
-	Shard    string `json:"shard,omitempty"` // stamped by the serving layer, not the replica
+	Protocol string `json:"protocol"` // "minbft" or "pbft"
+	Replica  int    `json:"replica"`  // process ID within the group
 
 	View        uint64 `json:"view"`
 	Ready       bool   `json:"ready"`

@@ -66,9 +66,9 @@ func TestHistogramQuantileInterpolation(t *testing.T) {
 func TestHistogramQuantileMergesLabeledSeries(t *testing.T) {
 	r := NewRegistry()
 	bounds := []float64{1, 2}
-	r.Histogram(Name("h", "shard", 0), bounds).Observe(0.5)
-	r.Histogram(Name("h", "shard", 1), bounds).Observe(1.5)
-	r.Histogram(Name("h", "shard", 1), bounds).Observe(1.5)
+	r.Histogram(Name("h", "g", 0), bounds).Observe(0.5)
+	r.Histogram(Name("h", "g", 1), bounds).Observe(1.5)
+	r.Histogram(Name("h", "g", 1), bounds).Observe(1.5)
 	s := r.Snapshot()
 	// Merged counts: [1, 2]. rank(0.9) = 2.7 -> (1, 2] bucket.
 	v, ok := s.HistogramQuantile("h", 0.9)
@@ -108,8 +108,8 @@ func (f fixedStatus) Status() Status { return f.st }
 func TestHandlerStatusEndpoint(t *testing.T) {
 	r := NewRegistry()
 	h := Handler(r,
-		WithStatus("0", fixedStatus{Status{Protocol: "minbft", Replica: 0, View: 2}}),
-		WithStatus("1", fixedStatus{Status{Protocol: "minbft", Replica: 1, Shard: "explicit"}}),
+		WithStatus(fixedStatus{Status{Protocol: "minbft", Replica: 0, View: 2}},
+			fixedStatus{Status{Protocol: "minbft", Replica: 1}}),
 	)
 
 	rec := httptest.NewRecorder()
@@ -126,9 +126,8 @@ func TestHandlerStatusEndpoint(t *testing.T) {
 	if len(body.Replicas) != 2 {
 		t.Fatalf("replicas = %d, want 2", len(body.Replicas))
 	}
-	// Empty shard is stamped from the option; explicit shard wins.
-	if body.Replicas[0].Shard != "0" || body.Replicas[1].Shard != "explicit" {
-		t.Fatalf("shards = %q, %q", body.Replicas[0].Shard, body.Replicas[1].Shard)
+	if body.Replicas[0].View != 2 || body.Replicas[1].Replica != 1 {
+		t.Fatalf("replicas = %+v", body.Replicas)
 	}
 
 	// Index lists the endpoint.
@@ -165,25 +164,24 @@ func TestReadyzReason(t *testing.T) {
 }
 
 // TestLabeledConcurrentScrape exercises the doctor's steady state under the
-// race detector: label-view writers mutating shared-store metrics while
+// race detector: writers creating and mutating labeled series while
 // scrapers snapshot and render concurrently.
 func TestLabeledConcurrentScrape(t *testing.T) {
 	r := NewRegistry()
-	const shards, iters = 4, 200
+	const writers, iters = 4, 200
 	var wg sync.WaitGroup
-	for g := 0; g < shards; g++ {
+	for g := 0; g < writers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			lr := r.Labeled("shard", g)
-			c := lr.Counter("writes_total")
-			h := lr.Histogram("latency", []float64{1, 2, 4})
+			c := r.Counter(Name("writes_total", "g", g))
+			h := r.Histogram(Name("latency", "g", g), []float64{1, 2, 4})
 			for i := 0; i < iters; i++ {
 				c.Inc()
-				lr.Gauge("depth").Set(int64(i))
+				r.Gauge(Name("depth", "g", g)).Set(int64(i))
 				h.Observe(float64(i % 5))
 				// New names mid-flight force store-map growth under scrape.
-				lr.Counter(Name("dyn", "i", i%8)).Inc()
+				r.Counter(Name("dyn", "g", g, "i", i%8)).Inc()
 			}
 		}(g)
 	}
@@ -201,7 +199,7 @@ func TestLabeledConcurrentScrape(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := r.Snapshot().CounterSum("writes_total"); got != shards*iters {
-		t.Fatalf("writes_total = %d, want %d", got, shards*iters)
+	if got := r.Snapshot().CounterSum("writes_total"); got != writers*iters {
+		t.Fatalf("writes_total = %d, want %d", got, writers*iters)
 	}
 }

@@ -77,7 +77,7 @@ func (e *Engine) FillStatus(st *obs.Status) {
 	st.InFlightBatches = e.core.InFlight()
 	st.QueuedReads = len(e.leaseReads)
 	// Only the holder reports a lease: a grantor's promise is not mutual
-	// exclusion, and the auditor counts holders per (shard, term).
+	// exclusion, and the auditor counts holders per term.
 	if now := e.clock.Now(); e.leaseValid(now) {
 		st.Lease = &obs.LeaseStatus{
 			Holder:      st.Replica,

@@ -19,21 +19,11 @@ const (
 	RuleLeaseConflict        = "lease-conflict"
 )
 
-// ckptKeep bounds the per-shard checkpoint-digest history: counts more than
-// this far below the shard's newest seen checkpoint are pruned. Any replica
-// lagging further than this is comparing against checkpoints nobody else
-// still reports, so retention would only grow memory on long soaks.
+// ckptKeep bounds the checkpoint-digest history: counts more than this far
+// below the newest seen checkpoint are pruned. Any replica lagging further
+// than this is comparing against checkpoints nobody else still reports, so
+// retention would only grow memory on long soaks.
 const ckptKeep = 64
-
-type shardReplica struct {
-	shard   string
-	replica int
-}
-
-type ckptKey struct {
-	shard string
-	count uint64
-}
 
 type ckptClaim struct {
 	digest  string
@@ -41,13 +31,8 @@ type ckptClaim struct {
 }
 
 type ctrKey struct {
-	shardReplica
-	name string
-}
-
-type leaseKey struct {
-	shard string
-	term  uint64
+	replica int
+	name    string
 }
 
 // auditor holds the cross-scrape state the safety rules compare against.
@@ -55,14 +40,15 @@ type leaseKey struct {
 // only guards the accumulated violation list, which Violations() reads
 // from other goroutines.
 type auditor struct {
-	ckpts     map[ckptKey]ckptClaim
-	ckptMax   map[string]uint64 // newest checkpoint count seen per shard (for pruning)
+	ckpts     map[uint64]ckptClaim // first digest claim per checkpoint count
+	ckptMax   uint64               // newest checkpoint count seen (for pruning)
 	ctrMax    map[ctrKey]uint64
-	execMax   map[shardReplica]uint64
-	leases    map[leaseKey]int
-	prevExec  map[string]uint64 // previous scrape's group exec watermark per shard
-	prevView  map[shardReplica]uint64
-	viewFlaps map[string]uint64
+	execMax   map[int]uint64
+	leases    map[uint64]int // first lease holder seen per term
+	prevExec  uint64         // previous scrape's group exec watermark
+	execSeen  bool           // prevExec holds a watermark
+	prevView  map[int]uint64
+	viewFlaps uint64
 
 	mu  sync.Mutex
 	all []Violation
@@ -70,14 +56,11 @@ type auditor struct {
 
 func newAuditor() *auditor {
 	return &auditor{
-		ckpts:     make(map[ckptKey]ckptClaim),
-		ckptMax:   make(map[string]uint64),
-		ctrMax:    make(map[ctrKey]uint64),
-		execMax:   make(map[shardReplica]uint64),
-		leases:    make(map[leaseKey]int),
-		prevExec:  make(map[string]uint64),
-		prevView:  make(map[shardReplica]uint64),
-		viewFlaps: make(map[string]uint64),
+		ckpts:    make(map[uint64]ckptClaim),
+		ctrMax:   make(map[ctrKey]uint64),
+		execMax:  make(map[int]uint64),
+		leases:   make(map[uint64]int),
+		prevView: make(map[int]uint64),
 	}
 }
 
@@ -89,8 +72,8 @@ func evidence(v any) json.RawMessage {
 	return b
 }
 
-// observe audits one scrape's statuses against the accumulated state,
-// fills groups with per-shard health, and returns the new violations.
+// observe audits one scrape's statuses against the accumulated state and
+// returns the group's health and the new violations.
 //
 // Soundness notes:
 //   - Stale statuses (assembled off the run goroutine, counters possibly
@@ -104,79 +87,62 @@ func evidence(v any) json.RawMessage {
 //   - Proposal counters are process-lifetime and reset on restart, so this
 //     rule is only meaningful for continuously-running groups; a restart can
 //     mask a real violation but never fabricate one (see DESIGN.md §10).
-func (a *auditor) observe(statuses []obs.Status, groups map[string]GroupHealth) []Violation {
+func (a *auditor) observe(statuses []obs.Status) (GroupHealth, []Violation) {
 	var out []Violation
 	flag := func(v Violation) { out = append(out, v) }
-	flaggedCkpts := make(map[ckptKey]bool) // one divergence violation per (shard, count) per scrape
-
-	// Per-shard aggregation scaffolding for both health and the deferred
-	// executed-vs-proposed rule.
-	type agg struct {
-		health   GroupHealth
-		proposed uint64
-		seenExec bool
-	}
-	byShard := make(map[string]*agg)
-	shardOf := func(shard string) *agg {
-		g, ok := byShard[shard]
-		if !ok {
-			g = &agg{health: GroupHealth{Shard: shard}}
-			byShard[shard] = g
-		}
-		return g
-	}
+	flaggedCkpts := make(map[uint64]bool) // one divergence violation per count per scrape
+	var g GroupHealth
+	var proposed uint64 // for the deferred executed-vs-proposed rule
+	seenExec := false
 
 	for _, st := range statuses {
-		g := shardOf(st.Shard)
-		g.health.Replicas++
-		sr := shardReplica{st.Shard, st.Replica}
+		g.Replicas++
 
 		// View flaps are counted from non-stale samples only (a stale
 		// fallback still reads the real view, but keep the rule uniform).
 		if !st.Stale {
-			if prev, ok := a.prevView[sr]; ok && st.View > prev {
-				a.viewFlaps[st.Shard] += st.View - prev
+			if prev, ok := a.prevView[st.Replica]; ok && st.View > prev {
+				a.viewFlaps += st.View - prev
 			}
-			a.prevView[sr] = st.View
+			a.prevView[st.Replica] = st.View
 		}
-		if st.View > g.health.View {
-			g.health.View = st.View
+		if st.View > g.View {
+			g.View = st.View
 		}
 		if !st.Ready {
-			g.health.NotReady = append(g.health.NotReady, st.Replica)
+			g.NotReady = append(g.NotReady, st.Replica)
 		}
 
 		if st.Stale {
-			g.health.Stale++
+			g.Stale++
 			continue // no counters to audit in a degraded snapshot
 		}
 
 		// Commit-lag spread and group watermark.
-		if !g.seenExec || st.ExecCount < g.health.MinExec {
-			g.health.MinExec = st.ExecCount
+		if !seenExec || st.ExecCount < g.MinExec {
+			g.MinExec = st.ExecCount
 		}
-		if st.ExecCount > g.health.MaxExec {
-			g.health.MaxExec = st.ExecCount
+		if st.ExecCount > g.MaxExec {
+			g.MaxExec = st.ExecCount
 		}
-		g.seenExec = true
-		g.proposed += st.ProposedBatches
-		if st.OldestPendingMs > g.health.OldestPendingMs {
-			g.health.OldestPendingMs = st.OldestPendingMs
+		seenExec = true
+		proposed += st.ProposedBatches
+		if st.OldestPendingMs > g.OldestPendingMs {
+			g.OldestPendingMs = st.OldestPendingMs
 		}
 
-		// Rule: checkpoint digests must agree at equal (shard, count).
+		// Rule: checkpoint digests must agree at equal counts.
 		if ck := st.Checkpoint; ck != nil {
-			key := ckptKey{st.Shard, ck.Count}
-			if prev, ok := a.ckpts[key]; ok {
-				if prev.digest != ck.Digest && !flaggedCkpts[key] {
-					flaggedCkpts[key] = true
-					flag(a.ckptViolation(key, prev, statuses))
+			if prev, ok := a.ckpts[ck.Count]; ok {
+				if prev.digest != ck.Digest && !flaggedCkpts[ck.Count] {
+					flaggedCkpts[ck.Count] = true
+					flag(a.ckptViolation(ck.Count, prev, statuses))
 				}
 			} else {
-				a.ckpts[key] = ckptClaim{digest: ck.Digest, replica: st.Replica}
+				a.ckpts[ck.Count] = ckptClaim{digest: ck.Digest, replica: st.Replica}
 			}
-			if ck.Count > a.ckptMax[st.Shard] {
-				a.ckptMax[st.Shard] = ck.Count
+			if ck.Count > a.ckptMax {
+				a.ckptMax = ck.Count
 			}
 		}
 
@@ -184,11 +150,10 @@ func (a *auditor) observe(statuses []obs.Status, groups map[string]GroupHealth) 
 		// itself — TrInc refuses to re-attest a used value — so a regression
 		// here means a forged status or a broken/cloned device.
 		for name, val := range st.TrustedCounters {
-			key := ctrKey{sr, name}
+			key := ctrKey{st.Replica, name}
 			if prev, ok := a.ctrMax[key]; ok && val < prev {
 				flag(Violation{
-					Rule:  RuleCounterRegression,
-					Shard: st.Shard,
+					Rule: RuleCounterRegression,
 					Detail: fmt.Sprintf("replica %d trusted counter %q regressed %d -> %d",
 						st.Replica, name, prev, val),
 					Evidence: evidence(map[string]any{
@@ -207,10 +172,9 @@ func (a *auditor) observe(statuses []obs.Status, groups map[string]GroupHealth) 
 		// resumes from its stable checkpoint, which this rule treats as a
 		// regression — the doctor watches running processes, and a monitored
 		// replica silently restarting IS a reportable event.)
-		if prev, ok := a.execMax[sr]; ok && st.ExecCount < prev {
+		if prev, ok := a.execMax[st.Replica]; ok && st.ExecCount < prev {
 			flag(Violation{
-				Rule:  RuleExecRegression,
-				Shard: st.Shard,
+				Rule: RuleExecRegression,
 				Detail: fmt.Sprintf("replica %d exec watermark regressed %d -> %d",
 					st.Replica, prev, st.ExecCount),
 				Evidence: evidence(map[string]any{
@@ -218,18 +182,16 @@ func (a *auditor) observe(statuses []obs.Status, groups map[string]GroupHealth) 
 				}),
 			})
 		}
-		if st.ExecCount > a.execMax[sr] {
-			a.execMax[sr] = st.ExecCount
+		if st.ExecCount > a.execMax[st.Replica] {
+			a.execMax[st.Replica] = st.ExecCount
 		}
 
-		// Rule: at most one lease holder per (shard, term). Holders other
-		// than the first seen for a term break leased-read linearizability.
+		// Rule: at most one lease holder per term. Holders other than the
+		// first seen for a term break leased-read linearizability.
 		if l := st.Lease; l != nil {
-			key := leaseKey{st.Shard, l.Term}
-			if prev, ok := a.leases[key]; ok && prev != l.Holder {
+			if prev, ok := a.leases[l.Term]; ok && prev != l.Holder {
 				flag(Violation{
-					Rule:  RuleLeaseConflict,
-					Shard: st.Shard,
+					Rule: RuleLeaseConflict,
 					Detail: fmt.Sprintf("term %d has two lease holders: %d and %d",
 						l.Term, prev, l.Holder),
 					Evidence: evidence(map[string]any{
@@ -237,41 +199,36 @@ func (a *auditor) observe(statuses []obs.Status, groups map[string]GroupHealth) 
 					}),
 				})
 			} else if !ok {
-				a.leases[key] = l.Holder
+				a.leases[l.Term] = l.Holder
 			}
-			g.health.LeaseHolders = append(g.health.LeaseHolders, l.Holder)
+			g.LeaseHolders = append(g.LeaseHolders, l.Holder)
 		}
 	}
 
 	// Rule: executed ≤ proposed, deferred one scrape (see soundness notes).
-	for shard, g := range byShard {
-		if prevWM, ok := a.prevExec[shard]; ok && g.health.Stale == 0 && prevWM > g.proposed {
-			flag(Violation{
-				Rule:  RuleExecExceedsProposed,
-				Shard: shard,
-				Detail: fmt.Sprintf("group executed %d batches by the previous scrape but only %d were ever proposed",
-					prevWM, g.proposed),
-				Evidence: evidence(map[string]any{
-					"executed_watermark": prevWM, "proposed_total": g.proposed,
-				}),
-			})
-		}
+	// Only a scrape that saw statuses says what was proposed.
+	if a.execSeen && len(statuses) > 0 && g.Stale == 0 && a.prevExec > proposed {
+		flag(Violation{
+			Rule: RuleExecExceedsProposed,
+			Detail: fmt.Sprintf("group executed %d batches by the previous scrape but only %d were ever proposed",
+				a.prevExec, proposed),
+			Evidence: evidence(map[string]any{
+				"executed_watermark": a.prevExec, "proposed_total": proposed,
+			}),
+		})
 	}
 
 	// Health finalization + cross-scrape deltas.
-	for shard, g := range byShard {
-		if g.seenExec {
-			g.health.LagSpread = g.health.MaxExec - g.health.MinExec
-			if prev, ok := a.prevExec[shard]; ok && g.health.MaxExec > prev {
-				g.health.ExecDelta = g.health.MaxExec - prev
-			}
-			a.prevExec[shard] = g.health.MaxExec
+	if seenExec {
+		g.LagSpread = g.MaxExec - g.MinExec
+		if a.execSeen && g.MaxExec > a.prevExec {
+			g.ExecDelta = g.MaxExec - a.prevExec
 		}
-		g.health.ViewFlaps = a.viewFlaps[shard]
-		sort.Ints(g.health.NotReady)
-		sort.Ints(g.health.LeaseHolders)
-		groups[shard] = g.health
+		a.prevExec, a.execSeen = g.MaxExec, true
 	}
+	g.ViewFlaps = a.viewFlaps
+	sort.Ints(g.NotReady)
+	sort.Ints(g.LeaseHolders)
 
 	a.prune()
 
@@ -280,32 +237,30 @@ func (a *auditor) observe(statuses []obs.Status, groups map[string]GroupHealth) 
 		a.all = append(a.all, out...)
 		a.mu.Unlock()
 	}
-	return out
+	return g, out
 }
 
-// ckptViolation assembles a checkpoint-divergence violation for key: every
-// claim visible for that (shard, count) — this scrape's plus the recorded
-// one — goes into the evidence. Blame needs f+1 claims agreeing on one
-// digest: at most f replicas lie, so such a digest is vouched for by an
-// honest replica, and the replicas departing from it diverge. Without one
-// (two claims of a three-replica group, say, one replica lagging) the
-// violation stands but its blame list is empty — the statuses alone cannot
-// say who lied (DESIGN.md §10). f comes from the group's size in this scrape
-// and its protocol.
-func (a *auditor) ckptViolation(key ckptKey, prev ckptClaim, statuses []obs.Status) Violation {
+// ckptViolation assembles a checkpoint-divergence violation for count:
+// every claim visible for it — this scrape's plus the recorded one — goes
+// into the evidence. Blame needs f+1 claims agreeing on one digest: at most
+// f replicas lie, so such a digest is vouched for by an honest replica, and
+// the replicas departing from it diverge. Without one (two claims of a
+// three-replica group, say, one replica lagging) the violation stands but
+// its blame list is empty — the statuses alone cannot say who lied
+// (DESIGN.md §10). f comes from the group's protocol and its size: the
+// larger of this scrape's count and the replicas the auditor has ever seen,
+// so a member whose fetch failed does not lower f.
+func (a *auditor) ckptViolation(count uint64, prev ckptClaim, statuses []obs.Status) Violation {
 	claims := []ckptClaim{prev}
-	n, protocol := 0, ""
+	protocol := ""
 	for _, st := range statuses {
-		if st.Shard != key.shard {
-			continue
-		}
-		n, protocol = n+1, st.Protocol
-		if st.Stale || st.Checkpoint == nil || st.Checkpoint.Count != key.count || st.Replica == prev.replica {
+		protocol = st.Protocol
+		if st.Stale || st.Checkpoint == nil || st.Checkpoint.Count != count || st.Replica == prev.replica {
 			continue
 		}
 		claims = append(claims, ckptClaim{digest: st.Checkpoint.Digest, replica: st.Replica})
 	}
-	f := faultBound(protocol, n)
+	f := faultBound(protocol, max(len(statuses), len(a.prevView)))
 	tally := make(map[string]int)
 	for _, c := range claims {
 		tally[c.digest]++
@@ -330,17 +285,16 @@ func (a *auditor) ckptViolation(key ckptKey, prev ckptClaim, statuses []obs.Stat
 	}
 	sort.Ints(diverging)
 	detail := fmt.Sprintf("checkpoint %d: replicas %v diverge from the digest %d replicas agree on",
-		key.count, diverging, f+1)
+		count, diverging, f+1)
 	if agreed == "" {
 		detail = fmt.Sprintf("checkpoint %d: divergence, blame undetermined (no digest has %d agreeing claims)",
-			key.count, f+1)
+			count, f+1)
 	}
 	return Violation{
 		Rule:   RuleCheckpointDivergence,
-		Shard:  key.shard,
 		Detail: detail,
 		Evidence: evidence(map[string]any{
-			"checkpoint_count": key.count,
+			"checkpoint_count": count,
 			"claims":           evClaims,
 			"f":                f,
 			"agreed_digest":    agreed,
@@ -359,12 +313,12 @@ func faultBound(protocol string, n int) int {
 	return (n - 1) / 2
 }
 
-// prune drops checkpoint-digest history far below each shard's newest
-// checkpoint so unbounded soaks keep bounded audit state.
+// prune drops checkpoint-digest history far below the newest checkpoint so
+// unbounded soaks keep bounded audit state.
 func (a *auditor) prune() {
-	for key := range a.ckpts {
-		if max := a.ckptMax[key.shard]; max > ckptKeep && key.count < max-ckptKeep {
-			delete(a.ckpts, key)
+	for count := range a.ckpts {
+		if a.ckptMax > ckptKeep && count < a.ckptMax-ckptKeep {
+			delete(a.ckpts, count)
 		}
 	}
 }

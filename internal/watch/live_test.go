@@ -1,7 +1,7 @@
 package watch_test
 
-// Live-cluster integration: the watcher scraping real MinBFT groups through
-// the sharded harness — the same wiring unidir-doctor uses — and the
+// Live-cluster integration: the watcher scraping a real MinBFT group built
+// by the harness — the same wiring unidir-doctor uses — and the
 // Byzantine detection case from the issue: a replica forging a divergent
 // checkpoint digest on its introspection surface (byz.ForgeCheckpointDigest)
 // must be caught with evidence naming it.
@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -24,60 +23,51 @@ import (
 	"unidir/internal/watch"
 )
 
-// buildShardedSources builds a 2-shard MinBFT cluster with a small
-// checkpoint interval and returns it plus one Local source per shard,
-// optionally wrapping shard 0 / replica 0's provider with forge.
-func buildShardedSources(t *testing.T, forge bool) (*harness.ShardedCluster, []watch.Source) {
+// buildSource builds a MinBFT group with a small checkpoint interval and
+// returns it plus a Local source over its replicas, optionally wrapping
+// replica 0's provider with forge.
+func buildSource(t *testing.T, forge bool) (*harness.SMRCluster, watch.Source) {
 	t.Helper()
-	sc, err := harness.BuildSharded(cluster.MinBFT, harness.ShardedConfig{
-		Shards: 2,
-		SMR:    harness.SMRConfig{F: 1, Scheme: sig.HMAC, Ckpt: 4, Batch: 4},
-	})
+	sc, err := harness.BuildMinBFTCfg(harness.SMRConfig{F: 1, Scheme: sig.HMAC, Ckpt: 4, Batch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(sc.Stop)
 
-	var sources []watch.Source
-	for g, group := range sc.Groups {
-		providers := make([]obs.StatusProvider, 0, len(group.Replicas))
-		for i, rep := range group.Replicas {
-			p := cluster.StatusProvider(rep)
-			if p == nil {
-				t.Fatalf("shard %d replica %d is not a StatusProvider", g, i)
-			}
-			if forge && g == 0 && i == 0 {
-				p = byz.ForgeCheckpointDigest(p)
-			}
-			providers = append(providers, p)
+	providers := make([]obs.StatusProvider, 0, len(sc.Group.Replicas))
+	for i, rep := range sc.Group.Replicas {
+		p := cluster.StatusProvider(rep)
+		if p == nil {
+			t.Fatalf("replica %d is not a StatusProvider", i)
 		}
-		sources = append(sources, watch.Local(strconv.Itoa(g), providers...))
+		if forge && i == 0 {
+			p = byz.ForgeCheckpointDigest(p)
+		}
+		providers = append(providers, p)
 	}
-	return sc, sources
+	return sc, watch.Local("0", providers...)
 }
 
-// writeUntilCheckpoints drives writes until every replica of every shard
-// reports a stable checkpoint (laggards may reach it via state transfer).
-func writeUntilCheckpoints(ctx context.Context, t *testing.T, sc *harness.ShardedCluster, sources []watch.Source) {
+// writeUntilCheckpoints drives writes until every replica reports a stable
+// checkpoint (laggards may reach it via state transfer).
+func writeUntilCheckpoints(ctx context.Context, t *testing.T, sc *harness.SMRCluster, src watch.Source) {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for i := 0; ; i++ {
 		for j := 0; j < 8; j++ {
 			key := fmt.Sprintf("wk-%d-%d", i, j)
-			if err := sc.Client.Put(ctx, key, []byte{byte(j)}); err != nil {
+			if err := sc.Pipe.Put(ctx, key, []byte{byte(j)}); err != nil {
 				t.Fatalf("put: %v", err)
 			}
 		}
+		sts, err := src.Fetch(ctx)
+		if err != nil {
+			t.Fatalf("fetch: %v", err)
+		}
 		all := true
-		for _, src := range sources {
-			sts, err := src.Fetch(ctx)
-			if err != nil {
-				t.Fatalf("fetch: %v", err)
-			}
-			for _, st := range sts {
-				if st.Checkpoint == nil {
-					all = false
-				}
+		for _, st := range sts {
+			if st.Checkpoint == nil {
+				all = false
 			}
 		}
 		if all {
@@ -111,44 +101,39 @@ func waitOneCheckpoint(ctx context.Context, t *testing.T, src watch.Source) {
 	}
 }
 
-func quietWatcher(sources []watch.Source, reg *obs.Registry) *watch.Watcher {
+func quietWatcher(src watch.Source, reg *obs.Registry) *watch.Watcher {
 	return watch.New(watch.Config{
-		Sources: sources,
+		Sources: []watch.Source{src},
 		Logger:  slog.New(slog.NewTextHandler(io.Discard, nil)),
 		Metrics: reg,
 	})
 }
 
 func TestLiveClusterHealthy(t *testing.T) {
-	sc, sources := buildShardedSources(t, false)
+	sc, src := buildSource(t, false)
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
 	defer cancel()
-	writeUntilCheckpoints(ctx, t, sc, sources)
+	writeUntilCheckpoints(ctx, t, sc, src)
 
-	w := quietWatcher(sources, obs.NewRegistry())
+	w := quietWatcher(src, obs.NewRegistry())
 	rep := w.Scrape(ctx)
 	if !rep.Healthy() {
 		t.Fatalf("scrape 1 unhealthy: %+v %v", rep.Violations, rep.ScrapeErrors)
 	}
-	if len(rep.Replicas) != 6 || len(rep.Groups) != 2 {
-		t.Fatalf("scraped %d replicas, %d groups; want 6, 2", len(rep.Replicas), len(rep.Groups))
-	}
-	for shard, g := range rep.Groups {
-		if g.Replicas != 3 || g.Stale != 0 {
-			t.Fatalf("shard %s health = %+v", shard, g)
-		}
+	if len(rep.Replicas) != 3 || rep.Group.Replicas != 3 || rep.Group.Stale != 0 {
+		t.Fatalf("scraped %d replicas, health %+v; want 3, 3 fresh", len(rep.Replicas), rep.Group)
 	}
 	// Statuses must carry the hybrid-trust marker: every minbft replica
 	// reports a hardware-backed usig counter.
 	for _, st := range rep.Replicas {
 		if st.TrustedCounters["usig"] == 0 {
-			t.Fatalf("replica %d/%s has no usig high-water mark: %+v", st.Replica, st.Shard, st)
+			t.Fatalf("replica %d has no usig high-water mark: %+v", st.Replica, st)
 		}
 	}
 	// More traffic, then a second scrape: still healthy, and the cross-scrape
 	// monotone rules have now actually compared something.
 	for j := 0; j < 8; j++ {
-		if err := sc.Client.Put(ctx, fmt.Sprintf("t2-%d", j), []byte{1}); err != nil {
+		if err := sc.Pipe.Put(ctx, fmt.Sprintf("t2-%d", j), []byte{1}); err != nil {
 			t.Fatalf("put: %v", err)
 		}
 	}
@@ -162,21 +147,22 @@ func TestLiveClusterHealthy(t *testing.T) {
 }
 
 func TestLiveClusterForgedDigestCaught(t *testing.T) {
-	sc, sources := buildShardedSources(t, true)
+	sc, src := buildSource(t, true)
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
 	defer cancel()
-	writeUntilCheckpoints(ctx, t, sc, sources)
+	writeUntilCheckpoints(ctx, t, sc, src)
 	// Blame needs f+1 = 2 claims agreeing on a digest: with one replica
-	// lagging, shard 0 would show the forged claim against one honest one.
-	// With the writes stopped the group converges on one stable checkpoint.
-	waitOneCheckpoint(ctx, t, sources[0])
+	// lagging, the scrape would show the forged claim against one honest
+	// one. With the writes stopped the group converges on one stable
+	// checkpoint.
+	waitOneCheckpoint(ctx, t, src)
 
 	reg := obs.NewRegistry()
-	w := quietWatcher(sources, reg)
+	w := quietWatcher(src, reg)
 	rep := w.Scrape(ctx)
 	var found *watch.Violation
 	for i := range rep.Violations {
-		if rep.Violations[i].Rule == watch.RuleCheckpointDivergence && rep.Violations[i].Shard == "0" {
+		if rep.Violations[i].Rule == watch.RuleCheckpointDivergence {
 			found = &rep.Violations[i]
 		}
 	}
@@ -191,11 +177,5 @@ func TestLiveClusterForgedDigestCaught(t *testing.T) {
 	}
 	if got := reg.Snapshot().CounterSum("watch_violations_total"); got == 0 {
 		t.Fatal("watch_violations_total not incremented")
-	}
-	// The healthy shard stays clean.
-	for _, v := range rep.Violations {
-		if v.Shard == "1" {
-			t.Fatalf("healthy shard flagged: %+v", v)
-		}
 	}
 }

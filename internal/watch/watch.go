@@ -1,9 +1,10 @@
 // Package watch is the cluster introspection plane: it polls per-replica
 // status sources (in-process StatusProviders or remote /debug/status
-// endpoints), aggregates them into per-group health, and runs an online
-// safety auditor over exactly the invariants the trusted hardware is
-// supposed to enforce — equal checkpoint digests at equal counts, monotone
-// trusted counters, executed ≤ proposed, at most one lease holder per term.
+// endpoints) of one consensus group, aggregates them into the group's
+// health, and runs an online safety auditor over exactly the invariants the
+// trusted hardware is supposed to enforce — equal checkpoint digests at
+// equal counts, monotone trusted counters, executed ≤ proposed, at most one
+// lease holder per term.
 //
 // The auditor is the observability analogue of the paper's thesis: trusted
 // hardware shrinks quorums because equivocation becomes detectable
@@ -20,7 +21,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"sort"
 	"strings"
 	"time"
 
@@ -35,19 +35,14 @@ type Source struct {
 	Fetch func(ctx context.Context) ([]obs.Status, error)
 }
 
-// Local wraps in-process replicas as a Source, stamping the shard label
-// onto every status that lacks one (mirrors obs.WithStatus).
-func Local(shard string, providers ...obs.StatusProvider) Source {
+// Local wraps in-process replicas as a Source named "local/<name>".
+func Local(name string, providers ...obs.StatusProvider) Source {
 	return Source{
-		Name: "local/" + shard,
+		Name: "local/" + name,
 		Fetch: func(context.Context) ([]obs.Status, error) {
 			out := make([]obs.Status, 0, len(providers))
 			for _, p := range providers {
-				st := p.Status()
-				if st.Shard == "" {
-					st.Shard = shard
-				}
-				out = append(out, st)
+				out = append(out, p.Status())
 			}
 			return out, nil
 		},
@@ -99,11 +94,10 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
-// GroupHealth is the aggregated view of one consensus group at a scrape.
+// GroupHealth is the aggregated view of the consensus group at a scrape.
 type GroupHealth struct {
-	Shard    string `json:"shard"`
-	Replicas int    `json:"replicas"`
-	Stale    int    `json:"stale,omitempty"` // degraded snapshots this scrape
+	Replicas int `json:"replicas"`
+	Stale    int `json:"stale,omitempty"` // degraded snapshots this scrape
 
 	// Commit-lag spread: the gap between the most and least advanced
 	// replica's execution watermark (stale samples excluded).
@@ -123,8 +117,7 @@ type GroupHealth struct {
 	OldestPendingMs int64 `json:"oldest_pending_ms,omitempty"`
 
 	// ExecDelta is the group execution-watermark advance since the previous
-	// scrape (0 on the first); across groups it exposes shard throughput
-	// skew.
+	// scrape (0 on the first).
 	ExecDelta uint64 `json:"exec_delta"`
 }
 
@@ -133,17 +126,16 @@ type GroupHealth struct {
 // human — or a CI gate — can attribute blame without re-scraping.
 type Violation struct {
 	Rule     string          `json:"rule"`
-	Shard    string          `json:"shard"`
 	Detail   string          `json:"detail"`
 	Evidence json.RawMessage `json:"evidence,omitempty"`
 }
 
 // Report is the outcome of one scrape.
 type Report struct {
-	Replicas     []obs.Status           `json:"replicas"`
-	Groups       map[string]GroupHealth `json:"groups"`
-	Violations   []Violation            `json:"violations,omitempty"` // new this scrape
-	ScrapeErrors []string               `json:"scrape_errors,omitempty"`
+	Replicas     []obs.Status `json:"replicas"`
+	Group        GroupHealth  `json:"group"`
+	Violations   []Violation  `json:"violations,omitempty"` // new this scrape
+	ScrapeErrors []string     `json:"scrape_errors,omitempty"`
 }
 
 // Healthy reports whether the scrape saw no violations and no scrape
@@ -154,34 +146,27 @@ func (r *Report) Healthy() bool {
 
 // Write renders the report for humans (the doctor's one-shot output).
 func (r *Report) Write(w io.Writer) {
-	shards := make([]string, 0, len(r.Groups))
-	for s := range r.Groups {
-		shards = append(shards, s)
+	g := r.Group
+	fmt.Fprintf(w, "group: %d replicas, view %d (%d flaps), exec %d..%d (spread %d, +%d)",
+		g.Replicas, g.View, g.ViewFlaps, g.MinExec, g.MaxExec, g.LagSpread, g.ExecDelta)
+	if g.Stale > 0 {
+		fmt.Fprintf(w, ", %d stale", g.Stale)
 	}
-	sort.Strings(shards)
-	for _, s := range shards {
-		g := r.Groups[s]
-		fmt.Fprintf(w, "shard %s: %d replicas, view %d (%d flaps), exec %d..%d (spread %d, +%d)",
-			g.Shard, g.Replicas, g.View, g.ViewFlaps, g.MinExec, g.MaxExec, g.LagSpread, g.ExecDelta)
-		if g.Stale > 0 {
-			fmt.Fprintf(w, ", %d stale", g.Stale)
-		}
-		if len(g.NotReady) > 0 {
-			fmt.Fprintf(w, ", not ready: %v", g.NotReady)
-		}
-		if g.OldestPendingMs > 0 {
-			fmt.Fprintf(w, ", oldest pending request %d ms", g.OldestPendingMs)
-		}
-		if len(g.LeaseHolders) > 0 {
-			fmt.Fprintf(w, ", lease held by %v", g.LeaseHolders)
-		}
-		fmt.Fprintln(w)
+	if len(g.NotReady) > 0 {
+		fmt.Fprintf(w, ", not ready: %v", g.NotReady)
 	}
+	if g.OldestPendingMs > 0 {
+		fmt.Fprintf(w, ", oldest pending request %d ms", g.OldestPendingMs)
+	}
+	if len(g.LeaseHolders) > 0 {
+		fmt.Fprintf(w, ", lease held by %v", g.LeaseHolders)
+	}
+	fmt.Fprintln(w)
 	for _, e := range r.ScrapeErrors {
 		fmt.Fprintf(w, "scrape error: %s\n", e)
 	}
 	for _, v := range r.Violations {
-		fmt.Fprintf(w, "VIOLATION [%s] shard %s: %s\n", v.Rule, v.Shard, v.Detail)
+		fmt.Fprintf(w, "VIOLATION [%s]: %s\n", v.Rule, v.Detail)
 		if len(v.Evidence) > 0 {
 			fmt.Fprintf(w, "  evidence: %s\n", v.Evidence)
 		}
@@ -228,7 +213,7 @@ func New(cfg Config) *Watcher {
 // live ones.
 func (w *Watcher) Scrape(ctx context.Context) *Report {
 	w.scrapes.Inc()
-	rep := &Report{Groups: make(map[string]GroupHealth)}
+	rep := &Report{}
 	for _, src := range w.sources {
 		sts, err := src.Fetch(ctx)
 		if err != nil {
@@ -239,11 +224,11 @@ func (w *Watcher) Scrape(ctx context.Context) *Report {
 		}
 		rep.Replicas = append(rep.Replicas, sts...)
 	}
-	rep.Violations = w.audit.observe(rep.Replicas, rep.Groups)
+	rep.Group, rep.Violations = w.audit.observe(rep.Replicas)
 	for _, v := range rep.Violations {
 		w.metrics.Counter(obs.Name("watch_violations_total", "rule", v.Rule)).Inc()
 		w.lg.Error("safety violation detected",
-			"rule", v.Rule, "shard", v.Shard, "detail", v.Detail,
+			"rule", v.Rule, "detail", v.Detail,
 			"evidence", string(v.Evidence))
 	}
 	return rep

@@ -36,9 +36,9 @@ func newTestWatcher(t *testing.T, f *feed) (*Watcher, *obs.Registry) {
 	return New(Config{Sources: []Source{f.source()}, Logger: lg, Metrics: reg}), reg
 }
 
-func st(shard string, replica int, exec uint64) obs.Status {
+func st(replica int, exec uint64) obs.Status {
 	return obs.Status{
-		Protocol: "minbft", Shard: shard, Replica: replica,
+		Protocol: "minbft", Replica: replica,
 		Ready: true, ExecCount: exec, ProposedBatches: exec + 10,
 	}
 }
@@ -69,14 +69,14 @@ func rules(vs []Violation) []string {
 func TestHealthyScrapeNoViolations(t *testing.T) {
 	f := &feed{scrapes: [][]obs.Status{
 		{
-			withLease(withUSIG(withCkpt(st("0", 0, 8), 8, "aa"), 20), 0, 0),
-			withUSIG(withCkpt(st("0", 1, 8), 8, "aa"), 19),
-			withUSIG(withCkpt(st("0", 2, 6), 8, "aa"), 18),
+			withLease(withUSIG(withCkpt(st(0, 8), 8, "aa"), 20), 0, 0),
+			withUSIG(withCkpt(st(1, 8), 8, "aa"), 19),
+			withUSIG(withCkpt(st(2, 6), 8, "aa"), 18),
 		},
 		{
-			withLease(withUSIG(withCkpt(st("0", 0, 16), 16, "bb"), 40), 0, 0),
-			withUSIG(withCkpt(st("0", 1, 16), 16, "bb"), 41),
-			withUSIG(withCkpt(st("0", 2, 12), 8, "aa"), 30),
+			withLease(withUSIG(withCkpt(st(0, 16), 16, "bb"), 40), 0, 0),
+			withUSIG(withCkpt(st(1, 16), 16, "bb"), 41),
+			withUSIG(withCkpt(st(2, 12), 8, "aa"), 30),
 		},
 	}}
 	w, reg := newTestWatcher(t, f)
@@ -96,39 +96,38 @@ func TestHealthyScrapeNoViolations(t *testing.T) {
 
 func TestGroupHealthAggregation(t *testing.T) {
 	f := &feed{scrapes: [][]obs.Status{
-		{st("0", 0, 10), st("0", 1, 4), st("1", 0, 7)},
-		{st("0", 0, 20), st("0", 1, 18), st("1", 0, 7)},
+		{st(0, 10), st(1, 4)},
+		{st(0, 20), st(1, 18)},
 	}}
 	w, _ := newTestWatcher(t, f)
 	w.Scrape(context.Background())
-	rep := w.Scrape(context.Background())
-	g0, g1 := rep.Groups["0"], rep.Groups["1"]
-	if g0.LagSpread != 2 || g0.MaxExec != 20 || g0.MinExec != 18 {
-		t.Fatalf("g0 health = %+v", g0)
+	g := w.Scrape(context.Background()).Group
+	if g.Replicas != 2 || g.LagSpread != 2 || g.MaxExec != 20 || g.MinExec != 18 {
+		t.Fatalf("health = %+v", g)
 	}
-	if g0.ExecDelta != 10 || g1.ExecDelta != 0 {
-		t.Fatalf("exec deltas = %d, %d, want 10, 0", g0.ExecDelta, g1.ExecDelta)
+	if g.ExecDelta != 10 {
+		t.Fatalf("exec delta = %d, want 10", g.ExecDelta)
 	}
 }
 
 func TestViewFlapCounting(t *testing.T) {
-	a := st("0", 0, 1)
-	b := st("0", 0, 2)
+	a := st(0, 1)
+	b := st(0, 2)
 	b.View = 3
 	f := &feed{scrapes: [][]obs.Status{{a}, {b}}}
 	w, _ := newTestWatcher(t, f)
 	w.Scrape(context.Background())
 	rep := w.Scrape(context.Background())
-	if got := rep.Groups["0"].ViewFlaps; got != 3 {
+	if got := rep.Group.ViewFlaps; got != 3 {
 		t.Fatalf("view flaps = %d, want 3", got)
 	}
 }
 
 func TestCheckpointDivergenceCaught(t *testing.T) {
 	f := &feed{scrapes: [][]obs.Status{{
-		withCkpt(st("0", 0, 8), 8, "aaaa"),
-		withCkpt(st("0", 1, 8), 8, "aaaa"),
-		withCkpt(st("0", 2, 8), 8, "ffff"), // the liar
+		withCkpt(st(0, 8), 8, "aaaa"),
+		withCkpt(st(1, 8), 8, "aaaa"),
+		withCkpt(st(2, 8), 8, "ffff"), // the liar
 	}}}
 	w, reg := newTestWatcher(t, f)
 	rep := w.Scrape(context.Background())
@@ -164,32 +163,44 @@ func ckptEvidence(t *testing.T, v Violation) ckptEv {
 }
 
 // Blame needs f+1 agreeing claims; the group's f follows its size and
-// protocol.
+// protocol. The size is every replica the auditor has seen, not just this
+// scrape's: a member whose fetch failed must not lower f.
 func TestCheckpointDivergenceBlameNeedsFPlusOne(t *testing.T) {
-	lagging := st("0", 2, 6) // no claim at 8 yet
+	lagging := st(2, 6) // no claim at 8 yet
 	pbft := func(s obs.Status) obs.Status { s.Protocol = "pbft"; return s }
 	for name, c := range map[string]struct {
-		scrape []obs.Status
-		f      int
-		blame  []int
+		scrapes [][]obs.Status // the last one is audited
+		f       int
+		blame   []int
 	}{
 		"minbft, 1 vs 1 of 3": {
-			[]obs.Status{withCkpt(st("0", 0, 8), 8, "ffff"), withCkpt(st("0", 1, 8), 8, "aaaa"), lagging},
+			[][]obs.Status{{withCkpt(st(0, 8), 8, "ffff"), withCkpt(st(1, 8), 8, "aaaa"), lagging}},
 			1, []int{},
 		},
 		"minbft, 2 vs 1 of 5": {
-			[]obs.Status{withCkpt(st("0", 0, 8), 8, "ffff"), withCkpt(st("0", 1, 8), 8, "aaaa"),
-				withCkpt(st("0", 2, 8), 8, "aaaa"), st("0", 3, 6), st("0", 4, 6)},
+			[][]obs.Status{{withCkpt(st(0, 8), 8, "ffff"), withCkpt(st(1, 8), 8, "aaaa"),
+				withCkpt(st(2, 8), 8, "aaaa"), st(3, 6), st(4, 6)}},
+			2, []int{},
+		},
+		"minbft, 2 vs 1 of 5, one member unscraped": {
+			[][]obs.Status{
+				{st(0, 6), st(1, 6), st(2, 6), st(3, 6), st(4, 6)},
+				{withCkpt(st(0, 8), 8, "ffff"), withCkpt(st(1, 8), 8, "aaaa"),
+					withCkpt(st(2, 8), 8, "aaaa"), st(3, 6)},
+			},
 			2, []int{},
 		},
 		"pbft, 2 vs 1 of 4": {
-			[]obs.Status{pbft(withCkpt(st("0", 0, 8), 8, "ffff")), pbft(withCkpt(st("0", 1, 8), 8, "aaaa")),
-				pbft(withCkpt(st("0", 2, 8), 8, "aaaa")), pbft(st("0", 3, 6))},
+			[][]obs.Status{{pbft(withCkpt(st(0, 8), 8, "ffff")), pbft(withCkpt(st(1, 8), 8, "aaaa")),
+				pbft(withCkpt(st(2, 8), 8, "aaaa")), pbft(st(3, 6))}},
 			1, []int{0},
 		},
 	} {
-		w, _ := newTestWatcher(t, &feed{scrapes: [][]obs.Status{c.scrape}})
-		rep := w.Scrape(context.Background())
+		w, _ := newTestWatcher(t, &feed{scrapes: c.scrapes})
+		var rep *Report
+		for range c.scrapes {
+			rep = w.Scrape(context.Background())
+		}
 		if len(rep.Violations) != 1 {
 			t.Fatalf("%s: violations = %v", name, rep.Violations)
 		}
@@ -205,8 +216,8 @@ func TestCheckpointDivergenceBlameNeedsFPlusOne(t *testing.T) {
 
 func TestTrustedCounterRegressionCaught(t *testing.T) {
 	f := &feed{scrapes: [][]obs.Status{
-		{withUSIG(st("0", 1, 5), 50)},
-		{withUSIG(st("0", 1, 6), 40)}, // regressed
+		{withUSIG(st(1, 5), 50)},
+		{withUSIG(st(1, 6), 40)}, // regressed
 	}}
 	w, _ := newTestWatcher(t, f)
 	w.Scrape(context.Background())
@@ -221,8 +232,8 @@ func TestTrustedCounterRegressionCaught(t *testing.T) {
 
 func TestExecRegressionCaught(t *testing.T) {
 	f := &feed{scrapes: [][]obs.Status{
-		{st("0", 0, 9)},
-		{st("0", 0, 3)},
+		{st(0, 9)},
+		{st(0, 3)},
 	}}
 	w, _ := newTestWatcher(t, f)
 	w.Scrape(context.Background())
@@ -233,11 +244,11 @@ func TestExecRegressionCaught(t *testing.T) {
 }
 
 func TestStaleStatusesSkipMonotoneRules(t *testing.T) {
-	stale := obs.Status{Protocol: "minbft", Shard: "0", Replica: 0, Stale: true}
+	stale := obs.Status{Protocol: "minbft", Replica: 0, Stale: true}
 	f := &feed{scrapes: [][]obs.Status{
-		{withUSIG(st("0", 0, 9), 30)},
+		{withUSIG(st(0, 9), 30)},
 		{stale}, // zeros everywhere, but marked degraded
-		{withUSIG(st("0", 0, 10), 31)},
+		{withUSIG(st(0, 10), 31)},
 	}}
 	w, _ := newTestWatcher(t, f)
 	for i := 0; i < 3; i++ {
@@ -249,8 +260,8 @@ func TestStaleStatusesSkipMonotoneRules(t *testing.T) {
 
 func TestLeaseConflictCaught(t *testing.T) {
 	f := &feed{scrapes: [][]obs.Status{
-		{withLease(st("0", 0, 1), 0, 4)},
-		{withLease(st("0", 2, 1), 2, 4)}, // same term, different holder
+		{withLease(st(0, 1), 0, 4)},
+		{withLease(st(2, 1), 2, 4)}, // same term, different holder
 	}}
 	w, _ := newTestWatcher(t, f)
 	w.Scrape(context.Background())
@@ -259,16 +270,16 @@ func TestLeaseConflictCaught(t *testing.T) {
 		t.Fatalf("violations = %v", got)
 	}
 	// A later term with a different holder is fine (views change).
-	f.scrapes = append(f.scrapes, []obs.Status{withLease(st("0", 2, 1), 2, 5)})
+	f.scrapes = append(f.scrapes, []obs.Status{withLease(st(2, 1), 2, 5)})
 	if rep := w.Scrape(context.Background()); len(rep.Violations) != 0 {
 		t.Fatalf("new-term lease flagged: %v", rep.Violations)
 	}
 }
 
 func TestExecExceedsProposedCaught(t *testing.T) {
-	lying := st("0", 0, 100)
+	lying := st(0, 100)
 	lying.ProposedBatches = 2
-	honest := st("0", 1, 100)
+	honest := st(1, 100)
 	honest.ProposedBatches = 3
 	f := &feed{scrapes: [][]obs.Status{
 		{lying, honest},
@@ -285,11 +296,23 @@ func TestExecExceedsProposedCaught(t *testing.T) {
 	}
 }
 
+// A scrape that reached no replica says nothing about proposals: it must
+// not read as "executed > 0 proposed".
+func TestEmptyScrapeFlagsNothing(t *testing.T) {
+	f := &feed{scrapes: [][]obs.Status{{st(0, 5)}, {}}}
+	w, _ := newTestWatcher(t, f)
+	for i := 0; i < 2; i++ {
+		if rep := w.Scrape(context.Background()); !rep.Healthy() {
+			t.Fatalf("scrape %d: %v", i, rep.Violations)
+		}
+	}
+}
+
 func TestScrapeErrorsDoNotBlindAuditor(t *testing.T) {
 	bad := Source{Name: "down", Fetch: func(context.Context) ([]obs.Status, error) {
 		return nil, context.DeadlineExceeded
 	}}
-	f := &feed{scrapes: [][]obs.Status{{st("0", 0, 1)}}}
+	f := &feed{scrapes: [][]obs.Status{{st(0, 1)}}}
 	reg := obs.NewRegistry()
 	w := New(Config{
 		Sources: []Source{bad, f.source()},
@@ -307,8 +330,8 @@ func TestScrapeErrorsDoNotBlindAuditor(t *testing.T) {
 
 func TestReportWrite(t *testing.T) {
 	f := &feed{scrapes: [][]obs.Status{{
-		withCkpt(st("0", 0, 8), 8, "aa"),
-		withCkpt(st("0", 1, 8), 8, "ff"),
+		withCkpt(st(0, 8), 8, "aa"),
+		withCkpt(st(1, 8), 8, "ff"),
 	}}}
 	w, _ := newTestWatcher(t, f)
 	rep := w.Scrape(context.Background())
@@ -320,10 +343,10 @@ func TestReportWrite(t *testing.T) {
 		t.Fatalf("report rendering missing violation: %q", out)
 	}
 
-	healthy := &Report{Groups: map[string]GroupHealth{"0": {Shard: "0", Replicas: 3}}}
+	healthy := &Report{Group: GroupHealth{Replicas: 3}}
 	sb.Reset()
 	healthy.Write(&sb)
-	if !strings.Contains(sb.String(), "healthy: no violations") {
+	if !strings.Contains(sb.String(), "group: 3 replicas") || !strings.Contains(sb.String(), "healthy: no violations") {
 		t.Fatalf("healthy rendering: %q", sb.String())
 	}
 }
