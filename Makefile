@@ -51,9 +51,10 @@ test:
 # engine grew a goroutine or a test shares a rig) and the replica loop's
 # (its receive and run goroutines, Close, the Status round trip) and PBFT's
 # vote tally (held votes settled on the run goroutine while the receive
-# goroutine queues more), the SRB runner (concurrent broadcasts against its
-# receive goroutine, Close), the single-threaded SRB schedule explorer and
-# the trincsrb sequence-number regression, and the TrInc verifier's cache
+# goroutine queues more), the SRB and rounds runners (concurrent broadcasts,
+# or concurrent Send/SendAux/WaitEnd/Recv callers, against the runner
+# goroutine, and Close), the single-threaded SRB and rounds schedule
+# explorers and the trincsrb sequence-number regression, and the TrInc verifier's cache
 # counts (its fast path fans batches out over goroutines) under the race
 # detector, five times each (so never from the test cache). TestEngine
 # includes the valve's TestEngineBatchesWhilePipelineBusy. The pipelined

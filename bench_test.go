@@ -400,6 +400,27 @@ func BenchmarkRounds(b *testing.B) {
 		defer closeAll(systems)
 		run(b, systems)
 	})
+	b.Run("rbf1", func(b *testing.B) {
+		m := harness.MustMembership(3, 1) // the Appendix's corner case
+		net, err := simnet.New(m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer net.Close()
+		rings, err := sig.NewKeyrings(m, sig.HMAC, rand.New(rand.NewSource(1)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		systems := make([]rounds.System, m.N)
+		for i := 0; i < m.N; i++ {
+			systems[i], err = rounds.NewRBF1(net.Endpoint(types.ProcessID(i)), m, rings[i])
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		defer closeAll(systems)
+		run(b, systems)
+	})
 }
 
 func closeAll(systems []rounds.System) {

@@ -61,7 +61,7 @@ func run() error {
 	systems := make([]rounds.System, m.N)
 	for i := 0; i < m.N; i++ {
 		systems[i], err = rounds.NewSWMR(swmr.NewLocal(store, types.ProcessID(i)), m,
-			rounds.WithSWMRObserver(checker))
+			rounds.WithObserver(checker))
 		if err != nil {
 			return err
 		}

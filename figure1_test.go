@@ -208,7 +208,7 @@ func checkRBF1() error {
 		return err
 	}
 	checker, _, err := oneRound(m, func(tr transport.Transport, obs rounds.Observer) (rounds.System, error) {
-		return rounds.NewRBF1(tr, m, rings[tr.Self()], rounds.WithRBF1Observer(obs))
+		return rounds.NewRBF1(tr, m, rings[tr.Self()], rounds.WithObserver(obs))
 	})
 	if err != nil {
 		return err
@@ -225,7 +225,7 @@ func checkRBF1() error {
 func checkLockstep() error {
 	m := harness.MustMembership(4, 1)
 	checker, ended, err := oneRound(m, func(tr transport.Transport, obs rounds.Observer) (rounds.System, error) {
-		return rounds.NewLockstep(tr, m, rounds.WithLockstepObserver(obs))
+		return rounds.NewLockstep(tr, m, rounds.WithObserver(obs))
 	})
 	if err != nil {
 		return err

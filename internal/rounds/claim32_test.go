@@ -60,7 +60,7 @@ func TestClaim32AllPrimitivesUnidirectional(t *testing.T) {
 			systems := make([]rounds.System, m.N)
 			for i := 0; i < m.N; i++ {
 				sys, err := rounds.NewSWMR(build(types.ProcessID(i)), m,
-					rounds.WithSWMRObserver(checker))
+					rounds.WithObserver(checker))
 				if err != nil {
 					t.Fatalf("NewSWMR over %s: %v", name, err)
 				}

@@ -22,7 +22,7 @@ func newDeltaSystems(t *testing.T, m types.Membership, delta, wait time.Duration
 	systems := make([]rounds.System, m.N)
 	for i := 0; i < m.N; i++ {
 		systems[i], err = rounds.NewDeltaSync(net.Endpoint(types.ProcessID(i)), m, wait,
-			rounds.WithDeltaSyncObserver(checker))
+			rounds.WithObserver(checker))
 		if err != nil {
 			t.Fatalf("NewDeltaSync: %v", err)
 		}
@@ -90,7 +90,7 @@ func TestDeltaSyncPropertyVoidWhenPremiseBroken(t *testing.T) {
 	systems := make([]rounds.System, m.N)
 	for i := 0; i < m.N; i++ {
 		systems[i], err = rounds.NewDeltaSync(net.Endpoint(types.ProcessID(i)), m, 5*time.Millisecond,
-			rounds.WithDeltaSyncObserver(checker))
+			rounds.WithObserver(checker))
 		if err != nil {
 			t.Fatalf("NewDeltaSync: %v", err)
 		}

@@ -1,9 +1,8 @@
 package rounds
 
 import (
-	"context"
 	"fmt"
-	"sync"
+	"time"
 
 	"unidir/internal/sig"
 	"unidir/internal/transport"
@@ -11,8 +10,9 @@ import (
 	"unidir/internal/wire"
 )
 
-// RBF1 implements unidirectional rounds from reliable (eventual-delivery)
-// broadcast in the paper's corner case f = 1, n >= 3 (Appendix B):
+// NewRBF1 creates the unidirectional round system from reliable
+// (eventual-delivery) broadcast in the paper's corner case f = 1, n >= 3
+// (Appendix B):
 //
 //	Phase 1: send (v, σ_p) to all; wait for valid phase-1 messages from
 //	         n-1 distinct processes (counting self).
@@ -24,26 +24,22 @@ import (
 // directly or inside any phase-2 bundle. The proof: with at most one faulty
 // process, every third party's bundle carries all but at most one phase-1
 // value, so for any correct pair (p, q) at least one direction gets through
-// by the end of phase 2.
-type RBF1 struct {
-	t    *tracker
-	tr   transport.Transport
-	ring *sig.Keyring
-
-	mu     sync.Mutex
-	rounds map[types.Round]*rbRound
-
-	cancel context.CancelFunc
-	done   chan struct{}
+// by the end of phase 2. NewRBF1 requires f <= 1 and n >= 3, the regime in
+// which the construction is proven correct.
+func NewRBF1(tr transport.Transport, m types.Membership, ring *sig.Keyring, opts ...Option) (*RBF1, error) {
+	c, err := newRBF1Core(m, ring)
+	if err != nil {
+		return nil, err
+	}
+	if ring.Self() != tr.Self() {
+		return nil, fmt.Errorf("rounds: endpoint %v / keyring %v mismatch", tr.Self(), ring.Self())
+	}
+	cfg, err := configure(opts, false)
+	if err != nil {
+		return nil, err
+	}
+	return newRunner(c, tr.Self(), m, tr, nil, cfg), nil
 }
-
-type rbRound struct {
-	sigs    map[types.ProcessID][]byte // signature per sender whose value we hold
-	p2From  map[types.ProcessID]bool   // senders of valid phase-2 bundles
-	bundled bool                       // this process already sent its bundle
-}
-
-var _ System = (*RBF1)(nil)
 
 const (
 	rbPhase1 byte = 1
@@ -53,58 +49,38 @@ const (
 
 const rbDomain = "unidir/rounds/rbf1/p1"
 
-// RBF1Option configures NewRBF1.
-type RBF1Option func(*RBF1)
-
-// WithRBF1Observer attaches a property-checking observer.
-func WithRBF1Observer(obs Observer) RBF1Option {
-	return func(s *RBF1) { s.t.obs = obs }
+// rbf1Core runs the two phases of a round once WaitEnd asks for it.
+type rbf1Core struct {
+	book
+	ring    *sig.Keyring
+	rounds  map[types.Round]*rbRound
+	pendSig []byte // the pending Send's signature
 }
 
-// NewRBF1 creates the corner-case round system. It requires f <= 1 and
-// n >= 3, the regime in which the construction is proven correct.
-func NewRBF1(tr transport.Transport, m types.Membership, ring *sig.Keyring, opts ...RBF1Option) (*RBF1, error) {
-	if err := m.Validate(); err != nil {
+type rbRound struct {
+	sigs    map[types.ProcessID][]byte // signature per sender whose value we hold
+	p2From  map[types.ProcessID]bool   // senders of valid phase-2 bundles
+	bundled bool                       // this process already sent its bundle
+}
+
+func newRBF1Core(m types.Membership, ring *sig.Keyring) (*rbf1Core, error) {
+	if err := checkMember(m, ring.Self()); err != nil {
 		return nil, err
 	}
 	if m.F > 1 || m.N < 3 {
 		return nil, fmt.Errorf("rounds: rbf1 requires f<=1 and n>=3, got n=%d f=%d", m.N, m.F)
 	}
-	if !m.Contains(tr.Self()) || ring.Self() != tr.Self() {
-		return nil, fmt.Errorf("rounds: endpoint %v / keyring %v mismatch", tr.Self(), ring.Self())
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	s := &RBF1{
-		t:      newTracker(tr.Self(), m, nil),
-		tr:     tr,
-		ring:   ring,
-		rounds: make(map[types.Round]*rbRound),
-		cancel: cancel,
-		done:   make(chan struct{}),
-	}
-	for _, opt := range opts {
-		opt(s)
-	}
-	go s.recvLoop(ctx)
-	return s, nil
+	return &rbf1Core{book: newBook(m, ring.Self()), ring: ring, rounds: make(map[types.Round]*rbRound)}, nil
 }
 
-// Self returns this process's ID.
-func (s *RBF1) Self() types.ProcessID { return s.t.self }
-
-// Membership returns the process group.
-func (s *RBF1) Membership() types.Membership { return s.t.m }
-
-func (s *RBF1) roundState(r types.Round) *rbRound {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.rounds[r]
+func (c *rbf1Core) roundState(r types.Round) *rbRound {
+	st := c.rounds[r]
 	if st == nil {
 		st = &rbRound{
 			sigs:   make(map[types.ProcessID][]byte),
 			p2From: make(map[types.ProcessID]bool),
 		}
-		s.rounds[r] = st
+		c.rounds[r] = st
 	}
 	return st
 }
@@ -117,89 +93,22 @@ func p1Bytes(r types.Round, data []byte) []byte {
 	return e.Bytes()
 }
 
-// Send signs and broadcasts this process's phase-1 message for round r.
-func (s *RBF1) Send(r types.Round, data []byte) error {
-	if err := s.t.requireNotSent(r); err != nil {
-		return err
-	}
-	signature := s.ring.Sign(p1Bytes(r, data))
-	st := s.roundState(r)
-	s.mu.Lock()
-	st.sigs[s.t.self] = signature
-	s.mu.Unlock()
-
+func encodePhase1(r types.Round, data, signature []byte) []byte {
 	e := wire.NewEncoder(64 + len(data))
 	e.Byte(rbPhase1)
 	e.Uint64(uint64(r))
 	e.BytesField(data)
 	e.BytesField(signature)
-	if err := transport.Broadcast(s.tr, s.t.m.Others(s.t.self), e.Bytes()); err != nil {
-		return fmt.Errorf("rounds: rbf1 phase-1 broadcast: %w", err)
-	}
-	return s.t.markSent(r, data)
+	return e.Bytes()
 }
 
-// SendAux broadcasts an out-of-round message. It does not loop back to self.
-func (s *RBF1) SendAux(data []byte) error {
-	e := wire.NewEncoder(8 + len(data))
-	e.Byte(rbAux)
-	e.BytesField(data)
-	if err := transport.Broadcast(s.tr, s.t.m.Others(s.t.self), e.Bytes()); err != nil {
-		return fmt.Errorf("rounds: rbf1 aux broadcast: %w", err)
-	}
-	return nil
+// bundleEntry is one signed phase-1 value forwarded in a phase-2 bundle.
+type bundleEntry struct {
+	owner     types.ProcessID
+	data, sig []byte
 }
 
-// WaitEnd runs the two waiting phases of the protocol for round r and
-// returns the values received.
-func (s *RBF1) WaitEnd(ctx context.Context, r types.Round) (map[types.ProcessID][]byte, error) {
-	if err := s.t.requireSent(r); err != nil {
-		return nil, err
-	}
-	need := s.t.m.N - 1
-	// Phase 1: n-1 distinct signed values (self included).
-	if err := s.t.waitFor(ctx, func() bool { return s.t.count(r) >= need }); err != nil {
-		return nil, err
-	}
-	// Phase 2: forward everything we have, once.
-	if err := s.sendBundle(r); err != nil {
-		return nil, err
-	}
-	st := s.roundState(r)
-	if err := s.t.waitFor(ctx, func() bool {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return len(st.p2From) >= need
-	}); err != nil {
-		return nil, err
-	}
-	return s.t.snapshot(r), nil
-}
-
-// sendBundle broadcasts this process's phase-2 bundle for round r (once).
-func (s *RBF1) sendBundle(r types.Round) error {
-	st := s.roundState(r)
-	vals := s.t.snapshot(r)
-	s.mu.Lock()
-	if st.bundled {
-		s.mu.Unlock()
-		return nil
-	}
-	st.bundled = true
-	st.p2From[s.t.self] = true // own bundle counts
-	type entry struct {
-		owner types.ProcessID
-		data  []byte
-		sig   []byte
-	}
-	var entries []entry
-	for owner, signature := range st.sigs {
-		if data, ok := vals[owner]; ok {
-			entries = append(entries, entry{owner, data, signature})
-		}
-	}
-	s.mu.Unlock()
-
+func encodeBundle(r types.Round, entries []bundleEntry) []byte {
 	e := wire.NewEncoder(64)
 	e.Byte(rbPhase2)
 	e.Uint64(uint64(r))
@@ -209,60 +118,102 @@ func (s *RBF1) sendBundle(r types.Round) error {
 		e.BytesField(en.data)
 		e.BytesField(en.sig)
 	}
-	if err := transport.Broadcast(s.tr, s.t.m.Others(s.t.self), e.Bytes()); err != nil {
-		return fmt.Errorf("rounds: rbf1 phase-2 broadcast: %w", err)
+	return e.Bytes()
+}
+
+// Send signs and broadcasts this process's phase-1 message for round r.
+func (c *rbf1Core) Send(r types.Round, data []byte) (*Step, error) {
+	s := c.next()
+	if err := c.send(r, data); err != nil {
+		return nil, err
 	}
-	s.t.pulse.Fire()
-	return nil
+	c.pendSig = c.ring.Sign(p1Bytes(r, data))
+	s.Send = append(s.Send, encodePhase1(r, data, c.pendSig))
+	return s, nil
 }
 
-// Recv returns the next received round message.
-func (s *RBF1) Recv(ctx context.Context) (Msg, error) { return s.t.recv(ctx) }
-
-// Close stops the receive loop and unblocks waiters.
-func (s *RBF1) Close() error {
-	s.cancel()
-	<-s.done
-	s.t.close()
-	return nil
+// Sent enters the round, keeping its signature for the bundle.
+func (c *rbf1Core) Sent(time.Time) *Step {
+	s := c.next()
+	if r, ok := c.sent(s); ok {
+		c.roundState(r).sigs[c.self] = c.pendSig
+	}
+	return s
 }
 
-func (s *RBF1) recvLoop(ctx context.Context) {
-	defer close(s.done)
-	for {
-		env, err := s.tr.Recv(ctx)
-		if err != nil {
-			return
+func (c *rbf1Core) SendAux(data []byte) *Step {
+	s := c.next()
+	e := wire.NewEncoder(8 + len(data))
+	e.Byte(rbAux)
+	e.BytesField(data)
+	s.Send = append(s.Send, e.Bytes())
+	return s
+}
+
+func (c *rbf1Core) WaitEnd(r types.Round, _ time.Time) (*Step, error) {
+	s := c.next()
+	if err := c.await(r); err != nil {
+		return nil, err
+	}
+	c.progress(s, r)
+	return s, nil
+}
+
+// progress moves the awaited round r on: once phase 1 holds n-1 values it
+// forwards them all, once; once n-1 bundles (its own included) count, the
+// round is over.
+func (c *rbf1Core) progress(s *Step, r types.Round) {
+	need := c.m.N - 1
+	st := c.roundState(r)
+	if !st.bundled && len(c.table[r]) >= need {
+		st.bundled = true
+		st.p2From[c.self] = true // own bundle counts
+		var entries []bundleEntry
+		for _, owner := range c.m.All() {
+			if signature, ok := st.sigs[owner]; ok {
+				entries = append(entries, bundleEntry{owner, c.table[r][owner], signature})
+			}
 		}
-		s.handle(env.From, env.Payload)
+		s.Send = append(s.Send, encodeBundle(r, entries))
+	}
+	if st.bundled && len(st.p2From) >= need {
+		c.end(s, r)
 	}
 }
 
-func (s *RBF1) handle(from types.ProcessID, payload []byte) {
+func (c *rbf1Core) Handle(from types.ProcessID, payload []byte) *Step {
+	s := c.next()
+	if r, ok := c.handle(s, from, payload); ok && c.awaited[r] {
+		c.progress(s, r)
+	}
+	return s
+}
+
+// handle processes one payload and reports the round it concerns, if any.
+func (c *rbf1Core) handle(s *Step, from types.ProcessID, payload []byte) (types.Round, bool) {
 	if len(payload) == 0 {
-		return
+		return 0, false
 	}
 	d := wire.NewDecoder(payload)
 	switch d.Byte() {
 	case rbAux:
 		data := append([]byte(nil), d.BytesField()...)
-		if d.Finish() != nil {
-			return
+		if d.Finish() == nil {
+			c.aux(s, from, data)
 		}
-		s.t.recordAux(from, data)
 	case rbPhase1:
 		r := types.Round(d.Uint64())
 		data := append([]byte(nil), d.BytesField()...)
 		signature := append([]byte(nil), d.BytesField()...)
-		if d.Finish() != nil {
-			return
+		if d.Finish() == nil {
+			c.accept(s, r, from, data, signature)
+			return r, true
 		}
-		s.accept(r, from, data, signature)
 	case rbPhase2:
 		r := types.Round(d.Uint64())
 		n := d.Int()
-		if d.Err() != nil || n < 0 || n > s.t.m.N {
-			return
+		if d.Err() != nil || n < 0 || n > c.m.N {
+			return 0, false
 		}
 		distinct := make(map[types.ProcessID]bool, n)
 		for i := 0; i < n; i++ {
@@ -270,45 +221,44 @@ func (s *RBF1) handle(from types.ProcessID, payload []byte) {
 			data := append([]byte(nil), d.BytesField()...)
 			signature := append([]byte(nil), d.BytesField()...)
 			if d.Err() != nil {
-				return
+				return r, true
 			}
-			if s.accept(r, owner, data, signature) {
+			if c.accept(s, r, owner, data, signature) {
 				distinct[owner] = true
 			}
 		}
 		if d.Finish() != nil {
-			return
+			return r, true
 		}
 		// The bundle counts toward phase 2 only if it carries >= n-1
 		// distinct validly signed values.
-		if len(distinct) >= s.t.m.N-1 {
-			st := s.roundState(r)
-			s.mu.Lock()
-			st.p2From[from] = true
-			s.mu.Unlock()
-			s.t.pulse.Fire()
+		if len(distinct) >= c.m.N-1 {
+			c.roundState(r).p2From[from] = true
 		}
+		return r, true
 	}
+	return 0, false
 }
 
 // accept validates a signed phase-1 value (direct or forwarded) and records
 // it. It reports whether the signature was valid, regardless of whether the
 // value was new.
-func (s *RBF1) accept(r types.Round, owner types.ProcessID, data, signature []byte) bool {
-	if !s.t.m.Contains(owner) {
+func (c *rbf1Core) accept(s *Step, r types.Round, owner types.ProcessID, data, signature []byte) bool {
+	if !c.m.Contains(owner) {
 		return false
 	}
-	if err := s.ring.Verify(owner, p1Bytes(r, data), signature); err != nil {
+	if err := c.ring.Verify(owner, p1Bytes(r, data), signature); err != nil {
 		return false
 	}
-	if owner != s.t.self {
-		st := s.roundState(r)
-		s.mu.Lock()
+	if owner != c.self {
+		st := c.roundState(r)
 		if _, ok := st.sigs[owner]; !ok {
 			st.sigs[owner] = signature
 		}
-		s.mu.Unlock()
-		s.t.record(owner, r, data)
+		c.record(s, owner, r, data)
 	}
 	return true
 }
+
+// Scanned is never called: message media have no objects.
+func (c *rbf1Core) Scanned(types.ProcessID, [][]byte) *Step { return c.next() }

@@ -10,21 +10,34 @@
 //     passing — send to all, wait for n-f round messages. This is the
 //     natural (and provably best possible) round protocol over any
 //     eventual-delivery medium, including SRB; the separation experiment
-//     (internal/separation) shows it violates unidirectionality.
+//     (internal/separation) runs it over SRB and shows it violates
+//     unidirectionality.
 //   - Lockstep: bidirectional rounds, modelling lock-step synchrony: a round
 //     ends only when the messages of all live processes have arrived. The
 //     harness supplies the live set (the synchronous model's perfect crash
 //     knowledge).
+//   - DeltaSync: rounds under Δ-synchrony, each ending a fixed wait after
+//     the process's own send.
 //
-// All systems implement the System interface and report their execution to
-// an optional Observer — core.UniChecker implements Observer, making the
-// unidirectionality predicate machine-checkable for every implementation.
+// Each system is a Core — a step function with no goroutines, locks or
+// clock reads, fed received payloads, memory scan results and the local
+// Send/SendAux/WaitEnd calls, and returning sends, appends, observer events,
+// stream messages, round ends and scan requests — run by one Runner, which
+// implements System over a transport or a swmr.Memory. A Send's writes are
+// carried out before the core enters the round (Core.Sent), so a failed
+// write enters none, an SWMR boundary scan follows its append, and a
+// DeltaSync wait starts after its broadcast. Async, Lockstep and
+// DeltaSync share one core that differs only in its round-end rule. The
+// schedule test steps the cores single-threaded from a seed.
+//
+// All systems report their execution to an optional Observer —
+// core.UniChecker implements Observer, making the unidirectionality
+// predicate machine-checkable for every implementation.
 package rounds
 
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"unidir/internal/types"
 	"unidir/internal/wire"
@@ -97,7 +110,7 @@ type Observer interface {
 }
 
 // EncodeMessage produces the wire form of a round message body as sent by
-// the transport-based systems (Async, Lockstep). It is exported for
+// the transport-based systems (Async, Lockstep, DeltaSync). It is exported for
 // Byzantine test harnesses that inject raw round traffic.
 func EncodeMessage(r types.Round, data []byte) []byte {
 	return encodeRoundMsg(r, data)
@@ -111,13 +124,10 @@ func encodeRoundMsg(r types.Round, data []byte) []byte {
 	return e.Bytes()
 }
 
-// decodeRoundMsg parses a round message body.
-func decodeRoundMsg(b []byte) (types.Round, []byte, error) {
+// decodeRoundMsg parses a round message body; ok is false for garbage.
+func decodeRoundMsg(b []byte) (r types.Round, data []byte, ok bool) {
 	d := wire.NewDecoder(b)
-	r := types.Round(d.Uint64())
-	data := append([]byte(nil), d.BytesField()...)
-	if err := d.Finish(); err != nil {
-		return 0, nil, fmt.Errorf("rounds: decode message: %w", err)
-	}
-	return r, data, nil
+	r = types.Round(d.Uint64())
+	data = append([]byte(nil), d.BytesField()...)
+	return r, data, d.Finish() == nil
 }

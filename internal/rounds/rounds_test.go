@@ -38,7 +38,7 @@ func newSWMRSystems(t *testing.T, m types.Membership, checker rounds.Observer) [
 	systems := make([]rounds.System, m.N)
 	for i := 0; i < m.N; i++ {
 		sys, err := rounds.NewSWMR(swmr.NewLocal(store, types.ProcessID(i)), m,
-			rounds.WithSWMRObserver(checker))
+			rounds.WithObserver(checker))
 		if err != nil {
 			t.Fatalf("NewSWMR: %v", err)
 		}
@@ -225,8 +225,7 @@ func TestSWMRWorksOverRPCMemory(t *testing.T) {
 	for i := 0; i < m.N; i++ {
 		client := swmr.NewClient(net.Endpoint(types.ProcessID(i)), 3)
 		clients = append(clients, client)
-		sys, err := rounds.NewSWMR(client, m, rounds.WithSWMRObserver(checker),
-			rounds.WithPollInterval(2*time.Millisecond))
+		sys, err := rounds.NewSWMR(client, m, rounds.WithObserver(checker))
 		if err != nil {
 			t.Fatalf("NewSWMR: %v", err)
 		}
@@ -251,7 +250,7 @@ func newAsyncSystems(t *testing.T, m types.Membership, net *simnet.Network, chec
 	systems := make([]rounds.System, m.N)
 	for i := 0; i < m.N; i++ {
 		sys, err := rounds.NewAsync(net.Endpoint(types.ProcessID(i)), m,
-			rounds.WithAsyncObserver(checker))
+			rounds.WithObserver(checker))
 		if err != nil {
 			t.Fatalf("NewAsync: %v", err)
 		}
@@ -338,7 +337,7 @@ func TestLockstepIsBidirectional(t *testing.T) {
 	systems := make([]rounds.System, m.N)
 	for i := 0; i < m.N; i++ {
 		sys, err := rounds.NewLockstep(net.Endpoint(types.ProcessID(i)), m,
-			rounds.WithLockstepObserver(checker))
+			rounds.WithObserver(checker))
 		if err != nil {
 			t.Fatalf("NewLockstep: %v", err)
 		}
@@ -400,7 +399,7 @@ func newRBF1Systems(t *testing.T, m types.Membership, net *simnet.Network, check
 	systems := make([]rounds.System, m.N)
 	for i := 0; i < m.N; i++ {
 		sys, err := rounds.NewRBF1(net.Endpoint(types.ProcessID(i)), m, rings[i],
-			rounds.WithRBF1Observer(checker))
+			rounds.WithObserver(checker))
 		if err != nil {
 			t.Fatalf("NewRBF1: %v", err)
 		}

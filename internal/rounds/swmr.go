@@ -1,17 +1,15 @@
 package rounds
 
 import (
-	"context"
-	"fmt"
-	"sync"
 	"time"
 
 	"unidir/internal/trusted/swmr"
 	"unidir/internal/types"
 )
 
-// SWMR implements unidirectional rounds from shared memory with ACLs —
-// the protocol of Claim §3.2 (first introduced by Aguilera et al., DISC'19):
+// NewSWMR creates the unidirectional round system from shared memory with
+// ACLs for the process identified by mem, over membership m — the protocol
+// of Claim §3.2 (first introduced by Aguilera et al., DISC'19):
 //
 //	In round r, process p_i:
 //	  to send message m, appends (r, m) to its own object o_i;
@@ -22,163 +20,88 @@ import (
 // correct processes that both write in round r, the one whose append
 // linearizes second must see the other's entry in its scan.
 //
-// WaitEnd performs the scan that defines the round boundary. A background
-// poller keeps scanning so that late writes still reach the Recv stream
-// (eventual delivery), which the SRB construction requires.
-type SWMR struct {
-	t    *tracker
-	mem  swmr.Memory
-	poll time.Duration
-
-	scanMu sync.Mutex // serializes scans; cursor is guarded by it
-	cursor []int
-
-	cancel context.CancelFunc
-	done   chan struct{}
-}
-
-var _ System = (*SWMR)(nil)
-
-// SWMROption configures NewSWMR.
-type SWMROption func(*SWMR)
-
-// WithSWMRObserver attaches a property-checking observer.
-func WithSWMRObserver(obs Observer) SWMROption {
-	return func(s *SWMR) { s.t.obs = obs }
-}
-
-// WithPollInterval sets the straggler-scan interval (default 500µs).
-func WithPollInterval(d time.Duration) SWMROption {
-	return func(s *SWMR) { s.poll = d }
-}
-
-// NewSWMR creates the round system for the process identified by mem over
-// membership m.
-func NewSWMR(mem swmr.Memory, m types.Membership, opts ...SWMROption) (*SWMR, error) {
-	if err := m.Validate(); err != nil {
+// WaitEnd performs the scan that defines the round boundary. The runner
+// keeps scanning so that late writes still reach the Recv stream (eventual
+// delivery), which the SRB construction requires. Works over any
+// swmr.Memory — local store or the RPC client.
+func NewSWMR(mem swmr.Memory, m types.Membership, opts ...Option) (*SWMR, error) {
+	if err := checkMember(m, mem.Self()); err != nil {
 		return nil, err
 	}
-	if !m.Contains(mem.Self()) {
-		return nil, fmt.Errorf("rounds: swmr memory caller %v not in membership", mem.Self())
+	cfg, err := configure(opts, false)
+	if err != nil {
+		return nil, err
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	s := &SWMR{
-		t:      newTracker(mem.Self(), m, nil),
-		mem:    mem,
-		poll:   500 * time.Microsecond,
-		cursor: make([]int, m.N),
-		cancel: cancel,
-		done:   make(chan struct{}),
+	return newRunner(newSWMRCore(m, mem.Self()), mem.Self(), m, nil, mem, cfg), nil
+}
+
+// swmrCore is write-then-scan: Send appends, and a round WaitEnd asked for
+// is over once every object has been read since.
+type swmrCore struct {
+	book
+	read   []bool // objects read since the last WaitEnd
+	unread int    // objects still to read before the awaited rounds are over
+}
+
+func newSWMRCore(m types.Membership, self types.ProcessID) *swmrCore {
+	return &swmrCore{book: newBook(m, self), read: make([]bool, m.N)}
+}
+
+// Send appends the round message; Sent, and so the boundary scan, waits for
+// the append.
+func (c *swmrCore) Send(r types.Round, data []byte) (*Step, error) {
+	s := c.next()
+	if err := c.send(r, data); err != nil {
+		return nil, err
 	}
-	for _, opt := range opts {
-		opt(s)
-	}
-	go s.pollLoop(ctx)
+	s.Append = append(s.Append, encodeRoundMsg(r, data))
 	return s, nil
 }
 
-// Self returns this process's ID.
-func (s *SWMR) Self() types.ProcessID { return s.t.self }
-
-// Membership returns the process group.
-func (s *SWMR) Membership() types.Membership { return s.t.m }
-
-// Send appends (r, data) to this process's own object.
-func (s *SWMR) Send(r types.Round, data []byte) error {
-	// Order matters: the append must be visible in shared memory before the
-	// tracker admits the send, because markSent defines the moment after
-	// which this process may scan (and peers may count on seeing the entry).
-	if err := s.t.requireNotSent(r); err != nil {
-		return err
-	}
-	if err := s.mem.Append(encodeRoundMsg(r, data)); err != nil {
-		return fmt.Errorf("rounds: swmr append: %w", err)
-	}
-	return s.t.markSent(r, data)
+// SendAux appends an out-of-round message; peers' scans surface it on
+// their Recv streams.
+func (c *swmrCore) SendAux(data []byte) *Step {
+	s := c.next()
+	s.Append = append(s.Append, encodeRoundMsg(AuxRound, data))
+	return s
 }
 
-// SendAux appends an out-of-round message to this process's object; peers'
-// pollers surface it on their Recv streams. It does not loop back to self.
-func (s *SWMR) SendAux(data []byte) error {
-	if err := s.mem.Append(encodeRoundMsg(0, data)); err != nil {
-		return fmt.Errorf("rounds: swmr aux append: %w", err)
-	}
-	return nil
-}
-
-// WaitEnd scans all objects once — the round-boundary scan of the protocol —
-// and returns the round-r messages collected so far.
-func (s *SWMR) WaitEnd(ctx context.Context, r types.Round) (map[types.ProcessID][]byte, error) {
-	if err := s.t.requireSent(r); err != nil {
+// WaitEnd starts the boundary scan. Only reads made from now on count, so
+// each of them comes after this round's append.
+func (c *swmrCore) WaitEnd(r types.Round, _ time.Time) (*Step, error) {
+	s := c.next()
+	if err := c.await(r); err != nil {
 		return nil, err
 	}
-	if err := s.scan(); err != nil {
-		return nil, err
+	for q := range c.read {
+		c.read[q] = false
 	}
-	_ = ctx // the boundary scan is synchronous; nothing to wait for
-	return s.t.snapshot(r), nil
+	c.unread = len(c.read)
+	s.Scan = true
+	return s, nil
 }
 
-// Recv returns the next round message (including post-boundary stragglers
-// discovered by the poller).
-func (s *SWMR) Recv(ctx context.Context) (Msg, error) { return s.t.recv(ctx) }
+// Handle is never called: memory media carry no messages.
+func (c *swmrCore) Handle(types.ProcessID, []byte) *Step { return c.next() }
 
-// Close stops the poller and unblocks stream consumers.
-func (s *SWMR) Close() error {
-	s.cancel()
-	<-s.done
-	s.t.close()
-	return nil
-}
-
-func (s *SWMR) pollLoop(ctx context.Context) {
-	defer close(s.done)
-	ticker := time.NewTicker(s.poll)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			_ = s.scan() // a failed scan will be retried next tick
-		case <-ctx.Done():
-			return
+func (c *swmrCore) Scanned(owner types.ProcessID, entries [][]byte) *Step {
+	s := c.next()
+	for _, raw := range entries {
+		r, data, ok := decodeRoundMsg(raw)
+		switch {
+		case !ok: // a Byzantine owner wrote garbage in its object
+		case owner == c.self: // own entries are recorded at Send
+		case r == AuxRound:
+			c.aux(s, owner, data)
+		default:
+			c.record(s, owner, r, data)
 		}
 	}
-}
-
-// scan reads every object past this process's cursor and records new
-// entries. Scans are serialized by scanMu so cursors stay consistent.
-func (s *SWMR) scan() error {
-	s.scanMu.Lock()
-	defer s.scanMu.Unlock()
-
-	s.t.mu.Lock()
-	closed := s.t.closed
-	s.t.mu.Unlock()
-	if closed {
-		return ErrClosed
-	}
-
-	for q := 0; q < s.t.m.N; q++ {
-		owner := types.ProcessID(q)
-		entries, err := s.mem.ReadLog(owner, s.cursor[q])
-		if err != nil {
-			return fmt.Errorf("rounds: swmr scan o_%d: %w", q, err)
-		}
-		for _, raw := range entries {
-			s.cursor[q]++
-			r, data, err := decodeRoundMsg(raw)
-			if err != nil {
-				continue // a Byzantine owner wrote garbage in its object
-			}
-			if owner == s.t.self {
-				continue // own entries are recorded at Send time
-			}
-			if r == AuxRound {
-				s.t.recordAux(owner, data)
-				continue
-			}
-			s.t.record(owner, r, data)
+	if c.unread > 0 && !c.read[owner] {
+		c.read[owner] = true
+		if c.unread--; c.unread == 0 {
+			c.endAwaited(s)
 		}
 	}
-	return nil
+	return s
 }

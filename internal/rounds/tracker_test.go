@@ -68,7 +68,7 @@ func TestLockstepGotBeforeWaitEnd(t *testing.T) {
 		got: make(map[types.ProcessID]int), atEnd: make(map[types.ProcessID]int)}
 	var systems []*rounds.Lockstep
 	for _, id := range m.All() {
-		sys, err := rounds.NewLockstep(net.Endpoint(id), m, rounds.WithLockstepObserver(obs))
+		sys, err := rounds.NewLockstep(net.Endpoint(id), m, rounds.WithObserver(obs))
 		if err != nil {
 			t.Fatal(err)
 		}

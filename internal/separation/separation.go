@@ -4,10 +4,10 @@
 //
 // The experiment instantiates the proof's geometry. Processes are split
 // into Q (|Q| = n-f), C1 (|C1| = 1), and C2 (|C2| = f-1), and the natural
-// "rounds from SRB" protocol — broadcast your round message through SRB,
-// end the round after delivering round messages from n-f distinct
-// processes (the most any process may block on under asynchrony) — is
-// driven through the three scenarios:
+// "rounds from SRB" protocol — rounds.Async over an SRB node: broadcast
+// your round message through SRB, end the round after delivering
+// round messages from n-f distinct processes (the most any process may
+// block on under asynchrony) — is driven through the three scenarios:
 //
 //	Scenario 1: C1 crashed; C2→Q links delayed indefinitely. Q and C2 must
 //	            finish the round (from their view, C1 and C2 could be the
@@ -40,11 +40,10 @@ import (
 	"unidir/internal/simnet"
 	"unidir/internal/srb"
 	"unidir/internal/srb/trincsrb"
-	"unidir/internal/syncx"
+	"unidir/internal/transport"
 	"unidir/internal/trusted/swmr"
 	"unidir/internal/trusted/trinc"
 	"unidir/internal/types"
-	"unidir/internal/wire"
 )
 
 // ErrGeometry reports an (n, f) outside the impossibility's regime.
@@ -91,112 +90,41 @@ type Result struct {
 	SWMRSchedules  int
 }
 
-// srbRounds is the strawman: the natural round protocol over an SRB node.
-// It is deliberately the *best possible* asynchronous attempt — waiting for
+// srbChannels is the medium of the strawman: one SRB node as a transport.
+// The round system hands each round message to Broadcast, which makes it one
+// SRB broadcast that every other process delivers, so the strawman also
+// enjoys SRB's agreement. rounds.NewAsync over it is the natural round
+// protocol over SRB, and deliberately the *best possible* one: waiting for
 // more than n-f round messages may block forever, so no protocol over an
-// eventual-delivery medium can wait for more.
-type srbRounds struct {
-	node srb.Node
-	m    types.Membership
-	obs  rounds.Observer
+// eventual-delivery medium can wait for more. A round system never closes
+// its medium: the scenario closes the node.
+type srbChannels struct{ node srb.Node }
 
-	mu    sync.Mutex
-	table map[types.Round]map[types.ProcessID][]byte
-	pulse *syncx.Pulse
+var errPointToPoint = errors.New("separation: SRB channels only broadcast")
 
-	cancel context.CancelFunc
-	done   chan struct{}
-}
+func (c srbChannels) Self() types.ProcessID { return c.node.Self() }
 
-func newSRBRounds(node srb.Node, m types.Membership, obs rounds.Observer) *srbRounds {
-	ctx, cancel := context.WithCancel(context.Background())
-	s := &srbRounds{
-		node:   node,
-		m:      m,
-		obs:    obs,
-		table:  make(map[types.Round]map[types.ProcessID][]byte),
-		pulse:  syncx.NewPulse(),
-		cancel: cancel,
-		done:   make(chan struct{}),
-	}
-	go s.pump(ctx)
-	return s
-}
-
-func (s *srbRounds) close() {
-	s.cancel()
-	<-s.done
-}
-
-func (s *srbRounds) pump(ctx context.Context) {
-	defer close(s.done)
-	for {
-		d, err := s.node.Deliver(ctx)
-		if err != nil {
-			return
-		}
-		dec := wire.NewDecoder(d.Data)
-		r := types.Round(dec.Uint64())
-		data := append([]byte(nil), dec.BytesField()...)
-		if dec.Finish() != nil || r == 0 {
-			continue
-		}
-		// Report possession before the table can end the round (waitEnd), so
-		// a boundary never precedes the Got of the message that reached it.
-		if s.obs != nil && d.Sender != s.node.Self() {
-			s.obs.Got(s.node.Self(), d.Sender, r)
-		}
-		s.mu.Lock()
-		byRound := s.table[r]
-		if byRound == nil {
-			byRound = make(map[types.ProcessID][]byte)
-			s.table[r] = byRound
-		}
-		if _, dup := byRound[d.Sender]; !dup {
-			byRound[d.Sender] = data
-		}
-		s.mu.Unlock()
-		s.pulse.Fire()
-	}
-}
-
-// send broadcasts this process's round-r message through SRB.
-func (s *srbRounds) send(r types.Round, data []byte) error {
-	if s.obs != nil {
-		s.obs.Sent(s.node.Self(), r)
-	}
-	e := wire.NewEncoder(16 + len(data))
-	e.Uint64(uint64(r))
-	e.BytesField(data)
-	_, err := s.node.Broadcast(e.Bytes())
+func (c srbChannels) Broadcast(payload []byte) error {
+	_, err := c.node.Broadcast(payload)
 	return err
 }
 
-// waitEnd blocks until round-r messages from n-f distinct processes
-// (self included — own broadcasts are self-delivered by the SRB node) have
-// been delivered, then reports the round boundary.
-func (s *srbRounds) waitEnd(ctx context.Context, r types.Round) error {
-	need := s.m.Correct()
+// Send is never called: the round system only broadcasts.
+func (c srbChannels) Send(types.ProcessID, []byte) error { return errPointToPoint }
+
+func (c srbChannels) Recv(ctx context.Context) (transport.Envelope, error) {
 	for {
-		// Take the wakeup channel before looking: a delivery landing between
-		// the look and the wait then still wakes us.
-		ch := s.pulse.Wait()
-		s.mu.Lock()
-		have := len(s.table[r])
-		s.mu.Unlock()
-		if have >= need {
-			if s.obs != nil {
-				s.obs.Boundary(s.node.Self(), r)
-			}
-			return nil
+		d, err := c.node.Deliver(ctx)
+		if err != nil {
+			return transport.Envelope{}, err
 		}
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			return ctx.Err()
+		if d.Sender != c.node.Self() {
+			return transport.Envelope{From: d.Sender, To: c.node.Self(), Payload: d.Data}, nil
 		}
 	}
 }
+
+func (c srbChannels) Close() error { return c.node.Close() }
 
 // scenario describes one of the proof's three adversary configurations.
 type scenario struct {
@@ -301,9 +229,15 @@ func runScenario(m types.Membership, which int, timeout time.Duration, drive fun
 
 	type peer struct {
 		node srb.Node
-		rs   *srbRounds
+		rs   *rounds.Async
 	}
 	peers := make(map[types.ProcessID]*peer)
+	defer func() {
+		for _, p := range peers {
+			_ = p.rs.Close()
+			_ = p.node.Close()
+		}
+	}()
 	for _, id := range m.All() {
 		if crashed[id] {
 			continue
@@ -312,14 +246,13 @@ func runScenario(m types.Membership, which int, timeout time.Duration, drive fun
 		if err != nil {
 			return ScenarioOutcome{}, fmt.Errorf("separation: node %v: %w", id, err)
 		}
-		peers[id] = &peer{node: node, rs: newSRBRounds(node, m, checker)}
-	}
-	defer func() {
-		for _, p := range peers {
-			p.rs.close()
-			_ = p.node.Close()
+		rs, err := rounds.NewAsync(srbChannels{node}, m, rounds.WithObserver(checker))
+		if err != nil {
+			_ = node.Close()
+			return ScenarioOutcome{}, err
 		}
-	}()
+		peers[id] = &peer{node: node, rs: rs}
+	}
 
 	gates := make(map[types.ProcessID]chan struct{}, len(peers))
 	for id := range peers {
@@ -350,12 +283,13 @@ func runScenario(m types.Membership, which int, timeout time.Duration, drive fun
 			case <-ctx.Done():
 				return
 			}
-			if err := p.rs.send(1, []byte(fmt.Sprintf("round-1 from %v", id))); err != nil {
+			if err := p.rs.Send(1, []byte(fmt.Sprintf("round-1 from %v", id))); err != nil {
 				return
 			}
-			if err := p.rs.waitEnd(ctx, 1); err != nil {
+			if _, err := p.rs.WaitEnd(ctx, 1); err != nil {
 				return
 			}
+			_ = p.rs.Close() // the process moves on: its round's boundary
 			mu.Lock()
 			outcome.Completed[id] = true
 			mu.Unlock()
@@ -380,7 +314,7 @@ func RunSWMRControl(m types.Membership, schedules int, seed int64) ([]core.Viola
 		systems := make([]*rounds.SWMR, m.N)
 		for i := 0; i < m.N; i++ {
 			sys, err := rounds.NewSWMR(swmr.NewLocal(store, types.ProcessID(i)), m,
-				rounds.WithSWMRObserver(checker))
+				rounds.WithObserver(checker))
 			if err != nil {
 				return nil, err
 			}

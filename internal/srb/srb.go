@@ -32,8 +32,9 @@
 //
 // trincsrb, a2msrb and bracha are each a Core, a step function without I/O
 // or goroutines: Runner drives one from a transport, and a test scheduler can
-// step it directly. uniround is not a Core: its input is rounds.System
-// steps, not envelopes, so its seam belongs with rounds.SWMR's polling loop.
+// step it directly. uniround is not a Core: it drives a rounds.System from
+// goroutines of its own. The round protocols beneath it are rounds.Core step
+// functions, run by one rounds.Runner.
 package srb
 
 import (

@@ -97,7 +97,7 @@ func (s *Server) handle(caller types.ProcessID, req []byte) []byte {
 			e.BytesField(v)
 		}
 	case opReadLog:
-		entries, _, err := s.store.ReadLog(caller, owner, from)
+		entries, err := s.store.ReadLog(caller, owner, from)
 		encodeStatus(e, err)
 		if err == nil {
 			e.Int(len(entries))

@@ -41,7 +41,6 @@ type Store struct {
 
 	mu   sync.Mutex
 	objs [][][]byte // objs[owner] = append-only list of values
-	vers []uint64   // bumped on every successful modification (for pollers)
 }
 
 // NewStore allocates shared memory for membership m.
@@ -52,7 +51,6 @@ func NewStore(m types.Membership) (*Store, error) {
 	return &Store{
 		m:    m,
 		objs: make([][][]byte, m.N),
-		vers: make([]uint64, m.N),
 	}, nil
 }
 
@@ -80,7 +78,6 @@ func (s *Store) Append(caller, owner types.ProcessID, val []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.objs[owner] = append(s.objs[owner], cp)
-	s.vers[owner]++
 	return nil
 }
 
@@ -94,7 +91,6 @@ func (s *Store) Write(caller, owner types.ProcessID, val []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.objs[owner] = [][]byte{cp}
-	s.vers[owner]++
 	return nil
 }
 
@@ -114,11 +110,11 @@ func (s *Store) Read(caller, owner types.ProcessID) ([]byte, bool, error) {
 }
 
 // ReadLog returns a copy of owner's whole object starting at offset from
-// (0-based), together with the object version. Any process may read.
-// Pollers pass the previously seen length as from to fetch only new entries.
-func (s *Store) ReadLog(caller, owner types.ProcessID, from int) ([][]byte, uint64, error) {
+// (0-based). Any process may read. Pollers pass the previously seen length
+// as from to fetch only new entries.
+func (s *Store) ReadLog(caller, owner types.ProcessID, from int) ([][]byte, error) {
 	if err := s.check(caller, owner, false); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if from < 0 {
 		from = 0
@@ -133,7 +129,7 @@ func (s *Store) ReadLog(caller, owner types.ProcessID, from int) ([][]byte, uint
 	for _, v := range obj[from:] {
 		out = append(out, append([]byte(nil), v...))
 	}
-	return out, s.vers[owner], nil
+	return out, nil
 }
 
 // Len returns the number of entries in owner's object.
@@ -211,6 +207,5 @@ func (l *Local) Read(owner types.ProcessID) ([]byte, bool, error) {
 
 // ReadLog returns owner's object entries starting at offset from.
 func (l *Local) ReadLog(owner types.ProcessID, from int) ([][]byte, error) {
-	entries, _, err := l.store.ReadLog(l.self, owner, from)
-	return entries, err
+	return l.store.ReadLog(l.self, owner, from)
 }

@@ -73,7 +73,7 @@ func TestAppendAndReadLogOffsets(t *testing.T) {
 			t.Fatalf("Append: %v", err)
 		}
 	}
-	entries, _, err := s.ReadLog(2, 1, 3)
+	entries, err := s.ReadLog(2, 1, 3)
 	if err != nil {
 		t.Fatalf("ReadLog: %v", err)
 	}
@@ -81,10 +81,10 @@ func TestAppendAndReadLogOffsets(t *testing.T) {
 		t.Fatalf("ReadLog(from=3) = %v, want entries 3 and 4", entries)
 	}
 	// Offsets beyond the end and negative offsets are clamped.
-	if entries, _, err = s.ReadLog(2, 1, 99); err != nil || len(entries) != 0 {
+	if entries, err = s.ReadLog(2, 1, 99); err != nil || len(entries) != 0 {
 		t.Fatalf("ReadLog(from=99) = %v, %v", entries, err)
 	}
-	if entries, _, err = s.ReadLog(2, 1, -4); err != nil || len(entries) != 5 {
+	if entries, err = s.ReadLog(2, 1, -4); err != nil || len(entries) != 5 {
 		t.Fatalf("ReadLog(from=-4) returned %d entries, err %v", len(entries), err)
 	}
 }
@@ -157,7 +157,7 @@ func TestQuickLogIsAppendOnly(t *testing.T) {
 				return false
 			}
 		}
-		got, _, err := s.ReadLog(1, 0, 0)
+		got, err := s.ReadLog(1, 0, 0)
 		if err != nil || len(got) != len(values) {
 			return false
 		}
